@@ -1,8 +1,9 @@
 """Pipeline command line: stage subcommands over a shared JSON config.
 
 Each subcommand reads only the previous stages' artifacts from the output
-directory, so any stage can be rerun in isolation. Outputs are pure
-functions of (inputs, config, seed); thread settings never affect bytes.
+directory, so any stage can be rerun in isolation; PIPELINE declares what
+each stage reads and writes. Outputs are pure functions of (inputs, config,
+seed); thread settings never affect bytes.
 """
 
 import os
@@ -41,11 +42,9 @@ from .cluster import (
 from .cohort import (
     AGE_GROUP_ORDER,
     RACE_LABELS,
-    SEX_LABELS,
     Cohort,
     CohortConfig,
     TablePaths,
-    bin_age,
     load_cohort,
     parse_tables,
     save_cohort,
@@ -68,7 +67,6 @@ from .phenotype import (
 from .report import (
     Artifact,
     ArtifactMeta,
-    NON_SEMANTIC_CONFIG_KEYS,
     cluster_crosstab,
     condition_prevalence,
     config_hash,
@@ -81,7 +79,7 @@ from .report import (
     render_mlr,
     render_prevalence,
     render_stats_grid,
-    write_text,
+    semantic_config,
 )
 from .stats import (
     VariableSpec,
@@ -91,20 +89,9 @@ from .stats import (
     pairwise_test_grid,
 )
 from .synth import generate_cohort, load_profiles, demo_profiles
+from .table import read_table, write_text
 
 log = logging.getLogger("adsubtype")
-
-STAGES = [
-    "synth",
-    "ingest",
-    "features",
-    "elbow",
-    "cluster",
-    "stats",
-    "mlr",
-    "drugs",
-    "report",
-]
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "seed": 0,
@@ -223,7 +210,7 @@ def _is_posint(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
-def validate_config(cfg: dict, command: str) -> list[str]:
+def validate_config(cfg: dict) -> list[str]:
     problems: list[str] = []
     _require(_is_posint(cfg["seed"]) or cfg["seed"] == 0, "seed must be a nonnegative integer", problems)
     _require(_is_posint(cfg["threads"]), "threads must be a positive integer", problems)
@@ -331,10 +318,6 @@ def validate_config(cfg: dict, command: str) -> list[str]:
     return problems
 
 
-def semantic_config(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if k not in NON_SEMANTIC_CONFIG_KEYS}
-
-
 # ---------------------------------------------------------------------------
 # Stage context
 # ---------------------------------------------------------------------------
@@ -353,10 +336,10 @@ class Context:
     def path(self, name: str) -> Path:
         return self.out / name
 
-    def need(self, name: str, producer: str) -> Path:
+    def need(self, name: str) -> Path:
         p = self.path(name)
         if not p.exists():
-            raise FileNotFoundError(f"missing input {p} (run '{producer}' first)")
+            raise FileNotFoundError(f"missing input {p} (run '{PRODUCERS[name]}' first)")
         return p
 
     def write(self, artifact: Artifact) -> str:
@@ -381,26 +364,11 @@ class Context:
         return default_phecode_map() if path is None else load_phecode_map(Path(path))
 
     def load_assignments(self, name: str = "assignments.csv") -> dict[str, int]:
-        out: dict[str, int] = {}
-        with open(self.path(name), encoding="utf-8") as fh:
-            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-        for ln in lines[1:]:
-            pid, cluster = ln.rstrip("\n").split(",")
-            out[pid] = int(cluster)
-        return out
+        with read_table(self.need(name)) as (_, rows):
+            return {pid: int(cluster) for _, (pid, cluster) in rows}
 
     def load_cohort(self) -> Cohort:
-        return load_cohort(self.need("cohort.json", "ingest"))
-
-
-def _demographic_values(cohort: Cohort) -> dict[str, list[str]]:
-    sex, race, age, mort = [], [], [], []
-    for p in cohort.patients:
-        sex.append(SEX_LABELS[p.sex])
-        race.append(RACE_LABELS[p.race])
-        age.append(bin_age(cohort.age_at_index[p.patient_id]).value)
-        mort.append("died" if p.died else "alive")
-    return {"sex": sex, "race": race, "age_group": age, "mortality": mort}
+        return load_cohort(self.need("cohort.json"))
 
 
 def _aligned_labels(cohort: Cohort, assignments: Mapping[str, int]) -> list[int]:
@@ -436,7 +404,7 @@ def stage_ingest(ctx: Context) -> list[str]:
         if configured is not None:
             return Path(configured)
         fname = "patients.csv" if name == "demographics" else f"{name}.csv"
-        return ctx.need(fname, "synth")
+        return ctx.need(fname)
 
     paths = TablePaths(
         demographics=table("demographics"),
@@ -487,7 +455,7 @@ def stage_ingest(ctx: Context) -> list[str]:
 
 def stage_features(ctx: Context) -> list[str]:
     cohort = ctx.load_cohort()
-    vocabulary = load_vocabulary_csv(ctx.need("vocabulary.csv", "ingest"))
+    vocabulary = load_vocabulary_csv(ctx.need("vocabulary.csv"))
     written = []
     for layout in ctx.cfg["features"]["layouts"]:
         if layout == TEMPORAL:
@@ -504,7 +472,7 @@ def stage_features(ctx: Context) -> list[str]:
 
 def stage_elbow(ctx: Context) -> list[str]:
     el = ctx.cfg["elbow"]
-    fm = read_feature_csv(ctx.need(f"features_{el['features']}.csv", "features"))
+    fm = read_feature_csv(ctx.need(f"features_{el['features']}.csv"))
     curve = elbow_sse_curve(
         fm.values.astype(np.float64),
         kmin=el["kmin"],
@@ -524,13 +492,11 @@ def stage_elbow(ctx: Context) -> list[str]:
 
 
 def _read_chosen_k(ctx: Context) -> int:
-    path = ctx.need("elbow.csv", "elbow")
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-    for ln in lines[1:]:
-        k, _sse, chosen = ln.rstrip("\n").split(",")
-        if chosen == "1":
-            return int(k)
+    path = ctx.need("elbow.csv")
+    with read_table(path) as (_, rows):
+        for _, (k, _sse, chosen) in rows:
+            if chosen == "1":
+                return int(k)
     raise ValueError(f"{path} marks no chosen k")
 
 
@@ -540,7 +506,7 @@ def stage_cluster(ctx: Context) -> list[str]:
     written = []
 
     def run(layout: str, assignment_name: str) -> tuple[str, dict[str, int]]:
-        fm = read_feature_csv(ctx.need(f"features_{layout}.csv", "features"))
+        fm = read_feature_csv(ctx.need(f"features_{layout}.csv"))
         config = SpectralConfig(
             k=k,
             gamma=cl["gamma"],
@@ -579,7 +545,7 @@ def stage_stats(ctx: Context) -> list[str]:
     cohort = ctx.load_cohort()
     assignments = ctx.load_assignments()
     labels = _aligned_labels(cohort, assignments)
-    values = _demographic_values(cohort)
+    values = cohort.demographic_labels()
     specs = [
         VariableSpec("sex", tuple(values["sex"])),
         VariableSpec(
@@ -621,7 +587,7 @@ def stage_mlr(ctx: Context) -> list[str]:
     cohort = ctx.load_cohort()
     assignments = ctx.load_assignments()
     labels = _aligned_labels(cohort, assignments)
-    values = _demographic_values(cohort)
+    values = cohort.demographic_labels()
 
     blocks = []
     names: list[str] = []
@@ -681,26 +647,15 @@ def stage_report(ctx: Context) -> list[str]:
     assignments = ctx.load_assignments()
 
     artifacts = []
-    fm_agg_path = ctx.path(f"features_{AGGREGATE}.csv")
-    if fm_agg_path.exists():
-        fm_agg = read_feature_csv(fm_agg_path)
-        table = condition_prevalence(assignments, fm_agg, AGGREGATE, top_k=rcfg["top_k"])
-        artifacts.append(render_prevalence(table, "prevalence_aggregate.csv"))
-    fm_tmp_path = ctx.path(f"features_{TEMPORAL}.csv")
-    if fm_tmp_path.exists():
-        fm_tmp = read_feature_csv(fm_tmp_path)
+    for layout in ctx.cfg["features"]["layouts"]:
         table = condition_prevalence(
             assignments,
-            fm_tmp,
-            TEMPORAL,
+            read_feature_csv(ctx.need(f"features_{layout}.csv")),
+            layout,
             top_k=rcfg["top_k"],
             temporal_denominator=rcfg["temporal_denominator"],
         )
-        artifacts.append(render_prevalence(table, "prevalence_temporal.csv"))
-    if not artifacts:
-        raise FileNotFoundError(
-            f"missing input {fm_tmp_path} (run 'features' first)"
-        )
+        artifacts.append(render_prevalence(table, f"prevalence_{layout}.csv"))
 
     artifacts.append(render_demographics(demographic_breakdown(assignments, cohort)))
 
@@ -715,29 +670,87 @@ def stage_report(ctx: Context) -> list[str]:
     return [a.name for a in artifacts] + ["manifest.json"]
 
 
-STAGE_FUNCS: dict[str, Callable[[Context], list[str]]] = {
-    "synth": stage_synth,
-    "ingest": stage_ingest,
-    "features": stage_features,
-    "elbow": stage_elbow,
-    "cluster": stage_cluster,
-    "stats": stage_stats,
-    "mlr": stage_mlr,
-    "drugs": stage_drugs,
-    "report": stage_report,
-}
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage and the artifacts it reads and writes.
 
-STAGE_PLANS = {
-    "synth": ("profiles config", "patients/diagnoses/prescriptions/deaths/truth_labels"),
-    "ingest": ("input tables + phecode map", "funnel.csv vocabulary.csv cohort.json"),
-    "features": ("cohort.json vocabulary.csv", "features_temporal.csv features_aggregate.csv"),
-    "elbow": ("features CSV", "elbow.csv"),
-    "cluster": ("features CSV (+elbow.csv when k unset)", "assignments*.csv cluster_sizes.csv"),
-    "stats": ("cohort.json assignments.csv", "stats_grid.csv stats_grid_raw.csv stats_summary.json"),
-    "mlr": ("cohort.json assignments.csv", "mlr.csv mlr.json"),
-    "drugs": ("cohort.json assignments.csv + ATC map", "drug_usage.csv"),
-    "report": ("features + assignments + cohort.json", "prevalence/demographics/crosstab + manifest.json"),
+    Artifact names are those of the default config; other settings pick
+    among the same files (elbow.features, cluster.k) or drop some of them.
+    Every read is written by an earlier stage, so any stage can be rerun in
+    isolation once its predecessors have run.
+    """
+
+    name: str
+    run: Callable[[Context], list[str]]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+PIPELINE = [
+    Stage(
+        "synth",
+        stage_synth,
+        reads=(),
+        writes=("patients.csv", "diagnoses.csv", "prescriptions.csv", "deaths.csv",
+                "truth_labels.csv"),
+    ),
+    Stage(
+        "ingest",
+        stage_ingest,
+        reads=("patients.csv", "diagnoses.csv", "prescriptions.csv", "deaths.csv"),
+        writes=("funnel.csv", "vocabulary.csv", "cohort.json"),
+    ),
+    Stage(
+        "features",
+        stage_features,
+        reads=("cohort.json", "vocabulary.csv"),
+        writes=("features_temporal.csv", "features_aggregate.csv"),
+    ),
+    Stage(
+        "elbow",
+        stage_elbow,
+        reads=("features_temporal.csv",),
+        writes=("elbow.csv",),
+    ),
+    Stage(
+        "cluster",
+        stage_cluster,
+        reads=("features_temporal.csv", "features_aggregate.csv", "elbow.csv"),
+        writes=("assignments.csv", "assignments_aggregate.csv", "cluster_sizes.csv"),
+    ),
+    Stage(
+        "stats",
+        stage_stats,
+        reads=("cohort.json", "assignments.csv"),
+        writes=("stats_grid.csv", "stats_grid_raw.csv", "stats_summary.json"),
+    ),
+    Stage(
+        "mlr",
+        stage_mlr,
+        reads=("cohort.json", "assignments.csv"),
+        writes=("mlr.csv", "mlr.json"),
+    ),
+    Stage(
+        "drugs",
+        stage_drugs,
+        reads=("cohort.json", "assignments.csv"),
+        writes=("drug_usage.csv",),
+    ),
+    Stage(
+        "report",
+        stage_report,
+        reads=("cohort.json", "assignments.csv", "assignments_aggregate.csv",
+               "features_temporal.csv", "features_aggregate.csv"),
+        writes=("prevalence_temporal.csv", "prevalence_aggregate.csv", "demographics.csv",
+                "crosstab.csv", "manifest.json"),
+    ),
+]
+STAGES = [stage.name for stage in PIPELINE]
+# main() looks stages up here at dispatch time, so entries can be swapped
+STAGE_FUNCS: dict[str, Callable[[Context], list[str]]] = {
+    stage.name: stage.run for stage in PIPELINE
 }
+PRODUCERS = {artifact: stage.name for stage in PIPELINE for artifact in stage.writes}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -776,7 +789,7 @@ def main(argv=None) -> int:
     if args.threads is not None:
         cfg["threads"] = args.threads
 
-    problems = validate_config(cfg, args.command)
+    problems = validate_config(cfg)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -784,9 +797,10 @@ def main(argv=None) -> int:
 
     stages = STAGES if args.command == "all" else [args.command]
     if args.dry_run:
-        for stage in stages:
-            inputs, outputs = STAGE_PLANS[stage]
-            print(f"{stage}: reads [{inputs}] writes [{outputs}]")
+        for stage in PIPELINE:
+            if stage.name in stages:
+                reads, writes = " ".join(stage.reads), " ".join(stage.writes)
+                print(f"{stage.name}: reads [{reads}] writes [{writes}]")
         return 0
 
     out = Path(cfg["out_dir"])

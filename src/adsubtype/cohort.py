@@ -8,14 +8,15 @@ half-year timeslots counted backward from the index date.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+
+from .table import read_table, write_text
 
 if TYPE_CHECKING:
     from .phenotype import PhecodeMap, PhenotypeVocabulary
@@ -176,18 +177,15 @@ class Cohort:
     def patient_ids(self) -> list[str]:
         return [p.patient_id for p in self.patients]
 
-    def age_group(self, patient_id: str) -> AgeGroup:
+    def demographic_labels(self) -> dict[str, list[str]]:
+        """Sex, race, age group at index and mortality labels, in patient order."""
+        labels: dict[str, list[str]] = {"sex": [], "race": [], "age_group": [], "mortality": []}
         for p in self.patients:
-            if p.patient_id == patient_id:
-                return compute_age_group(p.birth_date, self.index_date[patient_id])[1]
-        raise KeyError(patient_id)
-
-    def slot_phecodes(self, patient_id: str) -> set[tuple[str, int]]:
-        return {
-            (se.phecode, se.slot)
-            for se in self.pre_index_events.get(patient_id, [])
-            if se.phecode is not None
-        }
+            labels["sex"].append(SEX_LABELS[p.sex])
+            labels["race"].append(RACE_LABELS[p.race])
+            labels["age_group"].append(bin_age(self.age_at_index[p.patient_id]).value)
+            labels["mortality"].append("died" if p.died else "alive")
+        return labels
 
 
 # ---------------------------------------------------------------------------
@@ -213,34 +211,34 @@ def _parse_date(value: str) -> date:
     return date.fromisoformat(value.strip())
 
 
-def _open_checked(path: Path, expected_header: list[str]):
-    """Open a table, skip leading comment lines, and verify the header.
+def _read_rows(
+    path: Path,
+    columns: list[str],
+    file: str,
+    parse: Callable[..., Any],
+    rejects: list[RejectedRow],
+) -> list:
+    """Parse each data row of one input table with parse(*stripped_fields).
 
-    Returns (handle, reader, first_data_lineno) so rejects carry real file
-    line numbers.
+    A ValueError from a row (wrong field count, empty patient_id, or raised
+    by parse) becomes a reject carrying the row's file line number; a
+    missing file, an empty file or an unexpected header is fatal.
     """
-    if not path.exists():
-        raise FileNotFoundError(f"input table not found: {path}")
-    fh = open(path, newline="", encoding="utf-8")
-    skipped = 0
-    while True:
-        pos = fh.tell()
-        line = fh.readline()
-        if line.startswith("#"):
-            skipped += 1
-            continue
-        fh.seek(pos)
-        break
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        fh.close()
-        raise ValueError(f"{path}: empty file, expected header {expected_header}")
-    if [h.strip() for h in header] != expected_header:
-        fh.close()
-        raise ValueError(f"{path}: bad header {header!r}, expected {expected_header}")
-    return fh, reader, skipped + 2
+    parsed = []
+    with read_table(path) as (header, rows):
+        if [h.strip() for h in header] != columns:
+            raise ValueError(f"{path}: bad header {header!r}, expected {columns}")
+        for lineno, row in rows:
+            try:
+                if len(row) != len(columns):
+                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+                fields = [f.strip() for f in row]
+                if not fields[0]:
+                    raise ValueError("empty patient_id")
+                parsed.append(parse(*fields))
+            except ValueError as exc:
+                rejects.append(RejectedRow(file, lineno, str(exc)))
+    return parsed
 
 
 def parse_tables(paths: TablePaths) -> RawTables:
@@ -250,89 +248,36 @@ def parse_tables(paths: TablePaths) -> RawTables:
     number; a missing file or an unexpected header is fatal.
     """
     rejects: list[RejectedRow] = []
-
-    patients: list[PatientRecord] = []
     seen_ids: set[str] = set()
-    fh, reader, start = _open_checked(paths.demographics, DEMOGRAPHICS_COLUMNS)
-    with fh:
-        for lineno, row in enumerate(reader, start=start):
-            if not row:
-                continue
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                pid, sex, race, birth = (f.strip() for f in row)
-                if not pid:
-                    raise ValueError("empty patient_id")
-                if pid in seen_ids:
-                    raise ValueError(f"duplicate patient_id {pid!r}")
-                record = PatientRecord(
-                    patient_id=pid,
-                    sex=Sex(sex),
-                    race=Race(race),
-                    birth_date=_parse_date(birth),
-                )
-            except ValueError as exc:
-                rejects.append(RejectedRow("demographics", lineno, str(exc)))
-                continue
-            seen_ids.add(pid)
-            patients.append(record)
 
-    diagnoses: list[DiagnosisEvent] = []
-    fh, reader, start = _open_checked(paths.diagnoses, DIAGNOSES_COLUMNS)
-    with fh:
-        for lineno, row in enumerate(reader, start=start):
-            if not row:
-                continue
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                pid, code, system, when = (f.strip() for f in row)
-                if not pid:
-                    raise ValueError("empty patient_id")
-                if not code:
-                    raise ValueError("empty code")
-                event = DiagnosisEvent(pid, code, CodeSystem(system), _parse_date(when))
-            except ValueError as exc:
-                rejects.append(RejectedRow("diagnoses", lineno, str(exc)))
-                continue
-            diagnoses.append(event)
+    def patient(pid: str, sex: str, race: str, birth: str) -> PatientRecord:
+        if pid in seen_ids:
+            raise ValueError(f"duplicate patient_id {pid!r}")
+        record = PatientRecord(pid, Sex(sex), Race(race), _parse_date(birth))
+        seen_ids.add(pid)
+        return record
 
-    prescriptions: list[PrescriptionEvent] = []
-    fh, reader, start = _open_checked(paths.prescriptions, PRESCRIPTIONS_COLUMNS)
-    with fh:
-        for lineno, row in enumerate(reader, start=start):
-            if not row:
-                continue
-            try:
-                if len(row) != 3:
-                    raise ValueError(f"expected 3 fields, got {len(row)}")
-                pid, rxcui, when = (f.strip() for f in row)
-                if not pid:
-                    raise ValueError("empty patient_id")
-                if not rxcui:
-                    raise ValueError("empty rxcui")
-                event = PrescriptionEvent(pid, rxcui, _parse_date(when))
-            except ValueError as exc:
-                rejects.append(RejectedRow("prescriptions", lineno, str(exc)))
-                continue
-            prescriptions.append(event)
+    def diagnosis(pid: str, code: str, system: str, when: str) -> DiagnosisEvent:
+        if not code:
+            raise ValueError("empty code")
+        return DiagnosisEvent(pid, code, CodeSystem(system), _parse_date(when))
 
-    deaths: dict[str, date] = {}
-    fh, reader, start = _open_checked(paths.deaths, DEATHS_COLUMNS)
-    with fh:
-        for lineno, row in enumerate(reader, start=start):
-            if not row:
-                continue
-            try:
-                if len(row) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(row)}")
-                pid, when = (f.strip() for f in row)
-                if not pid:
-                    raise ValueError("empty patient_id")
-                deaths[pid] = _parse_date(when)
-            except ValueError as exc:
-                rejects.append(RejectedRow("deaths", lineno, str(exc)))
+    def prescription(pid: str, rxcui: str, when: str) -> PrescriptionEvent:
+        if not rxcui:
+            raise ValueError("empty rxcui")
+        return PrescriptionEvent(pid, rxcui, _parse_date(when))
+
+    def death(pid: str, when: str) -> tuple[str, date]:
+        return pid, _parse_date(when)
+
+    patients = _read_rows(
+        paths.demographics, DEMOGRAPHICS_COLUMNS, "demographics", patient, rejects
+    )
+    diagnoses = _read_rows(paths.diagnoses, DIAGNOSES_COLUMNS, "diagnoses", diagnosis, rejects)
+    prescriptions = _read_rows(
+        paths.prescriptions, PRESCRIPTIONS_COLUMNS, "prescriptions", prescription, rejects
+    )
+    deaths = dict(_read_rows(paths.deaths, DEATHS_COLUMNS, "deaths", death, rejects))
 
     if rejects:
         log.warning("parse_tables: %d malformed rows rejected", len(rejects))
@@ -607,7 +552,7 @@ def cohort_from_json(doc: Mapping) -> Cohort:
 
 
 def save_cohort(cohort: Cohort, path: Path) -> None:
-    path.write_text(json.dumps(cohort_to_json(cohort), sort_keys=True, indent=1) + "\n")
+    write_text(path, json.dumps(cohort_to_json(cohort), sort_keys=True, indent=1) + "\n")
 
 
 def load_cohort(path: Path) -> Cohort:

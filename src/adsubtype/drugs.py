@@ -7,7 +7,6 @@ least one post-index prescription.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from dataclasses import dataclass, field
@@ -15,6 +14,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .cohort import PrescriptionEvent, RejectedRow
+from .table import read_table
 
 log = logging.getLogger(__name__)
 
@@ -46,20 +46,17 @@ def load_atc_map(path: str | Path) -> AtcMap:
     with line numbers (kept on the map's reject list, not fatal); a missing
     file or missing columns is fatal.
     """
-    path = Path(path)
     sets: dict[str, set[tuple[str, str]]] = {}
     rejects: list[RejectedRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with read_table(path) as (header, rows):
         required = {"rxcui", "atc3", "atc3_name"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"{path}: expected columns {sorted(required)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            rxcui = (row["rxcui"] or "").strip()
-            atc3 = (row["atc3"] or "").strip().upper()
-            name = (row["atc3_name"] or "").strip()
+        if not required.issubset(header):
+            raise ValueError(f"{path}: expected columns {sorted(required)}, got {header}")
+        for lineno, fields in rows:
+            row = dict(zip(header, fields))
+            rxcui = row.get("rxcui", "").strip()
+            atc3 = row.get("atc3", "").strip().upper()
+            name = row.get("atc3_name", "").strip()
             if not rxcui:
                 rejects.append(RejectedRow("atc_map", lineno, "empty rxcui"))
                 continue
@@ -93,12 +90,6 @@ class DrugUsageTable:
     counts: dict[tuple[str, int], int]
     n_with_prescriptions: int
     unmapped_rxcuis: dict[str, int] = field(default_factory=dict)
-
-    def proportion(self, atc3: str, cluster: int) -> float | None:
-        denom = self.denominators.get(cluster, 0)
-        if denom == 0:
-            return None
-        return self.counts.get((atc3, cluster), 0) / denom
 
     def rows(self) -> list[tuple[int, str, str, int, int, float]]:
         """(cluster, atc3, atc3_name, numerator, denominator, pct) rows."""

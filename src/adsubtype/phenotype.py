@@ -8,7 +8,6 @@ top survivors form the vocabulary whose aggregate (N x V) or temporal
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .cohort import Cohort, CodeSystem, DiagnosisEvent, normalize_code
+from .cohort import Cohort, CodeSystem, normalize_code
+from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -33,12 +33,6 @@ class PhecodeMap:
     def lookup(self, code: str, system: CodeSystem) -> str | None:
         hit = self.entries.get((normalize_code(code), system))
         return hit[0] if hit else None
-
-    def phenotype_name(self, phecode: str) -> str | None:
-        for code, name in self.entries.values():
-            if code == phecode:
-                return name
-        return None
 
     def names_by_phecode(self) -> dict[str, str]:
         out: dict[str, str] = {}
@@ -66,29 +60,25 @@ def load_phecode_map(path: Path) -> PhecodeMap:
     system_flag is 9 or 10. Duplicate (code, system) rows mapping to
     conflicting phecodes are fatal; the error lists the offending rows.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"phecode map not found: {path}")
     entries: dict[tuple[str, CodeSystem], tuple[str, str]] = {}
     first_row: dict[tuple[str, CodeSystem], int] = {}
     conflicts: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with read_table(path) as (header, rows):
         required = {"icd_code", "system_flag", "phecode", "phenotype"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"{path}: header must contain {sorted(required)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            flag = row["system_flag"].strip()
+        if not required.issubset(header):
+            raise ValueError(f"{path}: header must contain {sorted(required)}, got {header}")
+        for lineno, fields in rows:
+            row = dict(zip(header, fields))
+            flag = row.get("system_flag", "").strip()
             if flag not in _SYSTEM_FLAGS:
                 raise ValueError(f"{path}:{lineno}: system_flag must be 9 or 10, got {flag!r}")
-            key = (normalize_code(row["icd_code"]), _SYSTEM_FLAGS[flag])
-            value = (row["phecode"].strip(), row["phenotype"].strip())
+            icd = row.get("icd_code", "").strip()
+            key = (normalize_code(icd), _SYSTEM_FLAGS[flag])
+            value = (row.get("phecode", "").strip(), row.get("phenotype", "").strip())
             if key in entries:
                 if entries[key][0] != value[0]:
                     conflicts.append(
-                        f"({row['icd_code'].strip()}, ICD{flag}) -> {entries[key][0]} at row "
+                        f"({icd}, ICD{flag}) -> {entries[key][0]} at row "
                         f"{first_row[key]} vs {value[0]} at row {lineno}"
                     )
                 continue
@@ -99,11 +89,6 @@ def load_phecode_map(path: Path) -> PhecodeMap:
     if not entries:
         log.warning("%s: phecode map is empty", path)
     return PhecodeMap(entries)
-
-
-def map_diagnosis(event: DiagnosisEvent, pmap: PhecodeMap) -> str | None:
-    """Phecode for a diagnosis event, or None when unmapped."""
-    return pmap.lookup(event.code, event.system)
 
 
 @dataclass(frozen=True)
@@ -127,11 +112,6 @@ class PhenotypeVocabulary:
     def phecode_set(self) -> frozenset[str]:
         return frozenset(code for code, _ in self.phecodes)
 
-    def name_of(self, phecode: str) -> str:
-        for code, name in self.phecodes:
-            if code == phecode:
-                return name
-        raise KeyError(phecode)
 
 
 def rank_phenotypes(
@@ -286,35 +266,26 @@ def _assert_rows_nonzero(values: np.ndarray, pids: list[str]) -> None:
 
 
 def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id"] + fm.column_labels())
-        for pid, row in zip(fm.patient_ids, fm.values):
-            writer.writerow([pid] + [int(v) for v in row])
+    rows = ([pid, *row.tolist()] for pid, row in zip(fm.patient_ids, fm.values))
+    write_table(path, ["patient_id"] + fm.column_labels(), rows, meta)
 
 
 def read_feature_csv(path: Path) -> FeatureMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    labels = header[1:]
+    pids: list[str] = []
+    rows: list[list[int]] = []
+    with read_table(path) as (header, data):
+        for _, fields in data:
+            pids.append(fields[0])
+            rows.append([int(v) for v in fields[1:]])
     columns: list[tuple[str, int | None]] = []
     layout = AGGREGATE
-    for label in labels:
+    for label in header[1:]:
         code, sep, slot = label.rpartition("_s")
         if sep and slot.isdigit():
             columns.append((code, int(slot)))
             layout = TEMPORAL
         else:
             columns.append((label, None))
-    pids: list[str] = []
-    rows: list[list[int]] = []
-    for row in reader:
-        pids.append(row[0])
-        rows.append([int(v) for v in row[1:]])
     values = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, len(columns)), dtype=np.uint8)
     slot_count = max((s for _, s in columns if s is not None), default=None)
     return FeatureMatrix(pids, layout, values, columns, slot_count=slot_count)
@@ -326,27 +297,20 @@ def write_vocabulary_csv(
     counts: Mapping[str, int] | None = None,
     meta: str | None = None,
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "phecode", "phenotype", "patient_count"])
-        for rank, (code, name) in enumerate(vocabulary.phecodes, start=1):
-            count = counts.get(code, "") if counts else ""
-            writer.writerow([rank, code, name, count])
+    rows = [
+        [rank, code, name, counts.get(code, "") if counts else ""]
+        for rank, (code, name) in enumerate(vocabulary.phecodes, start=1)
+    ]
+    write_table(path, ["rank", "phecode", "phenotype", "patient_count"], rows, meta)
 
 
 def load_vocabulary_csv(path: Path) -> PhenotypeVocabulary:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"vocabulary file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    required = {"rank", "phecode", "phenotype"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ValueError(f"{path}: header must contain {sorted(required)}")
-    rows = sorted(reader, key=lambda r: int(r["rank"]))
+    with read_table(path) as (header, data):
+        required = {"rank", "phecode", "phenotype"}
+        if not required.issubset(header):
+            raise ValueError(f"{path}: header must contain {sorted(required)}")
+        rows = [dict(zip(header, fields)) for _, fields in data]
+    rows.sort(key=lambda r: int(r["rank"]))
     return PhenotypeVocabulary(
         tuple((r["phecode"].strip(), r["phenotype"].strip()) for r in rows)
     )

@@ -11,9 +11,7 @@ denominator. No artifact embeds a timestamp, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -22,17 +20,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import (
-    AGE_GROUP_ORDER,
-    RACE_LABELS,
-    SEX_LABELS,
-    Cohort,
-    Race,
-    Sex,
-    bin_age,
-)
+from .cohort import AGE_GROUP_ORDER, RACE_LABELS, SEX_LABELS, Cohort, Race, Sex
 from .phenotype import AGGREGATE, TEMPORAL, FeatureMatrix
 from .stats import ALL_CLUSTERS, GridRow, MlrFit, pair_keys
+from .table import read_table, render_table, write_text
 
 log = logging.getLogger(__name__)
 
@@ -40,12 +31,14 @@ log = logging.getLogger(__name__)
 NON_SEMANTIC_CONFIG_KEYS = ("threads", "out_dir")
 
 
+def semantic_config(config: Mapping[str, Any]) -> dict[str, Any]:
+    """The config with execution-only keys removed."""
+    return {k: v for k, v in config.items() if k not in NON_SEMANTIC_CONFIG_KEYS}
+
+
 def config_hash(config: Mapping[str, Any]) -> str:
-    """12-hex digest of the config with execution-only keys removed."""
-    semantic = {
-        k: v for k, v in config.items() if k not in NON_SEMANTIC_CONFIG_KEYS
-    }
-    blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"), default=str)
+    """12-hex digest of the semantic config."""
+    blob = json.dumps(semantic_config(config), sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
@@ -69,14 +62,7 @@ class Artifact:
 
 
 def render_csv(artifact: Artifact, meta: ArtifactMeta | None) -> str:
-    buf = io.StringIO()
-    if meta is not None:
-        buf.write(f"# {meta.line()}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(artifact.header)
-    for row in artifact.rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    return render_table(artifact.header, artifact.rows, None if meta is None else meta.line())
 
 
 def render_json(artifact: Artifact) -> str:
@@ -86,13 +72,6 @@ def render_json(artifact: Artifact) -> str:
         "rows": artifact.rows,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise RuntimeError(f"failed writing artifact {path}: {exc}") from exc
 
 
 def fmt_pct(numerator: int, denominator: int) -> str:
@@ -279,18 +258,12 @@ def demographic_breakdown(
     clusters = sorted(set(assignments[pid] for pid in cohort.patient_ids()))
     sizes = {c: 0 for c in clusters}
     tallies: dict[tuple[int, str, str], int] = {}
-    for patient in cohort.patients:
-        pid = patient.patient_id
+    labels = cohort.demographic_labels()
+    for i, pid in enumerate(cohort.patient_ids()):
         cluster = assignments[pid]
         sizes[cluster] += 1
-        cats = {
-            "sex": SEX_LABELS[patient.sex],
-            "race": RACE_LABELS[patient.race],
-            "age_group": bin_age(cohort.age_at_index[pid]).value,
-            "mortality": "died" if patient.died else "alive",
-        }
-        for var, cat in cats.items():
-            key = (cluster, var, cat)
+        for var, column in labels.items():
+            key = (cluster, var, column[i])
             tallies[key] = tallies.get(key, 0) + 1
 
     variable_categories = [
@@ -433,31 +406,6 @@ def mlr_summary_json(fit: MlrFit) -> str:
 # Emission and manifest
 # ---------------------------------------------------------------------------
 
-# canonical pipeline artifact order; the manifest lists whichever exist
-KNOWN_ARTIFACTS = [
-    "effective_config.json",
-    "truth_labels.csv",
-    "funnel.csv",
-    "cohort.json",
-    "vocabulary.csv",
-    "features_temporal.csv",
-    "features_aggregate.csv",
-    "elbow.csv",
-    "assignments.csv",
-    "assignments_aggregate.csv",
-    "cluster_sizes.csv",
-    "stats_grid.csv",
-    "stats_grid_raw.csv",
-    "mlr.csv",
-    "mlr.json",
-    "drug_usage.csv",
-    "prevalence_aggregate.csv",
-    "prevalence_temporal.csv",
-    "demographics.csv",
-    "crosstab.csv",
-]
-
-
 def emit_reports(
     artifacts: Sequence[Artifact],
     out_dir: str | Path,
@@ -467,7 +415,7 @@ def emit_reports(
     """Write each table in the requested formats, then refresh the manifest.
 
     Returns the manifest mapping (also written to manifest.json): every
-    known artifact present in out_dir with its data row count and content
+    .csv and .json artifact in out_dir with its data row count and content
     digest. File names and column orders are fixed, so reruns on identical
     inputs are byte-identical.
     """
@@ -493,27 +441,17 @@ def _count_rows(path: Path) -> int:
             rows = data.get("rows")
             return len(rows) if isinstance(rows, list) else len(data)
         return 1
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-    return max(len(lines) - 1, 0)  # minus header
+    with read_table(path) as (_, rows):
+        return sum(1 for _ in rows)
 
 
 def write_manifest(out_dir: str | Path) -> dict[str, Any]:
     out = Path(out_dir)
     entries: dict[str, Any] = {}
-    names = list(KNOWN_ARTIFACTS)
-    extra = sorted(
-        p.name
-        for p in out.iterdir()
-        if p.is_file() and p.name not in names and p.name != "manifest.json"
-        and p.suffix in (".csv", ".json")
-    )
-    for name in names + extra:
-        path = out / name
-        if not path.exists():
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        entries[name] = {"rows": _count_rows(path), "sha256": digest}
+    for path in sorted(out.iterdir()):
+        if path.is_file() and path.suffix in (".csv", ".json") and path.name != "manifest.json":
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            entries[path.name] = {"rows": _count_rows(path), "sha256": digest}
     manifest = {"artifacts": entries}
     write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

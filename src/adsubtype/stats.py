@@ -301,6 +301,23 @@ def mlr_gradient(
     return resid.T @ X
 
 
+def _observed_information(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Negative log-likelihood Hessian; block (a, b) = X^T diag(P_a (delta_ab - P_b)) X.
+
+    P holds the non-reference class probabilities, one column per class.
+    """
+    p = X.shape[1]
+    km1 = P.shape[1]
+    info = np.empty((km1 * p, km1 * p))
+    for a in range(km1):
+        for b in range(a, km1):
+            w = P[:, a] * ((1.0 if a == b else 0.0) - P[:, b])
+            block = X.T @ (X * w[:, None])
+            info[a * p : (a + 1) * p, b * p : (b + 1) * p] = block
+            info[b * p : (b + 1) * p, a * p : (a + 1) * p] = block.T
+    return info
+
+
 def _check_full_rank(X: np.ndarray, names: list[str]) -> None:
     rank = np.linalg.matrix_rank(X)
     if rank == X.shape[1]:
@@ -372,15 +389,7 @@ def fit_multinomial_logit(
         if grad_norm <= grad_tol:
             break
 
-        # observed information, block (a, b) = X^T diag(P_a (delta_ab - P_b)) X
-        info = np.empty((km1 * p, km1 * p))
-        P = probs[:, 1:]
-        for a in range(km1):
-            for b in range(a, km1):
-                w = P[:, a] * ((1.0 if a == b else 0.0) - P[:, b])
-                block = -(X.T @ (X * w[:, None]))
-                info[a * p : (a + 1) * p, b * p : (b + 1) * p] = -block
-                info[b * p : (b + 1) * p, a * p : (a + 1) * p] = -block.T
+        info = _observed_information(X, probs[:, 1:])
         try:
             step = np.linalg.solve(info, grad).reshape(km1, p)
         except np.linalg.LinAlgError as exc:
@@ -412,15 +421,7 @@ def fit_multinomial_logit(
     probs = _softmax_probs(X, beta)
     resid = onehot[:, 1:] - probs[:, 1:]
 
-    # observed information at the optimum
-    info = np.empty((km1 * p, km1 * p))
-    P = probs[:, 1:]
-    for a in range(km1):
-        for b in range(a, km1):
-            w = P[:, a] * ((1.0 if a == b else 0.0) - P[:, b])
-            block = X.T @ (X * w[:, None])
-            info[a * p : (a + 1) * p, b * p : (b + 1) * p] = block
-            info[b * p : (b + 1) * p, a * p : (a + 1) * p] = block.T
+    info = _observed_information(X, probs[:, 1:])
 
     # HC0 sandwich: per-observation scores G[i] = vec(resid_i x_i)
     G = np.empty((n, km1 * p))

@@ -11,7 +11,6 @@ generation is deterministic regardless of patient count or parallel order.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -38,6 +37,7 @@ from .cohort import (
 )
 from .drugs import AtcMap
 from .phenotype import PhecodeMap
+from .table import write_table
 
 log = logging.getLogger(__name__)
 
@@ -200,59 +200,41 @@ class SyntheticData:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
 
-        def _write(name: str, header: list[str], rows: list[list[str]]) -> None:
-            with open(out / name, "w", newline="", encoding="utf-8") as fh:
-                if meta:
-                    fh.write(f"# {meta}\n")
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
-
-        _write(
-            "patients.csv",
-            DEMOGRAPHICS_COLUMNS,
-            [
-                [p.patient_id, p.sex.value, p.race.value, p.birth_date.isoformat()]
-                for p in self.patients
-            ],
-        )
-        _write(
-            "diagnoses.csv",
-            DIAGNOSES_COLUMNS,
-            [
-                [d.patient_id, d.code, d.system.value, d.date.isoformat()]
-                for d in self.diagnoses
-            ],
-        )
-        _write(
-            "prescriptions.csv",
-            PRESCRIPTIONS_COLUMNS,
-            [[r.patient_id, r.rxcui, r.date.isoformat()] for r in self.prescriptions],
-        )
-        _write(
-            "deaths.csv",
-            DEATHS_COLUMNS,
-            [
-                [p.patient_id, p.death_date.isoformat()]
-                for p in self.patients
-                if p.died and p.death_date is not None
-            ],
-        )
-        _write(
-            "truth_labels.csv",
-            ["patient_id", "profile_index", "profile_name"],
-            [
-                [pid, str(idx), self.profile_names[idx]]
-                for pid, idx in self.truth.items()
-            ],
-        )
-        return [
-            "patients.csv",
-            "diagnoses.csv",
-            "prescriptions.csv",
-            "deaths.csv",
-            "truth_labels.csv",
-        ]
+        tables = {
+            "patients.csv": (
+                DEMOGRAPHICS_COLUMNS,
+                (
+                    [p.patient_id, p.sex.value, p.race.value, p.birth_date.isoformat()]
+                    for p in self.patients
+                ),
+            ),
+            "diagnoses.csv": (
+                DIAGNOSES_COLUMNS,
+                (
+                    [d.patient_id, d.code, d.system.value, d.date.isoformat()]
+                    for d in self.diagnoses
+                ),
+            ),
+            "prescriptions.csv": (
+                PRESCRIPTIONS_COLUMNS,
+                ([r.patient_id, r.rxcui, r.date.isoformat()] for r in self.prescriptions),
+            ),
+            "deaths.csv": (
+                DEATHS_COLUMNS,
+                (
+                    [p.patient_id, p.death_date.isoformat()]
+                    for p in self.patients
+                    if p.died and p.death_date is not None
+                ),
+            ),
+            "truth_labels.csv": (
+                ["patient_id", "profile_index", "profile_name"],
+                ([pid, str(idx), self.profile_names[idx]] for pid, idx in self.truth.items()),
+            ),
+        }
+        for name, (header, rows) in tables.items():
+            write_table(out / name, header, rows, meta)
+        return list(tables)
 
 
 def _draw_categorical(rng: np.random.Generator, dist: Mapping[str, float]) -> str:

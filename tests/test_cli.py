@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from adsubtype.cli import STAGES, main
+from adsubtype.cli import PIPELINE, STAGES, main
 from adsubtype.synth import SubtypeProfile, save_profiles
 
 
@@ -75,9 +75,12 @@ def pipeline(tmp_path_factory):
     out4 = base / "out4"
     rc["out4"] = main(["all", "--config", str(cfg_path), "--out", str(out4), "--seed", "8"])
     out5 = base / "out5"
-    rc["stages"] = [
-        main([stage, "--config", str(cfg_path), "--out", str(out5)]) for stage in STAGES
-    ]
+    rc["stages"] = []
+    created = {}
+    for stage in STAGES:
+        before = set(_snapshot(out5)) if out5.exists() else set()
+        rc["stages"].append(main([stage, "--config", str(cfg_path), "--out", str(out5)]))
+        created[stage] = set(_snapshot(out5)) - before - {"effective_config.json"}
     return {
         "rc": rc,
         "config_path": cfg_path,
@@ -87,6 +90,7 @@ def pipeline(tmp_path_factory):
         "out3": out3,
         "out4": out4,
         "out5": out5,
+        "created": created,
     }
 
 
@@ -168,6 +172,13 @@ def test_dry_run_prints_plan_without_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stage_reads_come_from_earlier_stages():
+    written: set[str] = set()
+    for stage in PIPELINE:
+        assert set(stage.reads) <= written, stage.name
+        written |= set(stage.writes)
+
+
 def test_missing_stage_input_names_producer(tmp_path, capsys):
     assert main(["elbow", "--out", str(tmp_path / "empty")]) == 1
     err = capsys.readouterr().err
@@ -226,6 +237,17 @@ def test_pipeline_produces_expected_artifacts(pipeline):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "assignments.csv" in manifest["artifacts"]
     assert manifest["artifacts"]["funnel.csv"]["rows"] == 5
+
+
+def test_each_stage_writes_what_it_declares(pipeline):
+    assert pipeline["created"] == {stage.name: set(stage.writes) for stage in PIPELINE}
+
+
+def test_csv_artifacts_use_lf_line_endings(pipeline):
+    csvs = sorted(pipeline["out1"].glob("*.csv"))
+    assert len(csvs) == 21
+    for path in csvs:
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 def test_pipeline_meta_line_stamped(pipeline):

@@ -16,7 +16,6 @@ from adsubtype.phenotype import (
     coverage_report,
     load_phecode_map,
     load_vocabulary_csv,
-    map_diagnosis,
     rank_phenotypes,
     read_feature_csv,
     write_feature_csv,
@@ -46,7 +45,7 @@ def test_load_phecode_map_and_lookup(tmp_path):
     assert pmap.lookup("i10", CodeSystem.ICD10CM) == "401.1"
     assert pmap.lookup("401.9", CodeSystem.ICD10CM) is None
     assert pmap.lookup("unknown", CodeSystem.ICD9) is None
-    assert pmap.phenotype_name("272.1") == "Hyperlipidemia"
+    assert pmap.names_by_phecode()["272.1"] == "Hyperlipidemia"
     assert pmap.codes_for_phecode("401.1") == [
         ("4019", CodeSystem.ICD9),
         ("I10", CodeSystem.ICD10CM),
@@ -110,7 +109,7 @@ def test_load_phecode_map_empty_warns(tmp_path, caplog):
 
 def test_map_diagnosis(tiny_pmap):
     ev = DiagnosisEvent("P1", "E78.5", CodeSystem.ICD10CM, date(2015, 1, 1))
-    assert map_diagnosis(ev, tiny_pmap) == "272.1"
+    assert tiny_pmap.lookup(ev.code, ev.system) == "272.1"
 
 
 # ---------------------------------------------------------------------------
