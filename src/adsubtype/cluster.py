@@ -10,6 +10,7 @@ adjusted Rand index for partition agreement.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from math import comb
 
@@ -29,7 +30,6 @@ class SpectralConfig:
     kmeans_tol: float = 1e-4
     seed: int = 0
     knn_sparsify: int | None = None
-    dense_cap: int = 20000
 
     def __post_init__(self):
         if self.k < 1:
@@ -121,18 +121,17 @@ def knn_sparsified_affinity(
     m = min(neighbors + 1, n)  # +1: the diagonal is its own best neighbor
     Xf = np.asarray(X, dtype=np.float64)
     counts = Xf.sum(axis=1)
-    rows, cols, vals = [], [], []
+    cols = np.empty((n, m), dtype=np.intp)
+    vals = np.empty((n, m))
     for start in range(0, n, block):
         stop = min(start + block, n)
         Db = counts[start:stop, None] + counts[None, :] - 2.0 * (Xf[start:stop] @ Xf.T)
         Db = np.rint(Db)
-        idx = np.argpartition(Db, m - 1, axis=1)[:, :m]
-        for r in range(stop - start):
-            keep = np.sort(idx[r])
-            rows.extend([start + r] * len(keep))
-            cols.extend(keep.tolist())
-            vals.extend(np.exp(-gamma * Db[r, keep]).tolist())
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        idx = np.sort(np.argpartition(Db, m - 1, axis=1)[:, :m], axis=1)
+        cols[start:stop] = idx
+        vals[start:stop] = np.exp(-gamma * np.take_along_axis(Db, idx, axis=1))
+    # every row keeps exactly m sorted columns
+    A = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n))
     A = A.maximum(A.T)
     A.setdiag(1.0)
     return AffinityMatrix(A.tocsr())
@@ -141,13 +140,13 @@ def knn_sparsified_affinity(
 def normalized_laplacian_embedding(A: AffinityMatrix, k: int) -> Embedding:
     """Top-k eigenvectors of M = D^{-1/2} A D^{-1/2}, rows renormalized.
 
-    Dense input uses a full symmetric eigendecomposition; sparse input uses a
-    restarted iterative solver. Eigenvector signs are fixed so the largest-
-    magnitude component of each column is positive.
+    Both layouts use Lanczos (ARPACK) for the k largest eigenpairs from a
+    fixed start, so reruns give identical bits. Eigenvector signs are fixed
+    so the largest-magnitude component of each column is positive.
     """
     n = A.n
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
+    if k >= n:
+        raise ValueError(f"k={k} exceeds n-1={n - 1}")
     if A.is_sparse:
         d = np.asarray(A.values.sum(axis=1)).ravel()
     else:
@@ -158,22 +157,20 @@ def normalized_laplacian_embedding(A: AffinityMatrix, k: int) -> Embedding:
 
     if A.is_sparse:
         M = sp.diags(inv_sqrt) @ A.values @ sp.diags(inv_sqrt)
-        M = (M + M.T) * 0.5
-        if k >= n - 1:  # iterative solver needs k < n-1; fall back to dense
-            return normalized_laplacian_embedding(AffinityMatrix(np.asarray(M.todense())), k)
-        try:
-            eigvals, eigvecs = spla.eigsh(M, k=k, which="LA")
-        except spla.ArpackNoConvergence as exc:
-            raise RuntimeError(
-                f"eigensolver failed to converge: {len(exc.eigenvalues)} of {k} "
-                f"eigenpairs converged"
-            ) from exc
-        order = np.argsort(eigvals)[::-1]
     else:
         M = inv_sqrt[:, None] * A.values * inv_sqrt[None, :]
-        M = (M + M.T) * 0.5
-        eigvals, eigvecs = np.linalg.eigh(M)
-        order = np.argsort(eigvals)[::-1][:k]
+    M = (M + M.T) * 0.5
+    rng = np.random.default_rng(0)  # start vector and any restart vectors
+    try:
+        eigvals, eigvecs = spla.eigsh(
+            M, k=k, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError(
+            f"eigensolver failed to converge: {len(exc.eigenvalues)} of {k} "
+            f"eigenpairs converged"
+        ) from exc
+    order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
 
@@ -299,30 +296,31 @@ def kmeans(
     return ClusterAssignment(labels=labels, k=k, sse=sse, seed=seed, sse_history=history)
 
 
-def spectral_cluster(
-    X: np.ndarray, config: SpectralConfig, return_details: bool = False
-):
+def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment:
     """Full pipeline: Hamming -> Laplacian-kernel affinity -> embedding -> k-means.
 
-    With return_details=True also returns the intermediates for audit dumps.
+    The dense route is refused before it allocates when its N x N buffers
+    would not fit in physical memory; the kNN route never builds them.
     """
     X = np.asarray(X)
     n, n_features = X.shape
     gamma = config.gamma if config.gamma is not None else 1.0 / n_features
 
-    if n > config.dense_cap and config.knn_sparsify is None:
-        raise ValueError(
-            f"n={n} exceeds dense_cap={config.dense_cap}; set knn_sparsify or raise the cap"
-        )
     if config.knn_sparsify is not None:
         affinity = knn_sparsified_affinity(X, gamma, config.knn_sparsify)
-        distances = None
     else:
-        distances = hamming_distance_matrix(X)
-        affinity = laplacian_kernel_affinity(distances, gamma)
+        # peak: 4 N x N 8-byte buffers inside hamming_distance_matrix
+        needed = 4 * 8 * n * n
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if needed > physical:
+            raise ValueError(
+                f"dense affinity for n={n} needs about {needed} bytes, more than the "
+                f"{physical} bytes of physical memory; set cluster.knn_sparsify"
+            )
+        affinity = laplacian_kernel_affinity(hamming_distance_matrix(X), gamma)
 
     embedding = normalized_laplacian_embedding(affinity, config.k)
-    assignment = kmeans(
+    return kmeans(
         embedding.values,
         config.k,
         restarts=config.kmeans_restarts,
@@ -330,13 +328,6 @@ def spectral_cluster(
         tol=config.kmeans_tol,
         seed=config.seed,
     )
-    if return_details:
-        return assignment, {
-            "distances": distances,
-            "affinity": affinity,
-            "embedding": embedding,
-        }
-    return assignment
 
 
 def elbow_sse_curve(

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from adsubtype import cluster
 from adsubtype.cluster import (
     AffinityMatrix,
     SpectralConfig,
@@ -92,6 +94,21 @@ def test_knn_affinity_symmetric_union():
     assert (M.getnnz(axis=1) >= 4).all()
 
 
+def test_knn_affinity_matches_row_loop():
+    X, _ = _planted_blocks(10, 3, 12, seed=3)
+    gamma, m = 0.2, 4
+    D = hamming_distance_matrix(X).astype(np.float64)
+    expected = np.zeros_like(D)
+    for i, row in enumerate(D):
+        for j in np.argpartition(row, m - 1)[:m]:
+            expected[i, j] = np.exp(-gamma * row[j])
+    expected = np.maximum(expected, expected.T)
+    np.fill_diagonal(expected, 1.0)
+    # block=7 splits the rows into uneven blocks
+    A = knn_sparsified_affinity(X, gamma, neighbors=m - 1, block=7)
+    assert np.array_equal(A.values.toarray(), expected)
+
+
 # ---------------------------------------------------------------------------
 # embedding
 # ---------------------------------------------------------------------------
@@ -136,12 +153,43 @@ def test_embedding_deterministic():
     e1 = normalized_laplacian_embedding(A, k=3)
     e2 = normalized_laplacian_embedding(A, k=3)
     assert np.array_equal(e1.values, e2.values)
+    # kNN route: three disconnected blocks make the top eigenvalue threefold,
+    # so any start vector not fixed would pick a different basis each call
+    X, _ = _planted_blocks(20, 3, 12, seed=6)
+    A = knn_sparsified_affinity(X, 1.0 / 12, neighbors=5)
+    first = normalized_laplacian_embedding(A, k=3).values
+    for _ in range(3):
+        assert np.array_equal(normalized_laplacian_embedding(A, k=3).values, first)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_embedding_k_n_minus_one_through_eigsh(monkeypatch, sparse):
+    X, _ = _planted_blocks(4, 2, 8, seed=7)
+    dense = laplacian_kernel_affinity(hamming_distance_matrix(X), 0.125)
+    A = AffinityMatrix(sp.csr_matrix(dense.values)) if sparse else dense
+    calls = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(cluster.spla, "eigsh", spy)
+    n = X.shape[0]
+    emb = normalized_laplacian_embedding(A, k=n - 1)
+    assert calls == [n - 1]
+    expected = np.sort(np.linalg.eigvalsh(_reference_m(dense.values)))[::-1][: n - 1]
+    assert np.allclose(emb.eigenvalues, expected, atol=1e-10)
+    assert emb.values.shape == (n, n - 1)
 
 
 def test_embedding_k_exceeds_n():
     A = laplacian_kernel_affinity(np.zeros((3, 3), dtype=int), 1.0)
-    with pytest.raises(ValueError, match="exceeds"):
-        normalized_laplacian_embedding(A, k=4)
+    for k in (3, 4):
+        with pytest.raises(ValueError, match="exceeds"):
+            normalized_laplacian_embedding(A, k=k)
+        with pytest.raises(ValueError, match="exceeds"):
+            normalized_laplacian_embedding(AffinityMatrix(sp.csr_matrix(A.values)), k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +333,29 @@ def test_spectral_recovers_planted_blocks():
     assert adjusted_rand_index(result.labels, truth) >= 0.9
 
 
-def test_spectral_details_and_gamma_default():
-    X, _ = _planted_blocks(10, 2, 8, seed=14)
-    result, details = spectral_cluster(X, SpectralConfig(k=2, seed=0), return_details=True)
-    assert result.k == 2
-    D = details["distances"]
-    assert np.allclose(details["affinity"].values, np.exp(-D / 8.0))  # gamma = 1/features
-    assert details["embedding"].values.shape == (20, 2)
+def test_spectral_gamma_default():
+    # noisy blocks, so the labels depend on gamma
+    X, _ = _planted_blocks(10, 3, 8, seed=14, p_sig=0.6, p_noise=0.3)
+    result = spectral_cluster(X, SpectralConfig(k=3, seed=0))
+    assert result.k == 3
+    # gamma defaults to 1 / n_features
+    A = laplacian_kernel_affinity(hamming_distance_matrix(X), 1.0 / 8)
+    expected = kmeans(normalized_laplacian_embedding(A, k=3).values, 3, seed=0)
+    assert np.array_equal(result.labels, expected.labels)
+    other = spectral_cluster(X, SpectralConfig(k=3, gamma=1.0, seed=0))
+    assert not np.array_equal(other.labels, result.labels)
 
 
-def test_spectral_dense_cap_and_knn_route():
+def test_spectral_dense_memory_check_and_knn_route(monkeypatch):
     X, truth = _planted_blocks(15, 2, 10, seed=15)
-    with pytest.raises(ValueError, match="dense_cap"):
-        spectral_cluster(X, SpectralConfig(k=2, dense_cap=10))
-    result = spectral_cluster(X, SpectralConfig(k=2, dense_cap=10, knn_sparsify=8, seed=0))
+    sysconf = cluster.os.sysconf
+    # one page of physical memory: far below the dense route's N x N buffers
+    monkeypatch.setattr(
+        cluster.os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+    with pytest.raises(ValueError, match=r"n=30 .*knn_sparsify"):
+        spectral_cluster(X, SpectralConfig(k=2))
+    result = spectral_cluster(X, SpectralConfig(k=2, knn_sparsify=8, seed=0))
     assert adjusted_rand_index(result.labels, truth) >= 0.9
 
 
