@@ -481,6 +481,7 @@ def stage_elbow(ctx: Context) -> list[str]:
         max_iter=el["max_iter"],
         tol=el["tol"],
         seed=ctx.seed,
+        threads=ctx.cfg["threads"],
     )
     chosen = detect_elbow(curve)
     artifact = Artifact(
@@ -515,6 +516,7 @@ def stage_cluster(ctx: Context) -> list[str]:
             kmeans_tol=cl["tol"],
             seed=ctx.seed,
             knn_sparsify=cl["knn_sparsify"],
+            threads=ctx.cfg["threads"],
         )
         assignment = spectral_cluster(fm.values, config)
         rows = [[pid, int(lab)] for pid, lab in zip(fm.patient_ids, assignment.labels)]
@@ -765,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--threads", type=int, help="intra-stage thread budget")
+        p.add_argument("--threads", type=int, help="worker threads for the k-means restarts")
         p.add_argument(
             "--dry-run", action="store_true", help="print the plan without writing"
         )
@@ -824,7 +826,7 @@ def main(argv=None) -> int:
             written = STAGE_FUNCS[stage](ctx)
             log.info("%s: wrote %s", stage, " ".join(written))
         except Exception as exc:
-            print(f"error: stage {stage} failed: {exc}", file=sys.stderr)
+            print(f"error: stage {stage} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -30,6 +31,7 @@ class SpectralConfig:
     kmeans_tol: float = 1e-4
     seed: int = 0
     knn_sparsify: int | None = None
+    threads: int = 1  # k-means restart workers; never changes the result
 
     def __post_init__(self):
         if self.k < 1:
@@ -82,16 +84,19 @@ def hamming_distance_matrix(X: np.ndarray) -> np.ndarray:
 
     Uses the identity d(x, y) = |x| + |y| - 2 x.y for 0/1 vectors; the float
     matmul is exact here (all intermediates are integers far below 2^53), so
-    the result is independent of BLAS threading.
+    the result is independent of BLAS threading. Returns float64 holding
+    integers, built in place in the gram buffer (one N x N allocation).
     """
     X = np.asarray(X)
     if X.size and not np.isin(X, (0, 1)).all():
         raise ValueError("hamming_distance_matrix expects a binary matrix")
     Xf = X.astype(np.float64)
-    gram = Xf @ Xf.T
     counts = Xf.sum(axis=1)
-    D = counts[:, None] + counts[None, :] - 2.0 * gram
-    return np.rint(D).astype(np.int64)
+    D = Xf @ Xf.T
+    D *= -2.0
+    D += counts[:, None]
+    D += counts[None, :]
+    return np.rint(D, out=D)
 
 
 def laplacian_kernel_affinity(D: np.ndarray, gamma: float) -> AffinityMatrix:
@@ -103,7 +108,8 @@ def laplacian_kernel_affinity(D: np.ndarray, gamma: float) -> AffinityMatrix:
         raise ValueError("distance matrix must be square")
     if (np.diag(D) != 0).any():
         raise ValueError("distance matrix must have zero diagonal")
-    return AffinityMatrix(np.exp(-gamma * D))
+    A = np.multiply(D, -gamma, dtype=np.float64)
+    return AffinityMatrix(np.exp(A, out=A))
 
 
 def knn_sparsified_affinity(
@@ -113,14 +119,15 @@ def knn_sparsified_affinity(
 
     Distances are computed in row blocks so the full N x N matrix is never
     materialized; the kept pattern is symmetrized by elementwise max (union
-    of directed kNN edges). The diagonal is always kept.
+    of directed kNN edges). The diagonal is always kept. The block matmul
+    runs in float32, which is exact for 0/1 rows with fewer than 2^24 columns.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     n = X.shape[0]
     m = min(neighbors + 1, n)  # +1: the diagonal is its own best neighbor
-    Xf = np.asarray(X, dtype=np.float64)
-    counts = Xf.sum(axis=1)
+    Xf = np.asarray(X, dtype=np.float32 if X.shape[1] < 2**24 else np.float64)
+    counts = Xf.sum(axis=1, dtype=np.float64)
     cols = np.empty((n, m), dtype=np.intp)
     vals = np.empty((n, m))
     for start in range(0, n, block):
@@ -211,9 +218,8 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def _point_center_sqdist(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ||x||^2 - 2 x.c + ||c||^2; used for assignment only (argmin)
-    x2 = np.einsum("ij,ij->i", X, X)
+def _point_center_sqdist(X: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # ||x||^2 - 2 x.c + ||c||^2 with x2 = ||x||^2 precomputed; clamped at 0
     c2 = np.einsum("ij,ij->i", centers, centers)
     d2 = x2[:, None] + c2[None, :] - 2.0 * (X @ centers.T)
     np.maximum(d2, 0.0, out=d2)
@@ -227,42 +233,55 @@ def _assigned_residuals(X: np.ndarray, centers: np.ndarray, labels: np.ndarray) 
 
 
 def _lloyd(
-    X: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
+    X: np.ndarray, x2: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Lloyd iterations; returns (labels, centers, sse, per-iteration sse).
 
-    The recorded objective is evaluated after each assignment step and is
-    non-increasing. An empty cluster is re-seeded at the point farthest from
-    its assigned center.
+    The objective is recorded after each assignment step from the assignment
+    distances, and the final entry is the exact SSE; it is non-increasing up
+    to rounding. Centroids are per-cluster sums over the rows sorted by label.
+    An empty cluster is re-seeded at the point farthest from its assigned
+    center.
     """
-    k = centers.shape[0]
+    n, k = X.shape[0], centers.shape[0]
+    rows = np.arange(n)
     history: list[float] = []
-    labels = np.zeros(X.shape[0], dtype=np.int64)
     for _ in range(max_iter):
-        labels = _point_center_sqdist(X, centers).argmin(axis=1)
-        point_d2 = _assigned_residuals(X, centers, labels)
-        history.append(float(point_d2.sum()))
+        d2 = _point_center_sqdist(X, x2, centers)
+        labels = d2.argmin(axis=1)
+        history.append(float(d2[rows, labels].sum()))
 
+        counts = np.bincount(labels, minlength=k)
+        present = counts > 0
+        starts = np.cumsum(counts) - counts
+        sums = np.add.reduceat(X[np.argsort(labels, kind="stable")], starts[present], axis=0)
         new_centers = centers.copy()
-        empties = [j for j in range(k) if not (labels == j).any()]
-        claim_d2 = point_d2.copy()
-        for j in empties:
-            far = int(np.argmax(claim_d2))
-            new_centers[j] = X[far]
-            claim_d2[far] = -1.0  # a point re-seeds at most one centroid
-        for j in range(k):
-            if j in empties:
-                continue
-            new_centers[j] = X[labels == j].mean(axis=0)
+        new_centers[present] = sums / counts[present, None]
+        if not present.all():
+            claim_d2 = _assigned_residuals(X, centers, labels)
+            for j in np.flatnonzero(~present):
+                far = int(np.argmax(claim_d2))
+                new_centers[j] = X[far]
+                claim_d2[far] = -1.0  # a point re-seeds at most one centroid
 
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < tol:
             break
-    labels = _point_center_sqdist(X, centers).argmin(axis=1)
+    labels = _point_center_sqdist(X, x2, centers).argmin(axis=1)
     sse = float(_assigned_residuals(X, centers, labels).sum())
     history.append(sse)
     return labels, centers, sse, history
+
+
+def _canonical_labels(labels: np.ndarray, k: int) -> np.ndarray:
+    """Renumber clusters by size descending, ties by lowest member row."""
+    counts = np.bincount(labels, minlength=k)
+    first = np.full(k, labels.size)
+    np.minimum.at(first, labels, np.arange(labels.size))
+    rank = np.empty(k, dtype=labels.dtype)
+    rank[np.lexsort((first, -counts))] = np.arange(k)
+    return rank[labels]
 
 
 def kmeans(
@@ -272,28 +291,34 @@ def kmeans(
     max_iter: int = 300,
     tol: float = 1e-4,
     seed: int = 0,
+    threads: int = 1,
 ) -> ClusterAssignment:
     """k-means++ seeded Lloyd's algorithm; best of `restarts` runs by SSE.
 
-    Each restart draws from an independent substream of the seed, so results
-    are reproducible and independent of evaluation order. Ties between
-    restarts keep the earliest.
+    Each restart draws from an independent substream of the seed and runs on
+    a pool of at most `threads` workers; results are reduced in restart
+    order and ties keep the earliest, so the output does not depend on
+    `threads`. The winning partition's clusters are numbered by size
+    descending, ties by lowest member row.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
-    best: tuple[float, int] | None = None
-    best_result = None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        centers = _kmeanspp_centers(X, k, rng)
-        labels, centers, sse, history = _lloyd(X, centers, max_iter, tol)
-        if best is None or sse < best[0]:
-            best = (sse, r)
-            best_result = (labels, sse, history)
-    labels, sse, history = best_result
-    return ClusterAssignment(labels=labels, k=k, sse=sse, seed=seed, sse_history=history)
+    x2 = np.einsum("ij,ij->i", X, X)
+
+    def restart(r: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+        centers = _kmeanspp_centers(X, k, np.random.default_rng([seed, r]))
+        return _lloyd(X, x2, centers, max_iter, tol)
+
+    workers = min(threads, restarts, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = list(pool.map(restart, range(restarts)))
+    best = min(range(restarts), key=lambda r: runs[r][2])  # min keeps the earliest tie
+    labels, _, sse, history = runs[best]
+    return ClusterAssignment(
+        labels=_canonical_labels(labels, k), k=k, sse=sse, seed=seed, sse_history=history
+    )
 
 
 def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment:
@@ -309,8 +334,9 @@ def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment
     if config.knn_sparsify is not None:
         affinity = knn_sparsified_affinity(X, gamma, config.knn_sparsify)
     else:
-        # peak: 4 N x N 8-byte buffers inside hamming_distance_matrix
-        needed = 4 * 8 * n * n
+        # peak: 3 N x N 8-byte buffers, A and M and the symmetrized M in
+        # normalized_laplacian_embedding; distances and affinity need 2
+        needed = 3 * 8 * n * n
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if needed > physical:
             raise ValueError(
@@ -327,6 +353,7 @@ def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment
         max_iter=config.kmeans_max_iter,
         tol=config.kmeans_tol,
         seed=config.seed,
+        threads=config.threads,
     )
 
 
@@ -338,6 +365,7 @@ def elbow_sse_curve(
     max_iter: int = 300,
     tol: float = 1e-4,
     seed: int = 0,
+    threads: int = 1,
 ) -> ElbowCurve:
     """Best k-means SSE on the raw features for each k in [kmin, kmax]."""
     X = np.asarray(X, dtype=np.float64)
@@ -347,7 +375,9 @@ def elbow_sse_curve(
         raise ValueError("need 1 <= kmin <= kmax")
     points = []
     for k in range(kmin, kmax + 1):
-        result = kmeans(X, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
+        result = kmeans(
+            X, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed, threads=threads
+        )
         points.append((k, result.sse))
     return ElbowCurve(points=points)
 

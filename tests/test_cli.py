@@ -182,7 +182,7 @@ def test_stage_reads_come_from_earlier_stages():
 def test_missing_stage_input_names_producer(tmp_path, capsys):
     assert main(["elbow", "--out", str(tmp_path / "empty")]) == 1
     err = capsys.readouterr().err
-    assert "stage elbow failed" in err
+    assert "stage elbow failed: FileNotFoundError: " in err
     assert "missing input" in err and "run 'features' first" in err
 
 

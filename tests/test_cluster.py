@@ -1,6 +1,7 @@
 """Spectral clustering pipeline: distances, embedding, k-means, elbow, ARI."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_hamming_matches_naive_loop():
     D = hamming_distance_matrix(X)
     naive = np.array([[(X[i] != X[j]).sum() for j in range(40)] for i in range(40)])
     assert np.array_equal(D, naive)
-    assert D.dtype == np.int64
+    assert D.dtype == np.float64  # integral values, built in the gram buffer
     assert np.array_equal(D, D.T)
     assert (np.diag(D) == 0).all()
 
@@ -105,8 +106,11 @@ def test_knn_affinity_matches_row_loop():
     expected = np.maximum(expected, expected.T)
     np.fill_diagonal(expected, 1.0)
     # block=7 splits the rows into uneven blocks
-    A = knn_sparsified_affinity(X, gamma, neighbors=m - 1, block=7)
-    assert np.array_equal(A.values.toarray(), expected)
+    A = knn_sparsified_affinity(X, gamma, neighbors=m - 1, block=7).values
+    ref = sp.csr_matrix(expected)
+    assert np.array_equal(A.toarray(), expected)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, part), getattr(ref, part)), part
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +269,116 @@ def test_kmeans_handles_duplicate_points():
 def test_kmeans_k_exceeds_n_error():
     with pytest.raises(ValueError, match="exceeds"):
         kmeans(np.zeros((3, 2)), k=4)
+
+
+def _reference_lloyd(X, centers, max_iter, tol):
+    """Lloyd iterations with a boolean mask and a mean per centroid."""
+
+    def sqdist(centers):
+        x2 = np.einsum("ij,ij->i", X, X)
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        return np.maximum(x2[:, None] + c2[None, :] - 2.0 * (X @ centers.T), 0.0)
+
+    def residuals(centers, labels):
+        diff = X - centers[labels]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    k = centers.shape[0]
+    for _ in range(max_iter):
+        labels = sqdist(centers).argmin(axis=1)
+        claim_d2 = residuals(centers, labels)
+        new_centers = centers.copy()
+        empties = [j for j in range(k) if not (labels == j).any()]
+        for j in empties:
+            far = int(np.argmax(claim_d2))
+            new_centers[j] = X[far]
+            claim_d2[far] = -1.0
+        for j in range(k):
+            if j not in empties:
+                new_centers[j] = X[labels == j].mean(axis=0)
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    labels = sqdist(centers).argmin(axis=1)
+    return labels, float(residuals(centers, labels).sum())
+
+
+def test_lloyd_matches_reference_loop():
+    rng = np.random.default_rng(23)
+    for trial in range(100):
+        n, d, k = int(rng.integers(10, 60)), int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        if trial % 2:
+            X = (rng.random((n, d)) < 0.4).astype(np.float64)
+        else:
+            X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+        # starts outside the data's range leave clusters empty on some trials
+        spread = 1.0 if trial % 3 else 4.0
+        centers = rng.uniform(-spread, spread, size=(k, d))
+        x2 = np.einsum("ij,ij->i", X, X)
+        labels, _, sse, history = cluster._lloyd(X, x2, centers, 50, 1e-4)
+        ref_labels, ref_sse = _reference_lloyd(X, centers, 50, 1e-4)
+        assert np.array_equal(labels, ref_labels), trial
+        assert abs(sse - ref_sse) <= 1e-9, trial
+        assert sse == history[-1]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
+    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 8)  # more workers than cores
+    rng = np.random.default_rng(5)
+    X = (rng.random((120, 10)) < 0.3).astype(float) if binary else rng.normal(size=(120, 4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [kmeans(X, k=5, restarts=8, seed=4, threads=t) for t in (1, 2, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    for other in runs[1:]:
+        assert np.array_equal(other.labels, runs[0].labels)
+        assert other.sse == runs[0].sse
+        assert other.sse_history == runs[0].sse_history
+    curves = [elbow_sse_curve(X, kmax=5, restarts=8, seed=4, threads=t) for t in (1, 2, 8)]
+    assert curves[1].points == curves[0].points == curves[2].points
+
+
+def test_kmeans_workers_capped(monkeypatch):
+    started = []
+
+    class Recording(cluster.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cluster, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 64)
+    X = np.random.default_rng(2).random((30, 3))
+    kmeans(X, k=2, restarts=3, seed=0, threads=10_000)
+    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 2)
+    kmeans(X, k=2, restarts=3, seed=0, threads=10_000)
+    kmeans(X, k=2, restarts=3, seed=0)
+    assert started == [3, 2, 1]
+
+
+def test_kmeans_canonical_ids():
+    # sizes 3, 2, 2: the tie goes to the cluster holding the lower row
+    labels = np.array([2, 2, 0, 1, 1, 0, 0])
+    assert cluster._canonical_labels(labels, 3).tolist() == [1, 1, 0, 2, 2, 0, 0]
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        k = int(rng.integers(2, 6))
+        labels = rng.integers(0, k, size=40)
+        canonical = cluster._canonical_labels(labels, k)
+        assert np.array_equal(cluster._canonical_labels(rng.permutation(k)[labels], k), canonical)
+    X, _ = _planted_blocks(15, 4, 16, seed=9)
+    X = X[: 15 * 4 - 5].astype(float)  # blocks of 15, 15, 15 and 10 rows
+    result = kmeans(X, k=4, seed=1)
+    sizes = np.bincount(result.labels)
+    assert (np.diff(sizes) <= 0).all()
+    firsts = [int(np.flatnonzero(result.labels == j)[0]) for j in range(4)]
+    assert all(
+        firsts[j] < firsts[j + 1] for j in range(3) if sizes[j] == sizes[j + 1]
+    )
 
 
 # ---------------------------------------------------------------------------
