@@ -55,7 +55,7 @@ from .drugs import drug_prevalence_by_cluster, load_atc_map, rank_drug_classes
 from .phenotype import (
     AGGREGATE,
     TEMPORAL,
-    build_aggregate_matrix,
+    aggregate_from_temporal,
     build_temporal_matrix,
     load_phecode_map,
     load_vocabulary_csv,
@@ -120,11 +120,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "keep": 40,
         "exclusions": [],
     },
-    "features": {
-        "layouts": [TEMPORAL, AGGREGATE],
-    },
     "elbow": {
-        "features": TEMPORAL,
         "kmin": 1,
         "kmax": 10,
         "restarts": 10,
@@ -132,14 +128,12 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "tol": 1e-4,
     },
     "cluster": {
-        "features": TEMPORAL,
         "k": None,
         "gamma": None,
         "restarts": 10,
         "max_iter": 300,
         "tol": 1e-4,
         "knn_sparsify": None,
-        "also_aggregate": True,
     },
     "stats": {
         "yates": True,
@@ -160,7 +154,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "report": {
         "top_k": 20,
         "temporal_denominator": "slot_active",
-        "formats": ["csv"],
     },
 }
 
@@ -206,20 +199,32 @@ def _require(cond: bool, message: str, problems: list[str]) -> None:
         problems.append(message)
 
 
-def _is_posint(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+def _is_int(v: Any, least: int = 1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_kmeans(section: str, cfg: dict, problems: list[str]) -> None:
+    _require(_is_int(cfg["restarts"]), f"{section}.restarts must be >= 1", problems)
+    _require(_is_int(cfg["max_iter"]), f"{section}.max_iter must be an integer >= 1", problems)
+    _require(
+        _is_number(cfg["tol"]) and cfg["tol"] >= 0, f"{section}.tol must be a number >= 0", problems
+    )
 
 
 def validate_config(cfg: dict) -> list[str]:
     problems: list[str] = []
-    _require(_is_posint(cfg["seed"]) or cfg["seed"] == 0, "seed must be a nonnegative integer", problems)
-    _require(_is_posint(cfg["threads"]), "threads must be a positive integer", problems)
+    _require(_is_int(cfg["seed"], least=0), "seed must be a nonnegative integer", problems)
+    _require(_is_int(cfg["threads"]), "threads must be a positive integer", problems)
 
     co = cfg["cohort"]
-    _require(_is_posint(co["slot_count"]), "cohort.slot_count must be >= 1", problems)
-    _require(_is_posint(co["slot_days"]), "cohort.slot_days must be >= 1", problems)
+    _require(_is_int(co["slot_count"]), "cohort.slot_count must be >= 1", problems)
+    _require(_is_int(co["slot_days"]), "cohort.slot_days must be >= 1", problems)
     _require(
-        isinstance(co["min_age_years"], int) and co["min_age_years"] >= 0,
+        _is_int(co["min_age_years"], least=0),
         "cohort.min_age_years must be a nonnegative integer",
         problems,
     )
@@ -233,32 +238,33 @@ def validate_config(cfg: dict) -> list[str]:
     ):
         problems.append("cohort.ad_codes must be null or a non-empty list")
 
-    _require(_is_posint(cfg["synth"]["n_patients"]), "synth.n_patients must be >= 1", problems)
+    _require(_is_int(cfg["synth"]["n_patients"]), "synth.n_patients must be >= 1", problems)
 
     ing = cfg["ingest"]
-    _require(_is_posint(ing["review_size"]), "ingest.review_size must be >= 1", problems)
-    _require(_is_posint(ing["keep"]), "ingest.keep must be >= 1", problems)
+    _require(_is_int(ing["review_size"]), "ingest.review_size must be >= 1", problems)
+    _require(_is_int(ing["keep"]), "ingest.keep must be >= 1", problems)
     if isinstance(ing["review_size"], int) and isinstance(ing["keep"], int):
         _require(ing["keep"] <= ing["review_size"], "ingest.keep must be <= review_size", problems)
+    _require(isinstance(ing["exclusions"], list), "ingest.exclusions must be a list of phecodes", problems)
 
     el = cfg["elbow"]
-    _require(el["features"] in (TEMPORAL, AGGREGATE), "elbow.features must be temporal|aggregate", problems)
-    _require(_is_posint(el["kmin"]) and _is_posint(el["kmax"]), "elbow.kmin/kmax must be >= 1", problems)
-    if _is_posint(el["kmin"]) and _is_posint(el["kmax"]):
+    _require(_is_int(el["kmin"]) and _is_int(el["kmax"]), "elbow.kmin/kmax must be >= 1", problems)
+    if _is_int(el["kmin"]) and _is_int(el["kmax"]):
         _require(el["kmin"] < el["kmax"], "elbow.kmin must be < kmax", problems)
-    _require(_is_posint(el["restarts"]), "elbow.restarts must be >= 1", problems)
+    _check_kmeans("elbow", el, problems)
 
     cl = cfg["cluster"]
-    _require(cl["features"] in (TEMPORAL, AGGREGATE), "cluster.features must be temporal|aggregate", problems)
     if cl["k"] is not None:
-        _require(_is_posint(cl["k"]), "cluster.k must be null or >= 1", problems)
+        _require(_is_int(cl["k"]), "cluster.k must be null or >= 1", problems)
     if cl["gamma"] is not None:
         _require(
-            isinstance(cl["gamma"], (int, float)) and cl["gamma"] > 0,
+            _is_number(cl["gamma"]) and cl["gamma"] > 0,
             "cluster.gamma must be null or > 0",
             problems,
         )
-    _require(_is_posint(cl["restarts"]), "cluster.restarts must be >= 1", problems)
+    if cl["knn_sparsify"] is not None:
+        _require(_is_int(cl["knn_sparsify"]), "cluster.knn_sparsify must be null or >= 1", problems)
+    _check_kmeans("cluster", cl, problems)
 
     st = cfg["stats"]
     _require(isinstance(st["yates"], bool), "stats.yates must be boolean", problems)
@@ -267,7 +273,7 @@ def validate_config(cfg: dict) -> list[str]:
         "stats.alpha must be in (0,1)",
         problems,
     )
-    _require(_is_posint(st["bonferroni_m"]), "stats.bonferroni_m must be >= 1", problems)
+    _require(_is_int(st["bonferroni_m"]), "stats.bonferroni_m must be >= 1", problems)
 
     _require(
         isinstance(cfg["mlr"]["reference_cluster"], int),
@@ -276,22 +282,15 @@ def validate_config(cfg: dict) -> list[str]:
     )
 
     dr = cfg["drugs"]
-    _require(_is_posint(dr["top"]), "drugs.top must be >= 1", problems)
+    _require(_is_int(dr["top"]), "drugs.top must be >= 1", problems)
     if dr["selected"] is not None and not isinstance(dr["selected"], list):
         problems.append("drugs.selected must be null or a list of ATC3 codes")
 
     rp = cfg["report"]
-    _require(_is_posint(rp["top_k"]), "report.top_k must be >= 1", problems)
+    _require(_is_int(rp["top_k"]), "report.top_k must be >= 1", problems)
     _require(
         rp["temporal_denominator"] in ("slot_active", "cluster_size"),
         "report.temporal_denominator must be slot_active|cluster_size",
-        problems,
-    )
-    _require(
-        isinstance(rp["formats"], list)
-        and rp["formats"]
-        and all(f in ("csv", "json") for f in rp["formats"]),
-        "report.formats must be a non-empty list drawn from csv|json",
         problems,
     )
 
@@ -456,15 +455,10 @@ def stage_ingest(ctx: Context) -> list[str]:
 def stage_features(ctx: Context) -> list[str]:
     cohort = ctx.load_cohort()
     vocabulary = load_vocabulary_csv(ctx.need("vocabulary.csv"))
+    temporal = build_temporal_matrix(cohort, vocabulary)
     written = []
-    for layout in ctx.cfg["features"]["layouts"]:
-        if layout == TEMPORAL:
-            fm = build_temporal_matrix(cohort, vocabulary)
-        elif layout == AGGREGATE:
-            fm = build_aggregate_matrix(cohort, vocabulary)
-        else:
-            raise ValueError(f"unknown feature layout {layout!r}")
-        name = f"features_{layout}.csv"
+    for fm in (temporal, aggregate_from_temporal(temporal)):
+        name = f"features_{fm.layout}.csv"
         write_feature_csv(fm, ctx.path(name), meta=ctx.meta.line())
         written.append(name)
     return written
@@ -472,7 +466,7 @@ def stage_features(ctx: Context) -> list[str]:
 
 def stage_elbow(ctx: Context) -> list[str]:
     el = ctx.cfg["elbow"]
-    fm = read_feature_csv(ctx.need(f"features_{el['features']}.csv"))
+    fm = read_feature_csv(ctx.need("features_temporal.csv"))
     curve = elbow_sse_curve(
         fm.values.astype(np.float64),
         kmin=el["kmin"],
@@ -501,41 +495,37 @@ def _read_chosen_k(ctx: Context) -> int:
     raise ValueError(f"{path} marks no chosen k")
 
 
+def _cluster_layout(ctx: Context, config: SpectralConfig, layout: str, name: str) -> list[list]:
+    """Cluster one feature layout and write `name`; returns its cluster_sizes rows.
+
+    Its own function so that one layout's matrix and rows are freed before
+    the next layout is clustered; holding them raises the peak memory.
+    """
+    fm = read_feature_csv(ctx.need(f"features_{layout}.csv"))
+    labels = spectral_cluster(fm.values, config).labels
+    rows = [[pid, int(lab)] for pid, lab in zip(fm.patient_ids, labels)]
+    ctx.write(Artifact(name, ["patient_id", "cluster"], rows))
+    clusters, counts = np.unique(labels, return_counts=True)
+    return [[layout, int(c), int(n)] for c, n in zip(clusters, counts)]
+
+
 def stage_cluster(ctx: Context) -> list[str]:
     cl = ctx.cfg["cluster"]
-    k = cl["k"] if cl["k"] is not None else _read_chosen_k(ctx)
+    config = SpectralConfig(
+        k=cl["k"] if cl["k"] is not None else _read_chosen_k(ctx),
+        gamma=cl["gamma"],
+        kmeans_restarts=cl["restarts"],
+        kmeans_max_iter=cl["max_iter"],
+        kmeans_tol=cl["tol"],
+        seed=ctx.seed,
+        knn_sparsify=cl["knn_sparsify"],
+        threads=ctx.cfg["threads"],
+    )
     written = []
-
-    def run(layout: str, assignment_name: str) -> tuple[str, dict[str, int]]:
-        fm = read_feature_csv(ctx.need(f"features_{layout}.csv"))
-        config = SpectralConfig(
-            k=k,
-            gamma=cl["gamma"],
-            kmeans_restarts=cl["restarts"],
-            kmeans_max_iter=cl["max_iter"],
-            kmeans_tol=cl["tol"],
-            seed=ctx.seed,
-            knn_sparsify=cl["knn_sparsify"],
-            threads=ctx.cfg["threads"],
-        )
-        assignment = spectral_cluster(fm.values, config)
-        rows = [[pid, int(lab)] for pid, lab in zip(fm.patient_ids, assignment.labels)]
-        ctx.write(Artifact(assignment_name, ["patient_id", "cluster"], rows))
-        sizes: dict[str, int] = {}
-        for _, lab in rows:
-            sizes[lab] = sizes.get(lab, 0) + 1
-        return assignment_name, sizes
-
-    primary = cl["features"]
-    name, sizes = run(primary, "assignments.csv")
-    written.append(name)
-    size_rows = [[primary, c, n] for c, n in sorted(sizes.items())]
-
-    if cl["also_aggregate"] and primary == TEMPORAL:
-        name, agg_sizes = run(AGGREGATE, "assignments_aggregate.csv")
+    size_rows = []
+    for layout, name in ((TEMPORAL, "assignments.csv"), (AGGREGATE, "assignments_aggregate.csv")):
+        size_rows += _cluster_layout(ctx, config, layout, name)
         written.append(name)
-        size_rows += [[AGGREGATE, c, n] for c, n in sorted(agg_sizes.items())]
-
     written.append(
         ctx.write(Artifact("cluster_sizes.csv", ["layout", "cluster", "n"], size_rows))
     )
@@ -649,26 +639,20 @@ def stage_report(ctx: Context) -> list[str]:
     assignments = ctx.load_assignments()
 
     artifacts = []
-    for layout in ctx.cfg["features"]["layouts"]:
+    for layout in (TEMPORAL, AGGREGATE):
         table = condition_prevalence(
             assignments,
             read_feature_csv(ctx.need(f"features_{layout}.csv")),
-            layout,
             top_k=rcfg["top_k"],
             temporal_denominator=rcfg["temporal_denominator"],
         )
         artifacts.append(render_prevalence(table, f"prevalence_{layout}.csv"))
 
     artifacts.append(render_demographics(demographic_breakdown(assignments, cohort)))
+    aggregate_assignments = ctx.load_assignments("assignments_aggregate.csv")
+    artifacts.append(render_crosstab(cluster_crosstab(assignments, aggregate_assignments)))
 
-    agg_assign_path = ctx.path("assignments_aggregate.csv")
-    if agg_assign_path.exists():
-        aggregate_assignments = ctx.load_assignments("assignments_aggregate.csv")
-        artifacts.append(
-            render_crosstab(cluster_crosstab(assignments, aggregate_assignments))
-        )
-
-    emit_reports(artifacts, ctx.out, ctx.meta, formats=tuple(rcfg["formats"]))
+    emit_reports(artifacts, ctx.out, ctx.meta)
     return [a.name for a in artifacts] + ["manifest.json"]
 
 
@@ -676,10 +660,10 @@ def stage_report(ctx: Context) -> list[str]:
 class Stage:
     """One pipeline stage and the artifacts it reads and writes.
 
-    Artifact names are those of the default config; other settings pick
-    among the same files (elbow.features, cluster.k) or drop some of them.
-    Every read is written by an earlier stage, so any stage can be rerun in
-    isolation once its predecessors have run.
+    The declarations hold for every config, except that cluster reads
+    elbow.csv only when cluster.k is unset. Every read is written by an
+    earlier stage, so any stage can be rerun in isolation once its
+    predecessors have run.
     """
 
     name: str

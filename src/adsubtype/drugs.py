@@ -129,7 +129,7 @@ def drug_prevalence_by_cluster(
     prescriptions: Mapping[str, Sequence[PrescriptionEvent]],
     assignments: Mapping[str, int],
     atc_map: AtcMap,
-    selected: Sequence[str] | None = None,
+    selected: Sequence[str],
 ) -> DrugUsageTable:
     """Distinct-patient prevalence of selected ATC3 classes within each cluster.
 
@@ -142,8 +142,6 @@ def drug_prevalence_by_cluster(
         raise ValueError(
             f"{len(missing)} prescribed patients missing cluster assignments"
         )
-    if selected is None:
-        selected = rank_drug_classes(prescriptions, atc_map)
     selected = list(selected)
     if not selected:
         log.warning("drug_prevalence_by_cluster: empty selected class list")

@@ -2,7 +2,7 @@
 
 Condition prevalence per cluster (aggregate and per-timeslot), demographic
 and mortality stratification, cluster-overlap cross-tabulation, formatted
-statistics tables, and the CSV/JSON emission layer with its manifest.
+statistics tables, and the CSV emission layer with its JSON manifest.
 
 Every CSV artifact starts with a comment line recording tool version, seed,
 and config hash; percentages always ship next to their numerator and
@@ -21,7 +21,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .cohort import AGE_GROUP_ORDER, RACE_LABELS, SEX_LABELS, Cohort, Race, Sex
-from .phenotype import AGGREGATE, TEMPORAL, FeatureMatrix
+from .phenotype import AGGREGATE, FeatureMatrix
 from .stats import ALL_CLUSTERS, GridRow, MlrFit, pair_keys
 from .table import read_table, render_table, write_text
 
@@ -63,15 +63,6 @@ class Artifact:
 
 def render_csv(artifact: Artifact, meta: ArtifactMeta | None) -> str:
     return render_table(artifact.header, artifact.rows, None if meta is None else meta.line())
-
-
-def render_json(artifact: Artifact) -> str:
-    payload = {
-        "name": artifact.name,
-        "header": artifact.header,
-        "rows": artifact.rows,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def fmt_pct(numerator: int, denominator: int) -> str:
@@ -140,21 +131,18 @@ class PrevalenceTable:
 def condition_prevalence(
     assignments: Mapping[str, int],
     features: FeatureMatrix,
-    mode: str,
     top_k: int = 20,
     temporal_denominator: str = "slot_active",
 ) -> PrevalenceTable:
     """Per-cluster condition prevalence on the top_k cohort-wide conditions.
 
-    Aggregate mode divides by cluster size. Temporal mode divides, per slot,
-    by the cluster members having at least one condition flagged in that
-    slot; temporal_denominator="cluster_size" switches to cluster size. Zero
-    denominators suppress the percentage (the row keeps its counts).
+    The features' layout sets the mode. Aggregate mode divides by cluster
+    size. Temporal mode divides, per slot, by the cluster members having at
+    least one condition flagged in that slot; temporal_denominator=
+    "cluster_size" switches to cluster size. Zero denominators suppress the
+    percentage (the row keeps its counts).
     """
-    if mode not in (AGGREGATE, TEMPORAL):
-        raise ValueError(f"unknown mode {mode!r}")
-    if features.layout != mode:
-        raise ValueError(f"features layout {features.layout!r} does not match mode {mode!r}")
+    mode = features.layout
     if temporal_denominator not in ("slot_active", "cluster_size"):
         raise ValueError(f"unknown temporal_denominator {temporal_denominator!r}")
     missing = [pid for pid in features.patient_ids if pid not in assignments]
@@ -407,12 +395,9 @@ def mlr_summary_json(fit: MlrFit) -> str:
 # ---------------------------------------------------------------------------
 
 def emit_reports(
-    artifacts: Sequence[Artifact],
-    out_dir: str | Path,
-    meta: ArtifactMeta,
-    formats: Sequence[str] = ("csv",),
+    artifacts: Sequence[Artifact], out_dir: str | Path, meta: ArtifactMeta
 ) -> dict[str, Any]:
-    """Write each table in the requested formats, then refresh the manifest.
+    """Write each table as CSV, then refresh the manifest.
 
     Returns the manifest mapping (also written to manifest.json): every
     .csv and .json artifact in out_dir with its data row count and content
@@ -421,26 +406,15 @@ def emit_reports(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    unknown = [f for f in formats if f not in ("csv", "json")]
-    if unknown:
-        raise ValueError(f"unknown formats {unknown}; expected csv and/or json")
     for artifact in artifacts:
-        if "csv" in formats:
-            write_text(out / artifact.name, render_csv(artifact, meta))
-        if "json" in formats:
-            write_text(out / Path(artifact.name).with_suffix(".json").name, render_json(artifact))
+        write_text(out / artifact.name, render_csv(artifact, meta))
     return write_manifest(out)
 
 
 def _count_rows(path: Path) -> int:
+    """Data rows of a CSV; top-level entries of a JSON object."""
     if path.suffix == ".json":
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if isinstance(data, list):
-            return len(data)
-        if isinstance(data, dict):
-            rows = data.get("rows")
-            return len(rows) if isinstance(rows, list) else len(data)
-        return 1
+        return len(json.loads(path.read_text(encoding="utf-8")))
     with read_table(path) as (_, rows):
         return sum(1 for _ in rows)
 

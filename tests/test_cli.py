@@ -2,10 +2,11 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
-from adsubtype.cli import PIPELINE, STAGES, main
+from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
 from adsubtype.synth import SubtypeProfile, save_profiles
 
 
@@ -147,11 +148,56 @@ def test_unknown_config_keys(tmp_path, capsys):
 
 def test_validation_reports_every_problem(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"elbow": {"kmin": 5, "kmax": 2}, "report": {"formats": ["xml"]}}))
+    cfg.write_text(json.dumps({"elbow": {"kmin": 5, "kmax": 2}, "report": {"top_k": 0}}))
     assert main(["elbow", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "elbow.kmin must be < kmax" in err
-    assert "report.formats" in err
+    assert "report.top_k" in err
+
+
+def test_removed_plan_keys_rejected(tmp_path, capsys):
+    removed = [
+        ({"features": {"layouts": ["temporal"]}}, "'features'"),
+        ({"elbow": {"features": "temporal"}}, "elbow.features"),
+        ({"cluster": {"features": "aggregate"}}, "cluster.features"),
+        ({"cluster": {"also_aggregate": False}}, "cluster.also_aggregate"),
+        ({"report": {"formats": ["csv"]}}, "report.formats"),
+    ]
+    cfg = tmp_path / "cfg.json"
+    for override, key in removed:
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **override}))
+        assert main(["all", "--config", str(cfg), "--dry-run"]) == 2, key
+        assert f"unknown config key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        pytest.param({"seed": 0.0}, "seed", id="seed-float"),
+        pytest.param({"seed": False}, "seed", id="seed-bool"),
+        pytest.param({"seed": -1}, "seed", id="seed-negative"),
+        pytest.param({"cluster": {"knn_sparsify": 0}}, "cluster.knn_sparsify", id="knn-zero"),
+        pytest.param({"cluster": {"knn_sparsify": -2}}, "cluster.knn_sparsify", id="knn-negative"),
+        pytest.param({"cluster": {"knn_sparsify": True}}, "cluster.knn_sparsify", id="knn-bool"),
+        pytest.param({"cluster": {"max_iter": "300"}}, "cluster.max_iter", id="max-iter-string"),
+        pytest.param({"elbow": {"max_iter": 0}}, "elbow.max_iter", id="max-iter-zero"),
+        pytest.param({"cluster": {"tol": -1e-4}}, "cluster.tol", id="tol-negative"),
+        pytest.param({"elbow": {"tol": "1e-4"}}, "elbow.tol", id="tol-string"),
+        pytest.param({"ingest": {"exclusions": "401.1"}}, "ingest.exclusions", id="exclusions-string"),
+    ],
+)
+def test_validation_rejects_bad_values(tmp_path, capsys, override, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **override}))
+    assert main(["all", "--config", str(cfg), "--dry-run"]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
+def test_readme_config_block_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+    assert json.loads(block) == DEFAULT_CONFIG
 
 
 def test_validation_checks_external_files(tmp_path, capsys):
@@ -241,6 +287,18 @@ def test_pipeline_produces_expected_artifacts(pipeline):
 
 def test_each_stage_writes_what_it_declares(pipeline):
     assert pipeline["created"] == {stage.name: set(stage.writes) for stage in PIPELINE}
+
+
+def test_each_stage_runs_on_its_declared_reads_alone(pipeline, tmp_path):
+    for stage in PIPELINE:
+        work = tmp_path / stage.name
+        work.mkdir()
+        for name in stage.reads:
+            shutil.copy(pipeline["out1"] / name, work / name)
+        argv = [stage.name, "--config", str(pipeline["config_path"]), "--out", str(work)]
+        assert main(argv) == 0, stage.name
+        for name in set(stage.writes) - {"manifest.json"}:
+            assert (work / name).read_bytes() == (pipeline["out1"] / name).read_bytes(), name
 
 
 def test_csv_artifacts_use_lf_line_endings(pipeline):

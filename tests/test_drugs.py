@@ -158,13 +158,6 @@ def test_prevalence_rows_cluster_major_selected_order():
     ]
 
 
-def test_prevalence_default_selection_uses_ranking():
-    amap = _map({"1": {("N02B", "x")}, "2": {("B01A", "y")}})
-    prescriptions = {"A": [_rx("A", "1"), _rx("A", "2")], "B": [_rx("B", "2")]}
-    table = drug_prevalence_by_cluster(prescriptions, {"A": 0, "B": 0}, amap)
-    assert table.selected == ["B01A", "N02B"]
-
-
 def test_prevalence_missing_assignment_is_fatal():
     amap = _map({"1": {("N02B", "x")}})
     with pytest.raises(ValueError, match="missing cluster assignments"):

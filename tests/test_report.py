@@ -23,7 +23,6 @@ from adsubtype.report import (
     render_crosstab,
     render_csv,
     render_demographics,
-    render_json,
     render_mlr,
     render_prevalence,
     render_stats_grid,
@@ -54,13 +53,6 @@ def test_meta_line_and_render_csv():
     text = render_csv(art, META)
     assert text == "# adsubtype=test seed=0 config=000000000000\na,b\n1,two\n3,four\n"
     assert render_csv(art, None).startswith("a,b\n")
-
-
-def test_render_json_is_sorted_and_stable():
-    art = Artifact("x.csv", ["a"], [[1], [2]])
-    text = render_json(art)
-    assert json.loads(text) == {"name": "x.csv", "header": ["a"], "rows": [[1], [2]]}
-    assert text == render_json(art)
 
 
 def test_fmt_pct():
@@ -114,7 +106,7 @@ def _aggregate_features():
 def test_condition_prevalence_aggregate():
     features = _aggregate_features()
     assignments = {"P0": 0, "P1": 0, "P2": 1, "P3": 1}
-    table = condition_prevalence(assignments, features, AGGREGATE, top_k=2)
+    table = condition_prevalence(assignments, features, top_k=2)
     assert table.top_phecodes == ["250.2", "272.1"]
     by_key = {(r.cluster, r.phecode): r for r in table.rows}
     assert by_key[(0, "250.2")].numerator == 2
@@ -129,7 +121,7 @@ def test_condition_prevalence_top_k_ties_break_on_phecode():
     features = _aggregate_features()
     assignments = {p: 0 for p in features.patient_ids}
     # 272.1 and 401.1 both hit 2 patients after dropping P2? No: totals 3,2,1.
-    table = condition_prevalence(assignments, features, AGGREGATE, top_k=3)
+    table = condition_prevalence(assignments, features, top_k=3)
     assert table.top_phecodes == ["250.2", "272.1", "401.1"]
     assert [r.phecode for r in table.rows] == ["250.2", "272.1", "401.1"]
 
@@ -156,7 +148,7 @@ def _temporal_features():
 def test_condition_prevalence_temporal_slot_active():
     features = _temporal_features()
     assignments = {"A": 0, "B": 0, "C": 0}
-    table = condition_prevalence(assignments, features, TEMPORAL, top_k=2)
+    table = condition_prevalence(assignments, features, top_k=2)
     by_key = {(r.phecode, r.slot): r for r in table.rows}
     # slot 1: A and B have a flag somewhere in slot 1 -> denominator 2
     assert by_key[("250.2", 1)].numerator == 1
@@ -170,7 +162,7 @@ def test_condition_prevalence_temporal_cluster_size_denominator():
     features = _temporal_features()
     assignments = {"A": 0, "B": 0, "C": 0}
     table = condition_prevalence(
-        assignments, features, TEMPORAL, top_k=2, temporal_denominator="cluster_size"
+        assignments, features, top_k=2, temporal_denominator="cluster_size"
     )
     assert {r.denominator for r in table.rows} == {3}
     assert table.denominator_policy == "cluster_size"
@@ -181,7 +173,7 @@ def test_condition_prevalence_zero_denominator_suppressed(caplog):
     # cluster 1 holds only B, who has no slot-2 flags
     assignments = {"A": 0, "B": 1, "C": 0}
     with caplog.at_level("WARNING"):
-        table = condition_prevalence(assignments, features, TEMPORAL, top_k=2)
+        table = condition_prevalence(assignments, features, top_k=2)
     suppressed = [r for r in table.rows if r.suppressed]
     assert suppressed and all(r.cluster == 1 and r.slot == 2 for r in suppressed)
     assert all(r.pct is None for r in suppressed)
@@ -194,24 +186,20 @@ def test_condition_prevalence_zero_denominator_suppressed(caplog):
 def test_condition_prevalence_errors():
     features = _aggregate_features()
     assignments = {p: 0 for p in features.patient_ids}
-    with pytest.raises(ValueError, match="unknown mode"):
-        condition_prevalence(assignments, features, "monthly")
-    with pytest.raises(ValueError, match="does not match mode"):
-        condition_prevalence(assignments, features, TEMPORAL)
     with pytest.raises(ValueError, match="temporal_denominator"):
-        condition_prevalence(assignments, _temporal_features(), TEMPORAL, temporal_denominator="x")
+        condition_prevalence(assignments, _temporal_features(), temporal_denominator="x")
     with pytest.raises(ValueError, match="missing cluster assignments"):
-        condition_prevalence({"P0": 0}, features, AGGREGATE)
+        condition_prevalence({"P0": 0}, features)
 
 
 def test_render_prevalence_headers():
     agg = condition_prevalence(
-        {p: 0 for p in _aggregate_features().patient_ids}, _aggregate_features(), AGGREGATE
+        {p: 0 for p in _aggregate_features().patient_ids}, _aggregate_features()
     )
     assert render_prevalence(agg, "a.csv").header == [
         "cluster", "phecode", "numerator", "denominator", "pct",
     ]
-    tmp = condition_prevalence({"A": 0, "B": 0, "C": 0}, _temporal_features(), TEMPORAL)
+    tmp = condition_prevalence({"A": 0, "B": 0, "C": 0}, _temporal_features())
     assert render_prevalence(tmp, "t.csv").header == [
         "cluster", "phecode", "slot", "numerator", "denominator", "pct",
     ]
@@ -383,19 +371,13 @@ def test_emit_reports_writes_csv_and_manifest(tmp_path):
     assert on_disk == manifest
 
 
-def test_emit_reports_json_format_and_rerun_stability(tmp_path):
+def test_emit_reports_rerun_stability(tmp_path):
     art = Artifact("cluster_sizes.csv", ["cluster", "n"], [[0, 2]])
-    emit_reports([art], tmp_path, META, formats=("csv", "json"))
-    assert json.loads((tmp_path / "cluster_sizes.json").read_text())["rows"] == [[0, 2]]
+    emit_reports([art], tmp_path, META)
     first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    emit_reports([art], tmp_path, META, formats=("csv", "json"))
+    emit_reports([art], tmp_path, META)
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert first == second
-
-
-def test_emit_reports_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="unknown formats"):
-        emit_reports([], tmp_path, META, formats=("xml",))
 
 
 def test_manifest_row_counts(tmp_path):
@@ -408,6 +390,7 @@ def test_manifest_row_counts(tmp_path):
 def test_manifest_lists_extras_and_skips_itself(tmp_path):
     (tmp_path / "assignments.csv").write_text("# meta\npid,cluster\np1,0\n")
     (tmp_path / "zz_extra.csv").write_text("a\n1\n2\n")
+    (tmp_path / "zz_extra.json").write_text('{"a": 1, "b": [1, 2, 3]}\n')
     (tmp_path / "notes.txt").write_text("ignored\n")
     manifest = write_manifest(tmp_path)
     names = list(manifest["artifacts"])
@@ -416,6 +399,7 @@ def test_manifest_lists_extras_and_skips_itself(tmp_path):
     assert "manifest.json" not in names
     assert "notes.txt" not in names
     assert manifest["artifacts"]["zz_extra.csv"]["rows"] == 2
+    assert manifest["artifacts"]["zz_extra.json"]["rows"] == 2
 
 
 def test_write_text_failure_is_runtime_error(tmp_path):
