@@ -22,6 +22,7 @@ for _var in (
 
 import argparse
 import copy
+import gc
 import json
 import logging
 import sys
@@ -72,6 +73,7 @@ from .report import (
     config_hash,
     demographic_breakdown,
     emit_reports,
+    fmt_pct,
     mlr_summary_json,
     render_crosstab,
     render_csv,
@@ -601,9 +603,9 @@ def stage_mlr(ctx: Context) -> list[str]:
         X, labels, reference_cluster=mcfg["reference_cluster"], feature_names=names
     )
     written = [ctx.write(render_mlr(fit))]
-    payload = json.loads(mlr_summary_json(fit))
-    payload["references"] = references
-    write_text(ctx.path("mlr.json"), json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    summary = mlr_summary_json(fit)
+    summary["references"] = references
+    write_text(ctx.path("mlr.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
     written.append("mlr.json")
     return written
 
@@ -616,14 +618,14 @@ def stage_drugs(ctx: Context) -> list[str]:
     atc_map = (
         default_atc_map() if dcfg["atc_map"] is None else load_atc_map(dcfg["atc_map"])
     )
-    prescriptions = cohort.post_index_prescriptions
+    prescriptions = {p.patient_id: p.rxcuis for p in cohort.patients}
     selected = dcfg["selected"]
     if selected is None:
         selected = rank_drug_classes(prescriptions, atc_map, top=dcfg["top"])
     table = drug_prevalence_by_cluster(prescriptions, assignments, atc_map, selected)
     rows = [
-        [cluster, atc3, name, num, denom, f"{pct:.4f}"]
-        for cluster, atc3, name, num, denom, pct in table.rows()
+        [cluster, atc3, name, num, denom, fmt_pct(num, denom)]
+        for cluster, atc3, name, num, denom in table.rows()
     ]
     artifact = Artifact(
         "drug_usage.csv",
@@ -812,6 +814,10 @@ def main(argv=None) -> int:
         except Exception as exc:
             print(f"error: stage {stage} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
+        # A full collection also empties the interpreter's free lists. Left
+        # full, they pin memory freed by one stage's per-patient tuples and
+        # raise the peak RSS of every later stage in the same process.
+        gc.collect()
     return 0
 
 

@@ -2,15 +2,17 @@
 
 Reads CDM-style CSV extracts (demographics, diagnoses, prescriptions,
 deaths), finds each patient's first AD-coded diagnosis (the index date),
-applies the inclusion criteria, and assigns pre-index diagnosis events to
-half-year timeslots counted backward from the index date.
+applies the inclusion criteria, and reduces each selected patient to one
+record: demographics, mortality, the (timeslot, phecode) cells of the
+pre-index diagnoses, with timeslots counted backward from the index date,
+and the post-index RxCUIs.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -152,25 +154,26 @@ class RawTables:
 
 
 @dataclass(frozen=True)
-class SlottedEvent:
-    """A pre-index diagnosis event with its timeslot and mapped phecode.
+class CohortPatient:
+    """One selected patient, holding everything later stages read.
 
-    phecode is None when the ICD code has no entry in the phecode map; such
-    events stay here so coverage reporting can account for them.
+    cells are the sorted distinct (slot, phecode) pairs of the pre-index,
+    non-AD diagnoses whose code the phecode map knows; rxcuis are the
+    sorted post-index prescriptions, repeats kept.
     """
 
-    event: DiagnosisEvent
-    slot: int
-    phecode: str | None
+    patient_id: str
+    sex: Sex
+    race: Race
+    age_at_index: int
+    died: bool
+    cells: tuple[tuple[int, str], ...]
+    rxcuis: tuple[str, ...]
 
 
 @dataclass
 class Cohort:
-    patients: list[PatientRecord]
-    index_date: dict[str, date]
-    age_at_index: dict[str, int]
-    pre_index_events: dict[str, list[SlottedEvent]]
-    post_index_prescriptions: dict[str, list[PrescriptionEvent]]
+    patients: list[CohortPatient]
     funnel: list[tuple[str, int]]
     config: CohortConfig
 
@@ -183,7 +186,7 @@ class Cohort:
         for p in self.patients:
             labels["sex"].append(SEX_LABELS[p.sex])
             labels["race"].append(RACE_LABELS[p.race])
-            labels["age_group"].append(bin_age(self.age_at_index[p.patient_id]).value)
+            labels["age_group"].append(bin_age(p.age_at_index).value)
             labels["mortality"].append("died" if p.died else "alive")
         return labels
 
@@ -267,8 +270,14 @@ def parse_tables(paths: TablePaths) -> RawTables:
             raise ValueError("empty rxcui")
         return PrescriptionEvent(pid, rxcui, _parse_date(when))
 
+    dead_ids: set[str] = set()
+
     def death(pid: str, when: str) -> tuple[str, date]:
-        return pid, _parse_date(when)
+        if pid in dead_ids:
+            raise ValueError(f"duplicate patient_id {pid!r}")
+        row = pid, _parse_date(when)
+        dead_ids.add(pid)
+        return row
 
     patients = _read_rows(
         paths.demographics, DEMOGRAPHICS_COLUMNS, "demographics", patient, rejects
@@ -357,8 +366,9 @@ def select_cohort(
     Keeps patients whose first AD-coded diagnosis falls inside the diagnosis
     window, whose age at index meets the minimum, and (when a vocabulary is
     given) who carry at least one vocabulary condition in some timeslot.
-    Pre-index, non-AD diagnosis events are deduplicated, slot-assigned, and
-    annotated with their phecode. The funnel records the count remaining
+    Each pre-index, non-AD diagnosis with a mapped phecode becomes a
+    (slot, phecode) cell of its patient; prescriptions on or after the
+    index date are kept as RxCUIs. The funnel records the count remaining
     after each criterion.
     """
     funnel: list[tuple[str, int]] = [("patients_total", len(tables.patients))]
@@ -386,38 +396,28 @@ def select_cohort(
             age_at_index[p.patient_id] = age
     funnel.append((f"age_at_index_ge_{config.min_age_years}", len(of_age)))
 
-    # Deduplicate diagnosis rows on (patient, normalized code, date): binary
-    # features make repeats irrelevant.
+    # A set per patient: binary features make repeated diagnoses irrelevant.
     ad_norm = config.normalized_ad_codes
-    eligible_ids = {p.patient_id for p in of_age}
-    seen: set[tuple[str, str, date]] = set()
-    pre_index_events: dict[str, list[SlottedEvent]] = {p.patient_id: [] for p in of_age}
+    cells: dict[str, set[tuple[int, str]]] = {p.patient_id: set() for p in of_age}
     for ev in tables.diagnoses:
-        if ev.patient_id not in eligible_ids:
+        patient_cells = cells.get(ev.patient_id)
+        if patient_cells is None or normalize_code(ev.code) in ad_norm:
             continue
-        norm = normalize_code(ev.code)
-        if norm in ad_norm:
-            continue
-        key = (ev.patient_id, norm, ev.date)
-        if key in seen:
-            continue
-        seen.add(key)
         slot = assign_timeslot(
             ev.date, first_ad[ev.patient_id], config.slot_days, config.slot_count
         )
         if slot is None:
             continue
         phecode = phecode_map.lookup(ev.code, ev.system)
-        pre_index_events[ev.patient_id].append(SlottedEvent(ev, slot, phecode))
+        if phecode is not None:
+            patient_cells.add((slot, phecode))
 
     if vocabulary is not None:
         vocab_codes = vocabulary.phecode_set()
         kept = [
             p
             for p in of_age
-            if any(
-                se.phecode in vocab_codes for se in pre_index_events[p.patient_id]
-            )
+            if any(phecode in vocab_codes for _, phecode in cells[p.patient_id])
         ]
         funnel.append(("vocabulary_condition_in_window", len(kept)))
     else:
@@ -426,31 +426,25 @@ def select_cohort(
     if not kept:
         log.warning("select_cohort: no patients satisfy the inclusion criteria")
 
-    kept_ids = {p.patient_id for p in kept}
+    rxcuis: dict[str, list[str]] = {p.patient_id: [] for p in kept}
+    for rx in tables.prescriptions:
+        patient_rx = rxcuis.get(rx.patient_id)
+        if patient_rx is not None and rx.date >= first_ad[rx.patient_id]:
+            patient_rx.append(rx.rxcui)
+
     patients = [
-        replace(
-            p,
+        CohortPatient(
+            patient_id=p.patient_id,
+            sex=p.sex,
+            race=p.race,
+            age_at_index=age_at_index[p.patient_id],
             died=p.patient_id in tables.deaths,
-            death_date=tables.deaths.get(p.patient_id),
+            cells=tuple(sorted(cells[p.patient_id])),
+            rxcuis=tuple(sorted(rxcuis[p.patient_id])),
         )
         for p in kept
     ]
-    index_date = {p.patient_id: first_ad[p.patient_id] for p in kept}
-
-    post_rx: dict[str, list[PrescriptionEvent]] = {p.patient_id: [] for p in kept}
-    for rx in tables.prescriptions:
-        if rx.patient_id in kept_ids and rx.date >= index_date[rx.patient_id]:
-            post_rx[rx.patient_id].append(rx)
-
-    return Cohort(
-        patients=patients,
-        index_date=index_date,
-        age_at_index={p.patient_id: age_at_index[p.patient_id] for p in kept},
-        pre_index_events={p.patient_id: pre_index_events[p.patient_id] for p in kept},
-        post_index_prescriptions=post_rx,
-        funnel=funnel,
-        config=config,
-    )
+    return Cohort(patients=patients, funnel=funnel, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -474,27 +468,13 @@ def cohort_to_json(cohort: Cohort) -> dict:
                 "patient_id": p.patient_id,
                 "sex": p.sex.value,
                 "race": p.race.value,
-                "birth_date": p.birth_date.isoformat(),
+                "age_at_index": p.age_at_index,
                 "died": p.died,
-                "death_date": p.death_date.isoformat() if p.death_date else None,
-                "index_date": cohort.index_date[p.patient_id].isoformat(),
-                "age_at_index": cohort.age_at_index[p.patient_id],
+                "cells": p.cells,
+                "rxcuis": p.rxcuis,
             }
             for p in cohort.patients
         ],
-        "events": {
-            pid: [
-                [se.event.code, se.event.system.value, se.event.date.isoformat(), se.slot, se.phecode]
-                for se in sorted(
-                    events, key=lambda s: (s.event.date, s.event.code, s.slot)
-                )
-            ]
-            for pid, events in cohort.pre_index_events.items()
-        },
-        "prescriptions": {
-            pid: [[rx.rxcui, rx.date.isoformat()] for rx in sorted(rxs, key=lambda r: (r.date, r.rxcui))]
-            for pid, rxs in cohort.post_index_prescriptions.items()
-        },
     }
 
 
@@ -508,44 +488,20 @@ def cohort_from_json(doc: Mapping) -> Cohort:
         slot_count=cfg["slot_count"],
         slot_days=cfg["slot_days"],
     )
-    patients = []
-    index_date = {}
-    age_at_index = {}
-    for row in doc["patients"]:
-        patients.append(
-            PatientRecord(
-                patient_id=row["patient_id"],
-                sex=Sex(row["sex"]),
-                race=Race(row["race"]),
-                birth_date=date.fromisoformat(row["birth_date"]),
-                died=row["died"],
-                death_date=date.fromisoformat(row["death_date"]) if row["death_date"] else None,
-            )
+    patients = [
+        CohortPatient(
+            patient_id=row["patient_id"],
+            sex=Sex(row["sex"]),
+            race=Race(row["race"]),
+            age_at_index=row["age_at_index"],
+            died=row["died"],
+            cells=tuple((slot, phecode) for slot, phecode in row["cells"]),
+            rxcuis=tuple(row["rxcuis"]),
         )
-        index_date[row["patient_id"]] = date.fromisoformat(row["index_date"])
-        age_at_index[row["patient_id"]] = row["age_at_index"]
-
-    pre_index_events = {
-        pid: [
-            SlottedEvent(
-                DiagnosisEvent(pid, code, CodeSystem(system), date.fromisoformat(when)),
-                slot,
-                phecode,
-            )
-            for code, system, when, slot, phecode in rows
-        ]
-        for pid, rows in doc["events"].items()
-    }
-    prescriptions = {
-        pid: [PrescriptionEvent(pid, rxcui, date.fromisoformat(when)) for rxcui, when in rows]
-        for pid, rows in doc["prescriptions"].items()
-    }
+        for row in doc["patients"]
+    ]
     return Cohort(
         patients=patients,
-        index_date=index_date,
-        age_at_index=age_at_index,
-        pre_index_events=pre_index_events,
-        post_index_prescriptions=prescriptions,
         funnel=[(name, count) for name, count in doc["funnel"]],
         config=config,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .cohort import PrescriptionEvent, RejectedRow
+from .cohort import RejectedRow
 from .table import read_table
 
 log = logging.getLogger(__name__)
@@ -91,33 +91,31 @@ class DrugUsageTable:
     n_with_prescriptions: int
     unmapped_rxcuis: dict[str, int] = field(default_factory=dict)
 
-    def rows(self) -> list[tuple[int, str, str, int, int, float]]:
-        """(cluster, atc3, atc3_name, numerator, denominator, pct) rows."""
+    def rows(self) -> list[tuple[int, str, str, int, int]]:
+        """(cluster, atc3, atc3_name, numerator, denominator) rows."""
         out = []
         for cluster in self.clusters:
             denom = self.denominators[cluster]
             for atc3 in self.selected:
                 num = self.counts.get((atc3, cluster), 0)
-                pct = 100.0 * num / denom if denom else 0.0
-                out.append(
-                    (cluster, atc3, self.class_names.get(atc3, ""), num, denom, pct)
-                )
+                out.append((cluster, atc3, self.class_names.get(atc3, ""), num, denom))
         return out
 
 
 def rank_drug_classes(
-    prescriptions: Mapping[str, Sequence[PrescriptionEvent]],
+    prescriptions: Mapping[str, Sequence[str]],
     atc_map: AtcMap,
     top: int = 13,
 ) -> list[str]:
     """Most frequently prescribed ATC3 classes by distinct patients cohort-wide.
 
-    Ties break toward the lexically smaller class code.
+    prescriptions maps each patient to their RxCUIs. Ties break toward the
+    lexically smaller class code.
     """
     patients_per_class: dict[str, set[str]] = {}
-    for pid, rxs in prescriptions.items():
-        for rx in rxs:
-            for atc3, _name in atc_map.lookup(rx.rxcui):
+    for pid, rxcuis in prescriptions.items():
+        for rxcui in rxcuis:
+            for atc3, _name in atc_map.lookup(rxcui):
                 patients_per_class.setdefault(atc3, set()).add(pid)
     ranked = sorted(
         patients_per_class.items(), key=lambda kv: (-len(kv[1]), kv[0])
@@ -126,14 +124,14 @@ def rank_drug_classes(
 
 
 def drug_prevalence_by_cluster(
-    prescriptions: Mapping[str, Sequence[PrescriptionEvent]],
+    prescriptions: Mapping[str, Sequence[str]],
     assignments: Mapping[str, int],
     atc_map: AtcMap,
     selected: Sequence[str],
 ) -> DrugUsageTable:
     """Distinct-patient prevalence of selected ATC3 classes within each cluster.
 
-    Prescriptions must already be post-index filtered. Patients with no
+    prescriptions maps each patient to their post-index RxCUIs. Patients with no
     post-index prescriptions at all are excluded from denominators; a
     patient with several prescriptions in one class counts once.
     """
@@ -152,17 +150,17 @@ def drug_prevalence_by_cluster(
     denominators = {c: 0 for c in clusters}
     counts: dict[tuple[str, int], int] = {}
     n_with_rx = 0
-    for pid, rxs in prescriptions.items():
-        if not rxs:
+    for pid, rxcuis in prescriptions.items():
+        if not rxcuis:
             continue
         n_with_rx += 1
         cluster = assignments[pid]
         denominators[cluster] += 1
         patient_classes: set[str] = set()
-        for rx in rxs:
-            hits = atc_map.lookup(rx.rxcui)
+        for rxcui in rxcuis:
+            hits = atc_map.lookup(rxcui)
             if not hits:
-                key = str(rx.rxcui).strip()
+                key = str(rxcui).strip()
                 unmapped[key] = unmapped.get(key, 0) + 1
                 continue
             patient_classes.update(atc3 for atc3, _ in hits)

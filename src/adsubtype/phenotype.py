@@ -137,11 +137,10 @@ def rank_phenotypes(
     } - {None}
 
     patients_by_phecode: dict[str, set[str]] = {}
-    for pid, events in cohort.pre_index_events.items():
-        for se in events:
-            if se.phecode is None or se.phecode in ad_phecodes:
-                continue
-            patients_by_phecode.setdefault(se.phecode, set()).add(pid)
+    for p in cohort.patients:
+        for _, phecode in p.cells:
+            if phecode not in ad_phecodes:
+                patients_by_phecode.setdefault(phecode, set()).add(p.patient_id)
 
     ranked = sorted(
         patients_by_phecode.items(), key=lambda kv: (-len(kv[1]), kv[0])
@@ -156,31 +155,6 @@ def rank_phenotypes(
             f"only {len(survivors)} distinct phecodes survive ranking; {keep} required"
         )
     return PhenotypeVocabulary(tuple(survivors), exclusions=excl), freq_table
-
-
-@dataclass
-class CoverageReport:
-    mapped: int
-    unmapped: int
-
-    @property
-    def total(self) -> int:
-        return self.mapped + self.unmapped
-
-    @property
-    def pct_mapped(self) -> float:
-        return 100.0 * self.mapped / self.total if self.total else 0.0
-
-
-def coverage_report(cohort: Cohort) -> CoverageReport:
-    mapped = unmapped = 0
-    for events in cohort.pre_index_events.values():
-        for se in events:
-            if se.phecode is None:
-                unmapped += 1
-            else:
-                mapped += 1
-    return CoverageReport(mapped, unmapped)
 
 
 @dataclass
@@ -214,11 +188,11 @@ def build_temporal_matrix(cohort: Cohort, vocabulary: PhenotypeVocabulary) -> Fe
     s = cohort.config.slot_count
     pids = cohort.patient_ids()
     values = np.zeros((len(pids), len(codes) * s), dtype=np.uint8)
-    for i, pid in enumerate(pids):
-        for se in cohort.pre_index_events.get(pid, []):
-            j = col_of.get(se.phecode)
+    for i, p in enumerate(cohort.patients):
+        for slot, phecode in p.cells:
+            j = col_of.get(phecode)
             if j is not None:
-                values[i, j * s + (se.slot - 1)] = 1
+                values[i, j * s + (slot - 1)] = 1
     _assert_rows_nonzero(values, pids)
     columns = [(code, slot) for code in codes for slot in range(1, s + 1)]
     return FeatureMatrix(pids, TEMPORAL, values, columns, slot_count=s)
@@ -230,9 +204,9 @@ def build_aggregate_matrix(cohort: Cohort, vocabulary: PhenotypeVocabulary) -> F
     col_of = {code: i for i, code in enumerate(codes)}
     pids = cohort.patient_ids()
     values = np.zeros((len(pids), len(codes)), dtype=np.uint8)
-    for i, pid in enumerate(pids):
-        for se in cohort.pre_index_events.get(pid, []):
-            j = col_of.get(se.phecode)
+    for i, p in enumerate(cohort.patients):
+        for _, phecode in p.cells:
+            j = col_of.get(phecode)
             if j is not None:
                 values[i, j] = 1
     _assert_rows_nonzero(values, pids)

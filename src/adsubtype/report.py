@@ -375,8 +375,9 @@ def render_mlr(fit: MlrFit) -> Artifact:
     return Artifact("mlr.csv", header, rows)
 
 
-def mlr_summary_json(fit: MlrFit) -> str:
-    payload = {
+def mlr_summary_json(fit: MlrFit) -> dict[str, Any]:
+    """The fit's scalars and labels, the body of mlr.json."""
+    return {
         "log_likelihood": fit.log_likelihood,
         "aic": fit.aic,
         "n_obs": fit.n_obs,
@@ -387,7 +388,6 @@ def mlr_summary_json(fit: MlrFit) -> str:
         "class_labels": fit.class_labels,
         "feature_names": fit.feature_names,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cohort ingestion, index dating, timeslots, and selection."""
 
+import json
 from datetime import date, timedelta
 
 import pytest
@@ -8,7 +9,9 @@ from adsubtype.cohort import (
     AgeGroup,
     CodeSystem,
     CohortConfig,
+    CohortPatient,
     DiagnosisEvent,
+    Race,
     Sex,
     TablePaths,
     assign_timeslot,
@@ -86,6 +89,19 @@ def test_parse_tables_rejects_malformed_rows(table_writer):
     # line numbers point at the physical rows (header is line 1)
     assert [r.line for r in by_file["demographics"]] == [3, 4, 5, 6]
     assert any("duplicate" in r.reason for r in by_file["demographics"])
+
+
+def test_parse_tables_rejects_duplicate_death_rows(table_writer):
+    paths = table_writer(
+        patients=[["P1", "F", "05", "1950-03-02"]],
+        deaths=[["P1", "2016-01-01"], ["P1", "2019-09-09"], ["P1", "bad-date"]],
+    )
+    tables = parse_tables(paths)
+    assert tables.deaths == {"P1": date(2016, 1, 1)}
+    assert [(r.file, r.line, r.reason) for r in tables.rejects] == [
+        ("deaths", 3, "duplicate patient_id 'P1'"),
+        ("deaths", 4, "duplicate patient_id 'P1'"),
+    ]
 
 
 def test_parse_tables_bad_header_fatal(table_writer, tmp_path):
@@ -222,9 +238,9 @@ def test_select_cohort_funnel(build_cohort, tiny_vocab):
         ("age_at_index_ge_20", 2),
         ("vocabulary_condition_in_window", 1),
     ]
-    assert cohort.patient_ids() == ["A"]
-    assert cohort.index_date["A"] == date(2015, 6, 1)
-    assert cohort.age_at_index["A"] == 65
+    assert cohort.patients == [
+        CohortPatient("A", Sex.FEMALE, Race.WHITE, 65, False, ((1, "401.1"),), ())
+    ]
 
 
 def test_select_cohort_window_edges_inclusive(build_cohort):
@@ -256,10 +272,21 @@ def test_select_cohort_dedup_and_ad_exclusion(build_cohort):
         ["A", "401.9", "ICD9", "2014-01-01"],  # distinct date survives
     ]
     cohort = build_cohort(patients, diagnoses)
-    events = cohort.pre_index_events["A"]
-    assert len(events) == 2
-    assert all(ev.event.code not in ("331.0", "3310") for ev in events)
-    assert {ev.slot for ev in events} == {1, 3}
+    assert cohort.patients[0].cells == ((1, "401.1"), (3, "401.1"))
+
+
+def test_select_cohort_one_cell_per_slot_and_phecode(build_cohort):
+    patients = [_eligible_patient("A")]
+    diagnoses = [
+        ["A", "331.0", "ICD9", "2015-06-01"],
+        ["A", "2724", "ICD9", "2015-03-01"],
+        ["A", "2724", "ICD9", "2015-03-01"],  # identical row
+        ["A", "E78.5", "ICD10CM", "2015-02-01"],  # other code, same phecode and slot
+        ["A", "25000", "ICD9", "2014-01-01"],
+        ["A", "401.9", "ICD9", "2015-05-01"],
+    ]
+    cohort = build_cohort(patients, diagnoses)
+    assert cohort.patients[0].cells == ((1, "272.1"), (1, "401.1"), (3, "250.2"))
 
 
 def test_select_cohort_drops_out_of_horizon_events(build_cohort):
@@ -272,18 +299,18 @@ def test_select_cohort_drops_out_of_horizon_events(build_cohort):
         ["A", "25000", "ICD9", (idx + timedelta(days=1)).isoformat()],  # post index
     ]
     cohort = build_cohort(patients, diagnoses)
-    events = cohort.pre_index_events["A"]
-    assert [(ev.phecode, ev.slot) for ev in events] == [("401.1", 6)]
+    assert cohort.patients[0].cells == ((6, "401.1"),)
 
 
-def test_select_cohort_unmapped_code_kept_with_none_phecode(build_cohort):
+def test_select_cohort_drops_unmapped_codes(build_cohort):
     patients = [_eligible_patient("A")]
     diagnoses = [
         ["A", "331.0", "ICD9", "2015-06-01"],
         ["A", "V70.0", "ICD9", "2015-01-01"],
     ]
     cohort = build_cohort(patients, diagnoses)
-    assert [ev.phecode for ev in cohort.pre_index_events["A"]] == [None]
+    assert cohort.patient_ids() == ["A"]
+    assert cohort.patients[0].cells == ()
 
 
 def test_select_cohort_post_index_prescriptions(build_cohort):
@@ -293,10 +320,11 @@ def test_select_cohort_post_index_prescriptions(build_cohort):
         ["A", "100", "2015-06-01"],  # on index date counts
         ["A", "200", "2015-05-31"],  # pre index excluded
         ["A", "300", "2016-06-01"],
+        ["A", "100", "2016-07-01"],  # repeats are kept
         ["Z", "400", "2016-06-01"],  # not in cohort
     ]
     cohort = build_cohort(patients, diagnoses, prescriptions=prescriptions)
-    assert sorted(rx.rxcui for rx in cohort.post_index_prescriptions["A"]) == ["100", "300"]
+    assert cohort.patients[0].rxcuis == ("100", "100", "300")
 
 
 def test_select_cohort_merges_deaths(build_cohort):
@@ -306,9 +334,7 @@ def test_select_cohort_merges_deaths(build_cohort):
         ["B", "331.0", "ICD9", "2015-06-01"],
     ]
     cohort = build_cohort(patients, diagnoses, deaths=[["A", "2017-02-03"]])
-    by_id = {p.patient_id: p for p in cohort.patients}
-    assert by_id["A"].died and by_id["A"].death_date == date(2017, 2, 3)
-    assert not by_id["B"].died and by_id["B"].death_date is None
+    assert [(p.patient_id, p.died) for p in cohort.patients] == [("A", True), ("B", False)]
 
 
 def test_cohort_config_validation():
@@ -329,23 +355,17 @@ def test_cohort_json_round_trip(build_cohort, tmp_path):
         ["B", "E78.5", "ICD10CM", "2014-06-01"],
     ]
     cohort = build_cohort(
-        patients, diagnoses, prescriptions=[["A", "100", "2015-07-01"]], deaths=[["B", "2019-01-01"]]
+        patients,
+        diagnoses,
+        prescriptions=[["A", "200", "2015-08-01"], ["A", "100", "2015-07-01"]],
+        deaths=[["B", "2019-01-01"]],
     )
+    assert [len(p.cells) for p in cohort.patients] == [1, 1]
     path = tmp_path / "cohort.json"
     save_cohort(cohort, path)
     loaded = load_cohort(path)
-    assert loaded.patients == cohort.patients
-    assert loaded.index_date == cohort.index_date
-    assert loaded.age_at_index == cohort.age_at_index
-    assert loaded.funnel == cohort.funnel
-    assert loaded.config == cohort.config
-    for pid in cohort.index_date:
-        assert sorted(
-            (se.event.code, se.slot, se.phecode) for se in loaded.pre_index_events[pid]
-        ) == sorted((se.event.code, se.slot, se.phecode) for se in cohort.pre_index_events[pid])
-        assert loaded.post_index_prescriptions[pid] == sorted(
-            cohort.post_index_prescriptions[pid], key=lambda r: (r.date, r.rxcui)
-        )
+    assert loaded == cohort
+    assert sorted(json.loads(path.read_text())) == ["config", "funnel", "patients"]
     # byte-stable serialization
     save_cohort(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

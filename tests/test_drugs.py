@@ -1,9 +1,9 @@
 """ATC mapping and per-cluster drug prevalence."""
 
-from datetime import date
-
 import pytest
 
+from adsubtype.cli import main
+from adsubtype.cohort import Cohort, CohortConfig, CohortPatient, Race, Sex, save_cohort
 from adsubtype.drugs import (
     ATC3_PATTERN,
     AtcMap,
@@ -11,13 +11,9 @@ from adsubtype.drugs import (
     load_atc_map,
     rank_drug_classes,
 )
-from adsubtype.cohort import PrescriptionEvent
+from adsubtype.table import read_table
 
 from conftest import write_csv as _write_csv
-
-
-def _rx(pid, rxcui, day=1):
-    return PrescriptionEvent(pid, rxcui, date(2016, 1, day))
 
 
 def _map(entries):
@@ -95,9 +91,9 @@ def test_rank_drug_classes_distinct_patients_and_ties():
     amap = _map({"1": {("N02B", "x")}, "2": {("B01A", "y")}, "3": {("C09A", "z")}})
     prescriptions = {
         # N02B: 2 patients (repeat rx for A counts once); B01A: 2; C09A: 1
-        "A": [_rx("A", "1", 1), _rx("A", "1", 2), _rx("A", "2")],
-        "B": [_rx("B", "1")],
-        "C": [_rx("C", "2"), _rx("C", "3")],
+        "A": ["1", "1", "2"],
+        "B": ["1"],
+        "C": ["2", "3"],
     }
     assert rank_drug_classes(prescriptions, amap) == ["B01A", "N02B", "C09A"]
     assert rank_drug_classes(prescriptions, amap, top=2) == ["B01A", "N02B"]
@@ -106,47 +102,59 @@ def test_rank_drug_classes_distinct_patients_and_ties():
 def test_prevalence_denominator_is_any_prescription():
     amap = _map({"1": {("N02B", "x")}})
     prescriptions = {
-        "A": [_rx("A", "1")],          # mapped
-        "B": [_rx("B", "999")],        # unmapped only: still in denominator
-        "C": [],                       # no prescriptions: out of denominator
+        "A": ["1"],    # mapped
+        "B": ["999"],  # unmapped only: still in denominator
+        "C": [],       # no prescriptions: out of denominator
     }
     assignments = {"A": 0, "B": 0, "C": 0}
     table = drug_prevalence_by_cluster(prescriptions, assignments, amap, ["N02B"])
     assert table.denominators == {0: 2}
     assert table.n_with_prescriptions == 2
-    assert table.rows() == [(0, "N02B", "x", 1, 2, 50.0)]
+    assert table.rows() == [(0, "N02B", "x", 1, 2)]
     assert table.unmapped_rxcuis == {"999": 1}
 
 
 def test_prevalence_counts_patient_once_per_class():
     amap = _map({"1": {("N02B", "x")}, "2": {("N02B", "x")}})
-    prescriptions = {"A": [_rx("A", "1"), _rx("A", "2"), _rx("A", "1", 3)]}
+    prescriptions = {"A": ["1", "2", "1"]}
     table = drug_prevalence_by_cluster(prescriptions, {"A": 1}, amap, ["N02B"])
     assert table.counts == {("N02B", 1): 1}
 
 
 def test_prevalence_multiclass_rxcui_counts_in_both():
     amap = _map({"1": {("N02B", "x"), ("B01A", "y")}})
-    prescriptions = {"A": [_rx("A", "1")]}
+    prescriptions = {"A": ["1"]}
     table = drug_prevalence_by_cluster(prescriptions, {"A": 0}, amap, ["N02B", "B01A"])
     assert table.counts == {("N02B", 0): 1, ("B01A", 0): 1}
 
 
 def test_prevalence_zero_denominator_cluster():
     amap = _map({"1": {("N02B", "x")}})
-    prescriptions = {"A": [_rx("A", "1")], "B": []}
+    prescriptions = {"A": ["1"], "B": []}
     table = drug_prevalence_by_cluster(prescriptions, {"A": 0, "B": 1}, amap, ["N02B"])
     assert table.denominators == {0: 1, 1: 0}
-    rows = table.rows()
-    assert rows == [
-        (0, "N02B", "x", 1, 1, 100.0),
-        (1, "N02B", "x", 0, 0, 0.0),
+    assert table.rows() == [(0, "N02B", "x", 1, 1), (1, "N02B", "x", 0, 0)]
+
+
+def test_stage_drugs_writes_na_for_zero_denominator(tmp_path):
+    patients = [
+        CohortPatient("A", Sex.FEMALE, Race.WHITE, 70, False, ((1, "401.1"),), ("161", "161")),
+        CohortPatient("B", Sex.MALE, Race.WHITE, 80, False, ((1, "401.1"),), ()),
     ]
+    save_cohort(Cohort(patients, [("patients_total", 2)], CohortConfig()), tmp_path / "cohort.json")
+    _write_csv(tmp_path / "assignments.csv", ["patient_id", "cluster"], [["A", 0], ["B", 1]])
+    assert main(["drugs", "--out", str(tmp_path)]) == 0
+    with read_table(tmp_path / "drug_usage.csv") as (header, rows):
+        assert header == ["cluster", "atc3", "atc3_name", "numerator", "denominator", "pct"]
+        assert [fields for _, fields in rows] == [
+            ["0", "N02B", "Other analgesics and antipyretics", "1", "1", "100.0000"],
+            ["1", "N02B", "Other analgesics and antipyretics", "0", "0", "NA"],
+        ]
 
 
 def test_prevalence_rows_cluster_major_selected_order():
     amap = _map({"1": {("N02B", "x")}, "2": {("B01A", "y")}})
-    prescriptions = {"A": [_rx("A", "1")], "B": [_rx("B", "2")]}
+    prescriptions = {"A": ["1"], "B": ["2"]}
     table = drug_prevalence_by_cluster(
         prescriptions, {"A": 0, "B": 1}, amap, ["N02B", "B01A"]
     )
@@ -161,12 +169,12 @@ def test_prevalence_rows_cluster_major_selected_order():
 def test_prevalence_missing_assignment_is_fatal():
     amap = _map({"1": {("N02B", "x")}})
     with pytest.raises(ValueError, match="missing cluster assignments"):
-        drug_prevalence_by_cluster({"A": [_rx("A", "1")]}, {}, amap, ["N02B"])
+        drug_prevalence_by_cluster({"A": ["1"]}, {}, amap, ["N02B"])
 
 
 def test_prevalence_empty_selection_warns(caplog):
     amap = _map({"1": {("N02B", "x")}})
     with caplog.at_level("WARNING"):
-        table = drug_prevalence_by_cluster({"A": [_rx("A", "1")]}, {"A": 0}, amap, [])
+        table = drug_prevalence_by_cluster({"A": ["1"]}, {"A": 0}, amap, [])
     assert table.rows() == []
     assert any("empty selected class list" in r.message for r in caplog.records)

@@ -13,7 +13,6 @@ from adsubtype.phenotype import (
     aggregate_from_temporal,
     build_aggregate_matrix,
     build_temporal_matrix,
-    coverage_report,
     load_phecode_map,
     load_vocabulary_csv,
     rank_phenotypes,
@@ -261,18 +260,6 @@ def test_matrix_rejects_all_zero_rows(build_cohort):
         build_temporal_matrix(cohort, vocab)
     with pytest.raises(ValueError, match="all-zero"):
         build_aggregate_matrix(cohort, vocab)
-
-
-def test_coverage_report(build_cohort):
-    patients = [["A", "F", "05", "1950-01-01"]]
-    diagnoses = [
-        ["A", "331.0", "ICD9", "2015-06-01"],
-        ["A", "4019", "ICD9", "2015-01-01"],
-        ["A", "V70.0", "ICD9", "2015-01-02"],
-    ]
-    report = coverage_report(build_cohort(patients, diagnoses))
-    assert (report.mapped, report.unmapped, report.total) == (1, 1, 2)
-    assert report.pct_mapped == 50.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 
 import hashlib
 import json
-from datetime import date
 
 import numpy as np
 import pytest
 
-from adsubtype.cohort import Cohort, CohortConfig, PatientRecord, Race, Sex
+from adsubtype.cohort import Cohort, CohortConfig, CohortPatient, Race, Sex
 from adsubtype.phenotype import AGGREGATE, TEMPORAL, FeatureMatrix
 from adsubtype.report import (
     Artifact,
@@ -212,21 +211,11 @@ def test_render_prevalence_headers():
 
 def _mini_cohort():
     patients = [
-        PatientRecord("A", Sex.FEMALE, Race.WHITE, date(1940, 1, 1), died=True),
-        PatientRecord("B", Sex.MALE, Race.BLACK_AFRICAN_AMERICAN, date(1950, 1, 1)),
-        PatientRecord("C", Sex.FEMALE, Race.WHITE, date(1930, 1, 1)),
+        CohortPatient("A", Sex.FEMALE, Race.WHITE, 75, True, (), ()),
+        CohortPatient("B", Sex.MALE, Race.BLACK_AFRICAN_AMERICAN, 65, False, (), ()),
+        CohortPatient("C", Sex.FEMALE, Race.WHITE, 85, False, (), ()),
     ]
-    index = {p.patient_id: date(2015, 6, 1) for p in patients}
-    ages = {"A": 75, "B": 65, "C": 85}
-    return Cohort(
-        patients=patients,
-        index_date=index,
-        age_at_index=ages,
-        pre_index_events={p.patient_id: [] for p in patients},
-        post_index_prescriptions={p.patient_id: [] for p in patients},
-        funnel=[("patients_total", 3)],
-        config=CohortConfig(),
-    )
+    return Cohort(patients=patients, funnel=[("patients_total", 3)], config=CohortConfig())
 
 
 def test_demographic_breakdown_counts_and_zero_categories():
@@ -347,7 +336,7 @@ def test_render_mlr_table():
 def test_mlr_summary_json_fields():
     labels = [0] * 30 + [1] * 40 + [2] * 30
     fit = fit_multinomial_logit(np.zeros((100, 0)), labels, reference_cluster=0)
-    payload = json.loads(mlr_summary_json(fit))
+    payload = mlr_summary_json(fit)
     assert payload["converged"] is True
     assert payload["reference_cluster"] == 0
     assert payload["class_labels"] == [1, 2]

@@ -311,19 +311,18 @@ def test_generated_cohort_fully_retained(tiny_pmap, tiny_vocab):
     cohort = select_cohort(data.to_raw_tables(), CohortConfig(), tiny_pmap, vocabulary=tiny_vocab)
     assert [count for _, count in cohort.funnel] == [n] * 5
     assert len(cohort.patients) == n
-    # every selected patient keeps its planted condition event
-    for pid, events in cohort.pre_index_events.items():
-        assert len(events) == 1
-        assert events[0].slot in (1, 2)
+    # every selected patient keeps its planted condition cell
+    for p in cohort.patients:
+        assert p.cells in (((1, "401.1"),), ((2, "250.2"),))
 
 
 def test_death_dates_round_trip_through_selection(tiny_pmap, tiny_vocab):
     profiles = [_profile("a", 1.0, {("401.1", 1): 1.0}, mortality=1.0)]
     data = generate_cohort(profiles, 25, seed=4, phecode_map=tiny_pmap)
     cohort = select_cohort(data.to_raw_tables(), CohortConfig(), tiny_pmap, vocabulary=tiny_vocab)
-    originals = {p.patient_id: p.death_date for p in data.patients}
-    for p in cohort.patients:
-        assert p.died and p.death_date == originals[p.patient_id]
+    # the death dates stay in the input tables; the cohort keeps the flag
+    assert set(data.to_raw_tables().deaths) == set(cohort.patient_ids())
+    assert len(cohort.patients) == 25 and all(p.died for p in cohort.patients)
 
 
 # ---------------------------------------------------------------------------
