@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,13 +41,13 @@ from .cluster import (
     spectral_cluster,
 )
 from .cohort import (
-    AGE_GROUP_ORDER,
-    RACE_LABELS,
+    DEMOGRAPHICS,
     Cohort,
     CohortConfig,
     TablePaths,
     load_cohort,
     parse_tables,
+    restrict_to_vocabulary,
     save_cohort,
     select_cohort,
 )
@@ -73,13 +73,9 @@ from .report import (
     config_hash,
     demographic_breakdown,
     emit_reports,
-    fmt_pct,
     mlr_summary_json,
-    render_crosstab,
     render_csv,
-    render_demographics,
     render_mlr,
-    render_prevalence,
     render_stats_grid,
     semantic_config,
 )
@@ -364,19 +360,26 @@ class Context:
         path = self.cfg["ingest"]["phecode_map"]
         return default_phecode_map() if path is None else load_phecode_map(Path(path))
 
-    def load_assignments(self, name: str = "assignments.csv") -> dict[str, int]:
-        with read_table(self.need(name)) as (_, rows):
-            return {pid: int(cluster) for _, (pid, cluster) in rows}
+    def cluster_labels(self, name: str, patient_ids: Sequence[str]) -> list[int]:
+        """The clusters in assignments file `name`, in patient_ids order.
+
+        The file must assign exactly these patients; one left over from
+        another cohort is refused.
+        """
+        path = self.need(name)
+        with read_table(path) as (_, rows):
+            assignments = {pid: int(cluster) for _, (pid, cluster) in rows}
+        missing = sum(1 for pid in patient_ids if pid not in assignments)
+        extra = len(assignments.keys() - set(patient_ids))
+        if missing or extra:
+            raise ValueError(
+                f"{path} does not match the cohort: {missing} patients missing "
+                f"cluster assignments, {extra} assigned patients not in the cohort"
+            )
+        return [assignments[pid] for pid in patient_ids]
 
     def load_cohort(self) -> Cohort:
         return load_cohort(self.need("cohort.json"))
-
-
-def _aligned_labels(cohort: Cohort, assignments: Mapping[str, int]) -> list[int]:
-    missing = [pid for pid in cohort.patient_ids() if pid not in assignments]
-    if missing:
-        raise ValueError(f"{len(missing)} cohort patients missing cluster assignments")
-    return [assignments[pid] for pid in cohort.patient_ids()]
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +418,12 @@ def stage_ingest(ctx: Context) -> list[str]:
     )
     tables = parse_tables(paths)
     pmap = ctx.phecode_map()
-    cohort_cfg = ctx.cohort_config()
-
+    cohort = select_cohort(tables, ctx.cohort_config(), pmap)
     counts = None
     source = ing["vocabulary"]
     if source == "ranked":
-        preliminary = select_cohort(tables, cohort_cfg, pmap, vocabulary=None)
         vocabulary, review = rank_phenotypes(
-            preliminary,
+            cohort,
             pmap,
             review_size=ing["review_size"],
             keep=ing["keep"],
@@ -434,7 +435,7 @@ def stage_ingest(ctx: Context) -> list[str]:
     else:
         vocabulary = load_vocabulary_csv(Path(source))
 
-    cohort = select_cohort(tables, cohort_cfg, pmap, vocabulary=vocabulary)
+    cohort = restrict_to_vocabulary(cohort, vocabulary)
     written = []
 
     funnel = Artifact(
@@ -483,7 +484,7 @@ def stage_elbow(ctx: Context) -> list[str]:
     artifact = Artifact(
         "elbow.csv",
         ["k", "sse", "chosen"],
-        [[k, f"{sse:.6f}", 1 if k == chosen else 0] for k, sse in curve.points],
+        [[k, f"{sse:.6f}", 1 if k == chosen else 0] for k, sse in curve],
     )
     return [ctx.write(artifact)]
 
@@ -537,24 +538,17 @@ def stage_cluster(ctx: Context) -> list[str]:
 def stage_stats(ctx: Context) -> list[str]:
     st = ctx.cfg["stats"]
     cohort = ctx.load_cohort()
-    assignments = ctx.load_assignments()
-    labels = _aligned_labels(cohort, assignments)
+    labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
     values = cohort.demographic_labels()
+    # race and age group also get one binarized row per category
     specs = [
-        VariableSpec("sex", tuple(values["sex"])),
         VariableSpec(
-            "race",
-            tuple(values["race"]),
-            expand_categories=True,
-            category_order=tuple(RACE_LABELS.values()),
-        ),
-        VariableSpec(
-            "age_group",
-            tuple(values["age_group"]),
-            expand_categories=True,
-            category_order=tuple(g.value for g in AGE_GROUP_ORDER),
-        ),
-        VariableSpec("mortality", tuple(values["mortality"])),
+            var,
+            tuple(values[var]),
+            expand_categories=var in ("race", "age_group"),
+            category_order=categories,
+        )
+        for var, categories in DEMOGRAPHICS.items()
     ]
     grid = pairwise_test_grid(labels, specs, yates=st["yates"])
     clusters = sorted(set(labels))
@@ -579,8 +573,7 @@ def stage_stats(ctx: Context) -> list[str]:
 def stage_mlr(ctx: Context) -> list[str]:
     mcfg = ctx.cfg["mlr"]
     cohort = ctx.load_cohort()
-    assignments = ctx.load_assignments()
-    labels = _aligned_labels(cohort, assignments)
+    labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
     values = cohort.demographic_labels()
 
     blocks = []
@@ -613,46 +606,36 @@ def stage_mlr(ctx: Context) -> list[str]:
 def stage_drugs(ctx: Context) -> list[str]:
     dcfg = ctx.cfg["drugs"]
     cohort = ctx.load_cohort()
-    assignments = ctx.load_assignments()
-    _aligned_labels(cohort, assignments)
+    labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
     atc_map = (
         default_atc_map() if dcfg["atc_map"] is None else load_atc_map(dcfg["atc_map"])
     )
-    prescriptions = {p.patient_id: p.rxcuis for p in cohort.patients}
+    prescriptions = [p.rxcuis for p in cohort.patients]
     selected = dcfg["selected"]
     if selected is None:
         selected = rank_drug_classes(prescriptions, atc_map, top=dcfg["top"])
-    table = drug_prevalence_by_cluster(prescriptions, assignments, atc_map, selected)
-    rows = [
-        [cluster, atc3, name, num, denom, fmt_pct(num, denom)]
-        for cluster, atc3, name, num, denom in table.rows()
-    ]
-    artifact = Artifact(
-        "drug_usage.csv",
-        ["cluster", "atc3", "atc3_name", "numerator", "denominator", "pct"],
-        rows,
-    )
-    return [ctx.write(artifact)]
+    return [ctx.write(drug_prevalence_by_cluster(prescriptions, labels, atc_map, selected))]
 
 
 def stage_report(ctx: Context) -> list[str]:
     rcfg = ctx.cfg["report"]
     cohort = ctx.load_cohort()
-    assignments = ctx.load_assignments()
+    labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
 
     artifacts = []
     for layout in (TEMPORAL, AGGREGATE):
-        table = condition_prevalence(
-            assignments,
-            read_feature_csv(ctx.need(f"features_{layout}.csv")),
-            top_k=rcfg["top_k"],
-            temporal_denominator=rcfg["temporal_denominator"],
+        fm = read_feature_csv(ctx.need(f"features_{layout}.csv"))
+        artifacts.append(
+            condition_prevalence(
+                ctx.cluster_labels("assignments.csv", fm.patient_ids),
+                fm,
+                top_k=rcfg["top_k"],
+                temporal_denominator=rcfg["temporal_denominator"],
+            )
         )
-        artifacts.append(render_prevalence(table, f"prevalence_{layout}.csv"))
-
-    artifacts.append(render_demographics(demographic_breakdown(assignments, cohort)))
-    aggregate_assignments = ctx.load_assignments("assignments_aggregate.csv")
-    artifacts.append(render_crosstab(cluster_crosstab(assignments, aggregate_assignments)))
+    artifacts.append(demographic_breakdown(labels, cohort))
+    aggregate_labels = ctx.cluster_labels("assignments_aggregate.csv", cohort.patient_ids())
+    artifacts.append(cluster_crosstab(labels, aggregate_labels))
 
     emit_reports(artifacts, ctx.out, ctx.meta)
     return [a.name for a in artifacts] + ["manifest.json"]

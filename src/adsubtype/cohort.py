@@ -71,12 +71,14 @@ class AgeGroup(str, Enum):
     OVER_85 = ">=85"
 
 
-AGE_GROUP_ORDER = [
-    AgeGroup.UNDER_65,
-    AgeGroup.FROM_65_TO_75,
-    AgeGroup.FROM_75_TO_85,
-    AgeGroup.OVER_85,
-]
+# The demographic variables of every per-cluster comparison, each with its
+# categories in report order; CohortPatient.demographics follows this order.
+DEMOGRAPHICS: dict[str, tuple[str, ...]] = {
+    "sex": tuple(SEX_LABELS.values()),
+    "race": tuple(RACE_LABELS.values()),
+    "age_group": tuple(g.value for g in AgeGroup),
+    "mortality": ("alive", "died"),
+}
 
 # First AD diagnosis is matched against these codes (compared after
 # normalization, so dotted and undotted spellings are equivalent).
@@ -170,6 +172,15 @@ class CohortPatient:
     cells: tuple[tuple[int, str], ...]
     rxcuis: tuple[str, ...]
 
+    def demographics(self) -> tuple[str, str, str, str]:
+        """This patient's category of each DEMOGRAPHICS variable, in its order."""
+        return (
+            SEX_LABELS[self.sex],
+            RACE_LABELS[self.race],
+            bin_age(self.age_at_index).value,
+            "died" if self.died else "alive",
+        )
+
 
 @dataclass
 class Cohort:
@@ -181,14 +192,9 @@ class Cohort:
         return [p.patient_id for p in self.patients]
 
     def demographic_labels(self) -> dict[str, list[str]]:
-        """Sex, race, age group at index and mortality labels, in patient order."""
-        labels: dict[str, list[str]] = {"sex": [], "race": [], "age_group": [], "mortality": []}
-        for p in self.patients:
-            labels["sex"].append(SEX_LABELS[p.sex])
-            labels["race"].append(RACE_LABELS[p.race])
-            labels["age_group"].append(bin_age(p.age_at_index).value)
-            labels["mortality"].append("died" if p.died else "alive")
-        return labels
+        """Each DEMOGRAPHICS variable's category per patient, in patient order."""
+        rows = [p.demographics() for p in self.patients]
+        return {var: [row[i] for row in rows] for i, var in enumerate(DEMOGRAPHICS)}
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +418,7 @@ def select_cohort(
         if phecode is not None:
             patient_cells.add((slot, phecode))
 
-    if vocabulary is not None:
-        vocab_codes = vocabulary.phecode_set()
-        kept = [
-            p
-            for p in of_age
-            if any(phecode in vocab_codes for _, phecode in cells[p.patient_id])
-        ]
-        funnel.append(("vocabulary_condition_in_window", len(kept)))
-    else:
-        kept = of_age
-
-    if not kept:
-        log.warning("select_cohort: no patients satisfy the inclusion criteria")
-
-    rxcuis: dict[str, list[str]] = {p.patient_id: [] for p in kept}
+    rxcuis: dict[str, list[str]] = {p.patient_id: [] for p in of_age}
     for rx in tables.prescriptions:
         patient_rx = rxcuis.get(rx.patient_id)
         if patient_rx is not None and rx.date >= first_ad[rx.patient_id]:
@@ -442,9 +434,25 @@ def select_cohort(
             cells=tuple(sorted(cells[p.patient_id])),
             rxcuis=tuple(sorted(rxcuis[p.patient_id])),
         )
-        for p in kept
+        for p in of_age
     ]
-    return Cohort(patients=patients, funnel=funnel, config=config)
+    if not patients:
+        log.warning("select_cohort: no patients satisfy the inclusion criteria")
+    cohort = Cohort(patients=patients, funnel=funnel, config=config)
+    return cohort if vocabulary is None else restrict_to_vocabulary(cohort, vocabulary)
+
+
+def restrict_to_vocabulary(cohort: Cohort, vocabulary: "PhenotypeVocabulary") -> Cohort:
+    """The cohort's patients with a vocabulary condition in some timeslot.
+
+    Appends the vocabulary_condition_in_window funnel row.
+    """
+    codes = vocabulary.phecode_set()
+    kept = [p for p in cohort.patients if any(phecode in codes for _, phecode in p.cells)]
+    if not kept:
+        log.warning("restrict_to_vocabulary: no patient has a vocabulary condition")
+    funnel = cohort.funnel + [("vocabulary_condition_in_window", len(kept))]
+    return Cohort(patients=kept, funnel=funnel, config=cohort.config)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .cohort import RejectedRow
+from .report import Artifact, fmt_pct
 from .table import read_table
 
 log = logging.getLogger(__name__)
@@ -74,87 +75,49 @@ def load_atc_map(path: str | Path) -> AtcMap:
     return AtcMap(entries=entries, rejects=tuple(rejects))
 
 
-@dataclass
-class DrugUsageTable:
-    """Per (cluster, atc3) prescription prevalence.
-
-    Denominator is the cluster's count of patients with any post-index
-    prescription; numerator counts distinct patients with at least one
-    prescription mapping into the class.
-    """
-
-    selected: list[str]
-    class_names: dict[str, str]
-    clusters: list[int]
-    denominators: dict[int, int]
-    counts: dict[tuple[str, int], int]
-    n_with_prescriptions: int
-    unmapped_rxcuis: dict[str, int] = field(default_factory=dict)
-
-    def rows(self) -> list[tuple[int, str, str, int, int]]:
-        """(cluster, atc3, atc3_name, numerator, denominator) rows."""
-        out = []
-        for cluster in self.clusters:
-            denom = self.denominators[cluster]
-            for atc3 in self.selected:
-                num = self.counts.get((atc3, cluster), 0)
-                out.append((cluster, atc3, self.class_names.get(atc3, ""), num, denom))
-        return out
-
-
 def rank_drug_classes(
-    prescriptions: Mapping[str, Sequence[str]],
+    prescriptions: Sequence[Sequence[str]],
     atc_map: AtcMap,
     top: int = 13,
 ) -> list[str]:
     """Most frequently prescribed ATC3 classes by distinct patients cohort-wide.
 
-    prescriptions maps each patient to their RxCUIs. Ties break toward the
+    prescriptions holds each patient's RxCUIs. Ties break toward the
     lexically smaller class code.
     """
-    patients_per_class: dict[str, set[str]] = {}
-    for pid, rxcuis in prescriptions.items():
-        for rxcui in rxcuis:
-            for atc3, _name in atc_map.lookup(rxcui):
-                patients_per_class.setdefault(atc3, set()).add(pid)
-    ranked = sorted(
-        patients_per_class.items(), key=lambda kv: (-len(kv[1]), kv[0])
-    )
+    patients_per_class: dict[str, int] = {}
+    for rxcuis in prescriptions:
+        for atc3 in {atc3 for rxcui in rxcuis for atc3, _ in atc_map.lookup(rxcui)}:
+            patients_per_class[atc3] = patients_per_class.get(atc3, 0) + 1
+    ranked = sorted(patients_per_class.items(), key=lambda kv: (-kv[1], kv[0]))
     return [atc3 for atc3, _ in ranked[:top]]
 
 
 def drug_prevalence_by_cluster(
-    prescriptions: Mapping[str, Sequence[str]],
-    assignments: Mapping[str, int],
+    prescriptions: Sequence[Sequence[str]],
+    labels: Sequence[int],
     atc_map: AtcMap,
     selected: Sequence[str],
-) -> DrugUsageTable:
+) -> Artifact:
     """Distinct-patient prevalence of selected ATC3 classes within each cluster.
 
-    prescriptions maps each patient to their post-index RxCUIs. Patients with no
-    post-index prescriptions at all are excluded from denominators; a
-    patient with several prescriptions in one class counts once.
+    prescriptions holds each patient's post-index RxCUIs and labels their
+    clusters. The denominator is the cluster's count of patients with any
+    post-index prescription; the numerator counts distinct patients with at
+    least one prescription mapping into the class. Rows are cluster-major in
+    `selected` order.
     """
-    missing = [pid for pid in prescriptions if pid not in assignments]
-    if missing:
-        raise ValueError(
-            f"{len(missing)} prescribed patients missing cluster assignments"
-        )
     selected = list(selected)
     if not selected:
         log.warning("drug_prevalence_by_cluster: empty selected class list")
-    selected_set = set(selected)
 
     unmapped: dict[str, int] = {}
-    clusters = sorted(set(assignments.values()))
+    clusters = sorted(set(labels))
     denominators = {c: 0 for c in clusters}
-    counts: dict[tuple[str, int], int] = {}
-    n_with_rx = 0
-    for pid, rxcuis in prescriptions.items():
+    counts: dict[tuple[int, str], int] = {}
+    for rxcuis, cluster in zip(prescriptions, labels):
         if not rxcuis:
             continue
-        n_with_rx += 1
-        cluster = assignments[pid]
         denominators[cluster] += 1
         patient_classes: set[str] = set()
         for rxcui in rxcuis:
@@ -162,10 +125,9 @@ def drug_prevalence_by_cluster(
             if not hits:
                 key = str(rxcui).strip()
                 unmapped[key] = unmapped.get(key, 0) + 1
-                continue
             patient_classes.update(atc3 for atc3, _ in hits)
-        for atc3 in patient_classes & selected_set:
-            counts[(atc3, cluster)] = counts.get((atc3, cluster), 0) + 1
+        for atc3 in patient_classes.intersection(selected):
+            counts[(cluster, atc3)] = counts.get((cluster, atc3), 0) + 1
 
     if unmapped:
         log.warning(
@@ -174,12 +136,12 @@ def drug_prevalence_by_cluster(
             sum(unmapped.values()),
         )
 
-    return DrugUsageTable(
-        selected=selected,
-        class_names=atc_map.class_names(),
-        clusters=clusters,
-        denominators=denominators,
-        counts=counts,
-        n_with_prescriptions=n_with_rx,
-        unmapped_rxcuis=unmapped,
-    )
+    names = atc_map.class_names()
+    rows = []
+    for cluster in clusters:
+        denom = denominators[cluster]
+        for atc3 in selected:
+            num = counts.get((cluster, atc3), 0)
+            rows.append([cluster, atc3, names.get(atc3, ""), num, denom, fmt_pct(num, denom)])
+    header = ["cluster", "atc3", "atc3_name", "numerator", "denominator", "pct"]
+    return Artifact("drug_usage.csv", header, rows)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import AGE_GROUP_ORDER, RACE_LABELS, SEX_LABELS, Cohort, Race, Sex
+from .cohort import DEMOGRAPHICS, Cohort
 from .phenotype import AGGREGATE, FeatureMatrix
 from .stats import ALL_CLUSTERS, GridRow, MlrFit, pair_keys
 from .table import read_table, render_table, write_text
@@ -101,56 +101,25 @@ def significance_stars(p: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PrevalenceRow:
-    cluster: int
-    phecode: str
-    slot: int | None
-    numerator: int
-    denominator: int
-
-    @property
-    def suppressed(self) -> bool:
-        return self.denominator == 0
-
-    @property
-    def pct(self) -> float | None:
-        if self.denominator == 0:
-            return None
-        return 100.0 * self.numerator / self.denominator
-
-
-@dataclass
-class PrevalenceTable:
-    mode: str
-    denominator_policy: str
-    top_phecodes: list[str]
-    rows: list[PrevalenceRow] = field(default_factory=list)
-
-
 def condition_prevalence(
-    assignments: Mapping[str, int],
+    labels: Sequence[int],
     features: FeatureMatrix,
     top_k: int = 20,
     temporal_denominator: str = "slot_active",
-) -> PrevalenceTable:
+) -> Artifact:
     """Per-cluster condition prevalence on the top_k cohort-wide conditions.
 
-    The features' layout sets the mode. Aggregate mode divides by cluster
-    size. Temporal mode divides, per slot, by the cluster members having at
-    least one condition flagged in that slot; temporal_denominator=
-    "cluster_size" switches to cluster size. Zero denominators suppress the
+    labels holds each feature row's cluster. The features' layout sets the
+    mode and the artifact name. Aggregate mode divides by cluster size.
+    Temporal mode divides, per slot, by the cluster members having at least
+    one condition flagged in that slot; temporal_denominator="cluster_size"
+    switches to cluster size. A zero denominator shows as an 'NA'
     percentage (the row keeps its counts).
     """
     mode = features.layout
     if temporal_denominator not in ("slot_active", "cluster_size"):
         raise ValueError(f"unknown temporal_denominator {temporal_denominator!r}")
-    missing = [pid for pid in features.patient_ids if pid not in assignments]
-    if missing:
-        raise ValueError(f"{len(missing)} patients missing cluster assignments")
-
-    labels = np.array([assignments[pid] for pid in features.patient_ids])
-    clusters = sorted(set(int(v) for v in labels))
+    labels = np.asarray(labels)
     values = features.values
 
     phecodes = sorted(set(code for code, _ in features.columns))
@@ -168,50 +137,33 @@ def condition_prevalence(
             overall[code] = int(values[:, cols].max(axis=1).sum())
     top = sorted(phecodes, key=lambda c: (-overall[c], c))[:top_k]
 
-    table = PrevalenceTable(
-        mode=mode,
-        denominator_policy="cluster_size" if mode == AGGREGATE else temporal_denominator,
-        top_phecodes=top,
-    )
-    for cluster in clusters:
+    rows = []
+    suppressed = 0
+    for cluster in sorted(set(labels.tolist())):
         in_cluster = labels == cluster
         size = int(in_cluster.sum())
         if mode == AGGREGATE:
             for code in top:
                 num = int(values[in_cluster, col_of[(code, None)]].sum())
-                table.rows.append(PrevalenceRow(cluster, code, None, num, size))
+                rows.append([cluster, code, num, size, fmt_pct(num, size)])
         else:
             for slot in range(1, features.slot_count + 1):
-                slot_cols = [
-                    j for j, (_, s) in enumerate(features.columns) if s == slot
-                ]
                 if temporal_denominator == "slot_active":
+                    slot_cols = [j for j, (_, s) in enumerate(features.columns) if s == slot]
                     denom = int(values[in_cluster][:, slot_cols].max(axis=1).sum())
                 else:
                     denom = size
+                if denom == 0:
+                    suppressed += len(top)
                 for code in top:
                     num = int(values[in_cluster, col_of[(code, slot)]].sum())
-                    table.rows.append(PrevalenceRow(cluster, code, slot, num, denom))
-    suppressed = sum(1 for r in table.rows if r.suppressed)
+                    rows.append([cluster, code, slot, num, denom, fmt_pct(num, denom)])
     if suppressed:
         log.warning("condition_prevalence: %d zero-denominator rows suppressed", suppressed)
-    return table
-
-
-def render_prevalence(table: PrevalenceTable, name: str) -> Artifact:
-    if table.mode == AGGREGATE:
-        header = ["cluster", "phecode", "numerator", "denominator", "pct"]
-        rows = [
-            [r.cluster, r.phecode, r.numerator, r.denominator, fmt_pct(r.numerator, r.denominator)]
-            for r in table.rows
-        ]
-    else:
-        header = ["cluster", "phecode", "slot", "numerator", "denominator", "pct"]
-        rows = [
-            [r.cluster, r.phecode, r.slot, r.numerator, r.denominator, fmt_pct(r.numerator, r.denominator)]
-            for r in table.rows
-        ]
-    return Artifact(name, header, rows)
+    header = ["cluster", "phecode", "numerator", "denominator", "pct"]
+    if mode != AGGREGATE:
+        header.insert(2, "slot")
+    return Artifact(f"prevalence_{mode}.csv", header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -219,66 +171,30 @@ def render_prevalence(table: PrevalenceTable, name: str) -> Artifact:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DemographicRow:
-    cluster: int
-    variable: str
-    category: str
-    count: int
-    cluster_size: int
+def demographic_breakdown(labels: Sequence[int], cohort: Cohort) -> Artifact:
+    """Per-cluster counts and within-cluster percentages of each demographic.
 
-    @property
-    def pct(self) -> float:
-        return 100.0 * self.count / self.cluster_size
-
-
-def demographic_breakdown(
-    assignments: Mapping[str, int], cohort: Cohort
-) -> list[DemographicRow]:
-    """Per-cluster counts and within-cluster percentages.
-
-    Covers sex, race, age group at index, and mortality; every category is
-    emitted (zero counts included) so the schema is stable.
+    labels holds each cohort patient's cluster. Every category of every
+    DEMOGRAPHICS variable is emitted, zero counts included, so the schema is
+    stable.
     """
-    missing = [pid for pid in cohort.patient_ids() if pid not in assignments]
-    if missing:
-        raise ValueError(f"{len(missing)} cohort patients missing cluster assignments")
-    clusters = sorted(set(assignments[pid] for pid in cohort.patient_ids()))
-    sizes = {c: 0 for c in clusters}
+    sizes: dict[int, int] = {}
     tallies: dict[tuple[int, str, str], int] = {}
-    labels = cohort.demographic_labels()
-    for i, pid in enumerate(cohort.patient_ids()):
-        cluster = assignments[pid]
-        sizes[cluster] += 1
-        for var, column in labels.items():
-            key = (cluster, var, column[i])
+    for cluster, patient in zip(labels, cohort.patients):
+        sizes[cluster] = sizes.get(cluster, 0) + 1
+        for var, category in zip(DEMOGRAPHICS, patient.demographics()):
+            key = (cluster, var, category)
             tallies[key] = tallies.get(key, 0) + 1
 
-    variable_categories = [
-        ("sex", [SEX_LABELS[s] for s in Sex]),
-        ("race", [RACE_LABELS[r] for r in Race]),
-        ("age_group", [g.value for g in AGE_GROUP_ORDER]),
-        ("mortality", ["alive", "died"]),
-    ]
-    rows: list[DemographicRow] = []
-    for cluster in clusters:
-        for var, categories in variable_categories:
+    rows = []
+    for cluster in sorted(sizes):
+        size = sizes[cluster]
+        for var, categories in DEMOGRAPHICS.items():
             for cat in categories:
-                rows.append(
-                    DemographicRow(
-                        cluster, var, cat, tallies.get((cluster, var, cat), 0), sizes[cluster]
-                    )
-                )
-    return rows
-
-
-def render_demographics(rows: Sequence[DemographicRow]) -> Artifact:
+                count = tallies.get((cluster, var, cat), 0)
+                rows.append([cluster, var, cat, count, size, fmt_pct(count, size)])
     header = ["cluster", "variable", "category", "count", "cluster_size", "pct"]
-    data = [
-        [r.cluster, r.variable, r.category, r.count, r.cluster_size, fmt_pct(r.count, r.cluster_size)]
-        for r in rows
-    ]
-    return Artifact("demographics.csv", header, data)
+    return Artifact("demographics.csv", header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,41 +202,20 @@ def render_demographics(rows: Sequence[DemographicRow]) -> Artifact:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Crosstab:
-    labels_a: list[int]
-    labels_b: list[int]
-    counts: np.ndarray
-
-
-def cluster_crosstab(
-    assignment_a: Mapping[str, int], assignment_b: Mapping[str, int]
-) -> Crosstab:
-    """Overlap counts between two assignments of the same patients."""
-    if set(assignment_a) != set(assignment_b):
-        only_a = len(set(assignment_a) - set(assignment_b))
-        only_b = len(set(assignment_b) - set(assignment_a))
-        raise ValueError(
-            f"assignments cover different patients ({only_a} only in A, {only_b} only in B)"
-        )
-    labels_a = sorted(set(assignment_a.values()))
-    labels_b = sorted(set(assignment_b.values()))
-    ia = {c: i for i, c in enumerate(labels_a)}
-    ib = {c: i for i, c in enumerate(labels_b)}
-    counts = np.zeros((len(labels_a), len(labels_b)), dtype=np.int64)
-    for pid in assignment_a:
-        counts[ia[assignment_a[pid]], ib[assignment_b[pid]]] += 1
-    return Crosstab(labels_a, labels_b, counts)
-
-
-def render_crosstab(ct: Crosstab) -> Artifact:
-    header = ["cluster_a"] + [f"b_{c}" for c in ct.labels_b] + ["row_total"]
-    rows = []
-    for i, a in enumerate(ct.labels_a):
-        vals = [int(v) for v in ct.counts[i]]
-        rows.append([a] + vals + [sum(vals)])
-    col_totals = [int(v) for v in ct.counts.sum(axis=0)]
-    rows.append(["col_total"] + col_totals + [int(ct.counts.sum())])
+def cluster_crosstab(labels_a: Sequence[int], labels_b: Sequence[int]) -> Artifact:
+    """Overlap counts between two labelings of the same patients, with totals."""
+    clusters_a = sorted(set(labels_a))
+    clusters_b = sorted(set(labels_b))
+    counts = {(a, b): 0 for a in clusters_a for b in clusters_b}
+    for a, b in zip(labels_a, labels_b):
+        counts[(a, b)] += 1
+    rows: list[list[Any]] = []
+    for a in clusters_a:
+        row = [counts[(a, b)] for b in clusters_b]
+        rows.append([a, *row, sum(row)])
+    col_totals = [sum(counts[(a, b)] for a in clusters_a) for b in clusters_b]
+    rows.append(["col_total", *col_totals, sum(col_totals)])
+    header = ["cluster_a"] + [f"b_{b}" for b in clusters_b] + ["row_total"]
     return Artifact("crosstab.csv", header, rows)
 
 

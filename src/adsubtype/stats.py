@@ -44,7 +44,6 @@ def contingency(
     values: Sequence[str],
     restrict: tuple[int, int] | None = None,
     binarize: str | None = None,
-    categories: Sequence[str] | None = None,
 ) -> ContingencyTable:
     """Cluster-by-category count table.
 
@@ -66,14 +65,12 @@ def contingency(
         cats = [binarize, f"not_{binarize}"]
         values = [binarize if v == binarize else f"not_{binarize}" for v in values]
     else:
-        cats = list(categories) if categories is not None else sorted(set(values))
+        cats = sorted(set(values))
     cat_idx = {c: m for m, c in enumerate(cats)}
     cl_idx = {c: m for m, c in enumerate(clusters)}
     counts = np.zeros((len(clusters), len(cats)), dtype=np.int64)
     for lab, val in zip(labels, values):
         if lab in cl_idx:
-            if val not in cat_idx:
-                raise ValueError(f"value {val!r} not in category list {cats}")
             counts[cl_idx[lab], cat_idx[val]] += 1
     if (counts.sum(axis=1) == 0).any():
         empty = [c for c in clusters if counts[cl_idx[c]].sum() == 0]

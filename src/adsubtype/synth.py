@@ -113,22 +113,6 @@ def validate_profiles(profiles: Sequence[SubtypeProfile]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def profile_to_dict(profile: SubtypeProfile) -> dict:
-    nested: dict[str, dict[str, float]] = {}
-    for (code, slot), p in sorted(profile.condition_slot_prob.items()):
-        nested.setdefault(code, {})[str(slot)] = p
-    return {
-        "name": profile.name,
-        "mixture_weight": profile.mixture_weight,
-        "condition_slot_prob": nested,
-        "sex_dist": dict(sorted(profile.sex_dist.items())),
-        "race_dist": dict(sorted(profile.race_dist.items())),
-        "age_dist": dict(sorted(profile.age_dist.items())),
-        "mortality_prob": profile.mortality_prob,
-        "drug_class_probs": dict(sorted(profile.drug_class_probs.items())),
-    }
-
-
 def profile_from_dict(data: Mapping) -> SubtypeProfile:
     try:
         flat: dict[tuple[str, int], float] = {}
@@ -149,12 +133,6 @@ def profile_from_dict(data: Mapping) -> SubtypeProfile:
         )
     except KeyError as exc:
         raise ValueError(f"profile JSON missing field {exc}") from exc
-
-
-def save_profiles(profiles: Sequence[SubtypeProfile], path: str | Path) -> None:
-    validate_profiles(profiles)
-    payload = {"profiles": [profile_to_dict(p) for p in profiles]}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_profiles(path: str | Path) -> list[SubtypeProfile]:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import csv
+import json
 import os
 
 # match the CLI's determinism posture: pin BLAS pools before numpy loads
@@ -27,6 +28,28 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def profile_dict(profile):
+    """A SubtypeProfile in the profile JSON schema that load_profiles reads."""
+    nested = {}
+    for (code, slot), p in sorted(profile.condition_slot_prob.items()):
+        nested.setdefault(code, {})[str(slot)] = p
+    return {
+        "name": profile.name,
+        "mixture_weight": profile.mixture_weight,
+        "condition_slot_prob": nested,
+        "sex_dist": profile.sex_dist,
+        "race_dist": profile.race_dist,
+        "age_dist": profile.age_dist,
+        "mortality_prob": profile.mortality_prob,
+        "drug_class_probs": profile.drug_class_probs,
+    }
+
+
+def write_profiles(profiles, path):
+    payload = {"profiles": [profile_dict(p) for p in profiles]}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
-from adsubtype.synth import SubtypeProfile, save_profiles
+from adsubtype.synth import SubtypeProfile
+
+from conftest import write_profiles
 
 
 def _cli_profiles():
@@ -55,7 +57,7 @@ def _data_lines(path):
 def pipeline(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_pipeline")
     profiles_path = base / "profiles.json"
-    save_profiles(_cli_profiles(), profiles_path)
+    write_profiles(_cli_profiles(), profiles_path)
     out1 = base / "out1"
     config = {
         "seed": 7,
@@ -347,6 +349,33 @@ def test_stage_rerun_leaves_bytes_unchanged(pipeline):
     before = _snapshot(out)
     assert main(["stats", "--config", str(pipeline["config_path"])]) == 0
     assert _snapshot(out) == before
+
+
+def test_stale_assignments_fail_every_consumer(pipeline, tmp_path, capsys):
+    """Each consumer refuses an assignments file that does not list exactly the cohort."""
+    text = (pipeline["out1"] / "assignments.csv").read_text()
+    cases = {
+        "extra": (text + "STALE1,0\n", "0 patients missing", "1 assigned patients not"),
+        "missing": (text[: text.rstrip("\n").rindex("\n") + 1], "1 patients missing",
+                    "0 assigned patients not"),
+    }
+    for case, (stale, missing, extra) in cases.items():
+        work = tmp_path / case
+        shutil.copytree(pipeline["out1"], work)
+        (work / "assignments.csv").write_text(stale)
+        for stage in ("stats", "mlr", "drugs", "report"):
+            argv = [stage, "--config", str(pipeline["config_path"]), "--out", str(work)]
+            assert main(argv) == 1, (case, stage)
+            err = capsys.readouterr().err
+            assert f"{work / 'assignments.csv'} does not match the cohort" in err
+            assert missing in err and extra in err
+    # the crosstab's aggregate assignments are checked the same way
+    work = tmp_path / "aggregate"
+    shutil.copytree(pipeline["out1"], work)
+    with open(work / "assignments_aggregate.csv", "a") as fh:
+        fh.write("STALE1,0\n")
+    assert main(["report", "--config", str(pipeline["config_path"]), "--out", str(work)]) == 1
+    assert "assignments_aggregate.csv does not match the cohort" in capsys.readouterr().err
 
 
 def test_cluster_uses_elbow_choice_when_k_unset(pipeline, tmp_path):

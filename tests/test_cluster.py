@@ -339,7 +339,7 @@ def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
         assert other.sse == runs[0].sse
         assert other.sse_history == runs[0].sse_history
     curves = [elbow_sse_curve(X, kmax=5, restarts=8, seed=4, threads=t) for t in (1, 2, 8)]
-    assert curves[1].points == curves[0].points == curves[2].points
+    assert curves[1] == curves[0] == curves[2]
 
 
 def test_kmeans_workers_capped(monkeypatch):
@@ -391,8 +391,8 @@ def test_elbow_curve_k1_equals_total_scatter():
     X = (rng.random((30, 8)) < 0.3).astype(float)
     curve = elbow_sse_curve(X, kmin=1, kmax=4, restarts=3, seed=0)
     total = ((X - X.mean(axis=0)) ** 2).sum()
-    ks = [k for k, _ in curve.points]
-    sses = [s for _, s in curve.points]
+    ks = [k for k, _ in curve]
+    sses = [s for _, s in curve]
     assert ks == [1, 2, 3, 4]
     assert abs(sses[0] - total) <= 1e-9
     assert all(sses[i + 1] <= sses[i] + 1e-9 for i in range(len(sses) - 1))

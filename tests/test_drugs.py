@@ -89,51 +89,47 @@ def test_load_atc_map_fatal_errors(tmp_path, caplog):
 
 def test_rank_drug_classes_distinct_patients_and_ties():
     amap = _map({"1": {("N02B", "x")}, "2": {("B01A", "y")}, "3": {("C09A", "z")}})
-    prescriptions = {
-        # N02B: 2 patients (repeat rx for A counts once); B01A: 2; C09A: 1
-        "A": ["1", "1", "2"],
-        "B": ["1"],
-        "C": ["2", "3"],
-    }
+    prescriptions = [
+        # N02B: 2 patients (repeat rx for the first counts once); B01A: 2; C09A: 1
+        ["1", "1", "2"],
+        ["1"],
+        ["2", "3"],
+    ]
     assert rank_drug_classes(prescriptions, amap) == ["B01A", "N02B", "C09A"]
     assert rank_drug_classes(prescriptions, amap, top=2) == ["B01A", "N02B"]
 
 
-def test_prevalence_denominator_is_any_prescription():
+def test_prevalence_denominator_is_any_prescription(caplog):
     amap = _map({"1": {("N02B", "x")}})
-    prescriptions = {
-        "A": ["1"],    # mapped
-        "B": ["999"],  # unmapped only: still in denominator
-        "C": [],       # no prescriptions: out of denominator
-    }
-    assignments = {"A": 0, "B": 0, "C": 0}
-    table = drug_prevalence_by_cluster(prescriptions, assignments, amap, ["N02B"])
-    assert table.denominators == {0: 2}
-    assert table.n_with_prescriptions == 2
-    assert table.rows() == [(0, "N02B", "x", 1, 2)]
-    assert table.unmapped_rxcuis == {"999": 1}
+    prescriptions = [
+        ["1"],    # mapped
+        ["999"],  # unmapped only: still in denominator
+        [],       # no prescriptions: out of denominator
+    ]
+    with caplog.at_level("WARNING"):
+        art = drug_prevalence_by_cluster(prescriptions, [0, 0, 0], amap, ["N02B"])
+    assert art.name == "drug_usage.csv"
+    assert art.header == ["cluster", "atc3", "atc3_name", "numerator", "denominator", "pct"]
+    assert art.rows == [[0, "N02B", "x", 1, 2, "50.0000"]]
+    assert any("1 distinct unmapped rxcuis (1 occurrences)" in r.message for r in caplog.records)
 
 
 def test_prevalence_counts_patient_once_per_class():
     amap = _map({"1": {("N02B", "x")}, "2": {("N02B", "x")}})
-    prescriptions = {"A": ["1", "2", "1"]}
-    table = drug_prevalence_by_cluster(prescriptions, {"A": 1}, amap, ["N02B"])
-    assert table.counts == {("N02B", 1): 1}
+    art = drug_prevalence_by_cluster([["1", "2", "1"]], [1], amap, ["N02B"])
+    assert art.rows == [[1, "N02B", "x", 1, 1, "100.0000"]]
 
 
 def test_prevalence_multiclass_rxcui_counts_in_both():
     amap = _map({"1": {("N02B", "x"), ("B01A", "y")}})
-    prescriptions = {"A": ["1"]}
-    table = drug_prevalence_by_cluster(prescriptions, {"A": 0}, amap, ["N02B", "B01A"])
-    assert table.counts == {("N02B", 0): 1, ("B01A", 0): 1}
+    art = drug_prevalence_by_cluster([["1"]], [0], amap, ["N02B", "B01A"])
+    assert [row[3] for row in art.rows] == [1, 1]
 
 
 def test_prevalence_zero_denominator_cluster():
     amap = _map({"1": {("N02B", "x")}})
-    prescriptions = {"A": ["1"], "B": []}
-    table = drug_prevalence_by_cluster(prescriptions, {"A": 0, "B": 1}, amap, ["N02B"])
-    assert table.denominators == {0: 1, 1: 0}
-    assert table.rows() == [(0, "N02B", "x", 1, 1), (1, "N02B", "x", 0, 0)]
+    art = drug_prevalence_by_cluster([["1"], []], [0, 1], amap, ["N02B"])
+    assert art.rows == [[0, "N02B", "x", 1, 1, "100.0000"], [1, "N02B", "x", 0, 0, "NA"]]
 
 
 def test_stage_drugs_writes_na_for_zero_denominator(tmp_path):
@@ -154,11 +150,8 @@ def test_stage_drugs_writes_na_for_zero_denominator(tmp_path):
 
 def test_prevalence_rows_cluster_major_selected_order():
     amap = _map({"1": {("N02B", "x")}, "2": {("B01A", "y")}})
-    prescriptions = {"A": ["1"], "B": ["2"]}
-    table = drug_prevalence_by_cluster(
-        prescriptions, {"A": 0, "B": 1}, amap, ["N02B", "B01A"]
-    )
-    assert [(c, a) for c, a, *_ in table.rows()] == [
+    art = drug_prevalence_by_cluster([["1"], ["2"]], [0, 1], amap, ["N02B", "B01A"])
+    assert [(c, a) for c, a, *_ in art.rows] == [
         (0, "N02B"),
         (0, "B01A"),
         (1, "N02B"),
@@ -166,15 +159,21 @@ def test_prevalence_rows_cluster_major_selected_order():
     ]
 
 
-def test_prevalence_missing_assignment_is_fatal():
-    amap = _map({"1": {("N02B", "x")}})
-    with pytest.raises(ValueError, match="missing cluster assignments"):
-        drug_prevalence_by_cluster({"A": ["1"]}, {}, amap, ["N02B"])
+def test_prevalence_missing_assignment_is_fatal(tmp_path, capsys):
+    patients = [
+        CohortPatient("A", Sex.FEMALE, Race.WHITE, 70, False, ((1, "401.1"),), ("161",)),
+        CohortPatient("B", Sex.MALE, Race.WHITE, 80, False, ((1, "401.1"),), ()),
+    ]
+    save_cohort(Cohort(patients, [("patients_total", 2)], CohortConfig()), tmp_path / "cohort.json")
+    _write_csv(tmp_path / "assignments.csv", ["patient_id", "cluster"], [["A", 0]])
+    assert main(["drugs", "--out", str(tmp_path)]) == 1
+    assert "1 patients missing cluster assignments" in capsys.readouterr().err
+    assert not (tmp_path / "drug_usage.csv").exists()
 
 
 def test_prevalence_empty_selection_warns(caplog):
     amap = _map({"1": {("N02B", "x")}})
     with caplog.at_level("WARNING"):
-        table = drug_prevalence_by_cluster({"A": ["1"]}, {"A": 0}, amap, [])
-    assert table.rows() == []
+        art = drug_prevalence_by_cluster([["1"]], [0], amap, [])
+    assert art.rows == []
     assert any("empty selected class list" in r.message for r in caplog.records)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from adsubtype.cli import Context
 from adsubtype.cohort import Cohort, CohortConfig, CohortPatient, Race, Sex
 from adsubtype.phenotype import AGGREGATE, TEMPORAL, FeatureMatrix
 from adsubtype.report import (
@@ -19,16 +20,15 @@ from adsubtype.report import (
     fmt_pct,
     format_p,
     mlr_summary_json,
-    render_crosstab,
     render_csv,
-    render_demographics,
     render_mlr,
-    render_prevalence,
     render_stats_grid,
     significance_stars,
     write_manifest,
 )
 from adsubtype.stats import CellResult, GridRow, fit_multinomial_logit
+
+from conftest import write_csv
 
 META = ArtifactMeta("test", 0, "0" * 12)
 
@@ -102,27 +102,29 @@ def _aggregate_features():
     )
 
 
+def _rows_by(art, *key_columns):
+    """Artifact rows as header->value dicts, keyed by the named columns."""
+    dicts = [dict(zip(art.header, row)) for row in art.rows]
+    return {tuple(d[c] for c in key_columns): d for d in dicts}
+
+
 def test_condition_prevalence_aggregate():
     features = _aggregate_features()
-    assignments = {"P0": 0, "P1": 0, "P2": 1, "P3": 1}
-    table = condition_prevalence(assignments, features, top_k=2)
-    assert table.top_phecodes == ["250.2", "272.1"]
-    by_key = {(r.cluster, r.phecode): r for r in table.rows}
-    assert by_key[(0, "250.2")].numerator == 2
-    assert by_key[(0, "250.2")].denominator == 2
-    assert by_key[(1, "272.1")].numerator == 1
-    assert by_key[(1, "272.1")].denominator == 2
-    assert by_key[(1, "272.1")].pct == 50.0
-    assert table.denominator_policy == "cluster_size"
+    art = condition_prevalence([0, 0, 1, 1], features, top_k=2)
+    assert art.name == "prevalence_aggregate.csv"
+    assert [row[1] for row in art.rows] == ["250.2", "272.1"] * 2
+    by_key = _rows_by(art, "cluster", "phecode")
+    assert by_key[(0, "250.2")]["numerator"] == 2
+    assert by_key[(0, "250.2")]["denominator"] == 2
+    assert by_key[(1, "272.1")]["numerator"] == 1
+    assert by_key[(1, "272.1")]["denominator"] == 2
+    assert by_key[(1, "272.1")]["pct"] == "50.0000"
 
 
 def test_condition_prevalence_top_k_ties_break_on_phecode():
     features = _aggregate_features()
-    assignments = {p: 0 for p in features.patient_ids}
-    # 272.1 and 401.1 both hit 2 patients after dropping P2? No: totals 3,2,1.
-    table = condition_prevalence(assignments, features, top_k=3)
-    assert table.top_phecodes == ["250.2", "272.1", "401.1"]
-    assert [r.phecode for r in table.rows] == ["250.2", "272.1", "401.1"]
+    art = condition_prevalence([0, 0, 0, 0], features, top_k=3)
+    assert [row[1] for row in art.rows] == ["250.2", "272.1", "401.1"]
 
 
 def _temporal_features():
@@ -146,62 +148,45 @@ def _temporal_features():
 
 def test_condition_prevalence_temporal_slot_active():
     features = _temporal_features()
-    assignments = {"A": 0, "B": 0, "C": 0}
-    table = condition_prevalence(assignments, features, top_k=2)
-    by_key = {(r.phecode, r.slot): r for r in table.rows}
+    art = condition_prevalence([0, 0, 0], features, top_k=2)
+    assert art.name == "prevalence_temporal.csv"
+    by_key = _rows_by(art, "phecode", "slot")
     # slot 1: A and B have a flag somewhere in slot 1 -> denominator 2
-    assert by_key[("250.2", 1)].numerator == 1
-    assert by_key[("250.2", 1)].denominator == 2
+    assert by_key[("250.2", 1)]["numerator"] == 1
+    assert by_key[("250.2", 1)]["denominator"] == 2
     # slot 2: only C active -> denominator 1
-    assert by_key[("250.2", 2)].denominator == 1
-    assert by_key[("401.1", 2)].numerator == 0
+    assert by_key[("250.2", 2)]["denominator"] == 1
+    assert by_key[("401.1", 2)]["numerator"] == 0
 
 
 def test_condition_prevalence_temporal_cluster_size_denominator():
     features = _temporal_features()
-    assignments = {"A": 0, "B": 0, "C": 0}
-    table = condition_prevalence(
-        assignments, features, top_k=2, temporal_denominator="cluster_size"
+    art = condition_prevalence(
+        [0, 0, 0], features, top_k=2, temporal_denominator="cluster_size"
     )
-    assert {r.denominator for r in table.rows} == {3}
-    assert table.denominator_policy == "cluster_size"
+    assert {row[4] for row in art.rows} == {3}
 
 
 def test_condition_prevalence_zero_denominator_suppressed(caplog):
     features = _temporal_features()
     # cluster 1 holds only B, who has no slot-2 flags
-    assignments = {"A": 0, "B": 1, "C": 0}
     with caplog.at_level("WARNING"):
-        table = condition_prevalence(assignments, features, top_k=2)
-    suppressed = [r for r in table.rows if r.suppressed]
-    assert suppressed and all(r.cluster == 1 and r.slot == 2 for r in suppressed)
-    assert all(r.pct is None for r in suppressed)
-    assert any("suppressed" in r.message for r in caplog.records)
-    art = render_prevalence(table, "prevalence_temporal.csv")
+        art = condition_prevalence([0, 1, 0], features, top_k=2)
     na_rows = [row for row in art.rows if row[-1] == "NA"]
-    assert len(na_rows) == len(suppressed)
+    assert na_rows == [[1, "250.2", 2, 0, 0, "NA"], [1, "401.1", 2, 0, 0, "NA"]]
+    assert any("2 zero-denominator rows suppressed" in r.message for r in caplog.records)
 
 
 def test_condition_prevalence_errors():
-    features = _aggregate_features()
-    assignments = {p: 0 for p in features.patient_ids}
     with pytest.raises(ValueError, match="temporal_denominator"):
-        condition_prevalence(assignments, _temporal_features(), temporal_denominator="x")
-    with pytest.raises(ValueError, match="missing cluster assignments"):
-        condition_prevalence({"P0": 0}, features)
+        condition_prevalence([0, 0, 0], _temporal_features(), temporal_denominator="x")
 
 
 def test_render_prevalence_headers():
-    agg = condition_prevalence(
-        {p: 0 for p in _aggregate_features().patient_ids}, _aggregate_features()
-    )
-    assert render_prevalence(agg, "a.csv").header == [
-        "cluster", "phecode", "numerator", "denominator", "pct",
-    ]
-    tmp = condition_prevalence({"A": 0, "B": 0, "C": 0}, _temporal_features())
-    assert render_prevalence(tmp, "t.csv").header == [
-        "cluster", "phecode", "slot", "numerator", "denominator", "pct",
-    ]
+    agg = condition_prevalence([0, 0, 0, 0], _aggregate_features())
+    assert agg.header == ["cluster", "phecode", "numerator", "denominator", "pct"]
+    tmp = condition_prevalence([0, 0, 0], _temporal_features())
+    assert tmp.header == ["cluster", "phecode", "slot", "numerator", "denominator", "pct"]
 
 
 # ---------------------------------------------------------------------------
@@ -219,43 +204,42 @@ def _mini_cohort():
 
 
 def test_demographic_breakdown_counts_and_zero_categories():
-    cohort = _mini_cohort()
-    rows = demographic_breakdown({"A": 0, "B": 0, "C": 1}, cohort)
-    by_key = {(r.cluster, r.variable, r.category): r for r in rows}
-    assert by_key[(0, "sex", "Female")].count == 1
-    assert by_key[(0, "sex", "Male")].count == 1
-    assert by_key[(0, "mortality", "died")].count == 1
-    assert by_key[(0, "mortality", "alive")].count == 1
-    assert by_key[(1, "age_group", ">=85")].count == 1
-    assert by_key[(1, "age_group", "<65")].count == 0  # zero category still present
-    assert by_key[(0, "race", "Asian")].count == 0
+    art = demographic_breakdown([0, 0, 1], _mini_cohort())
+    by_key = _rows_by(art, "cluster", "variable", "category")
+    assert by_key[(0, "sex", "Female")]["count"] == 1
+    assert by_key[(0, "sex", "Male")]["count"] == 1
+    assert by_key[(0, "mortality", "died")]["count"] == 1
+    assert by_key[(0, "mortality", "alive")]["count"] == 1
+    assert by_key[(1, "age_group", ">=85")]["count"] == 1
+    assert by_key[(1, "age_group", "<65")]["count"] == 0  # zero category still present
+    assert by_key[(0, "race", "Asian")]["count"] == 0
     # every cluster emits the full category schema
     per_cluster = {}
-    for r in rows:
-        per_cluster.setdefault(r.cluster, []).append((r.variable, r.category))
+    for cluster, variable, category, *_ in art.rows:
+        per_cluster.setdefault(cluster, []).append((variable, category))
     assert per_cluster[0] == per_cluster[1]
-    # within-cluster percentages for one variable total 100
-    sex_pct = [r.pct for r in rows if r.cluster == 0 and r.variable == "sex"]
-    assert sum(sex_pct) == pytest.approx(100.0)
+    assert [row[5] for row in art.rows if row[0] == 0 and row[1] == "sex"] == [
+        "50.0000", "50.0000", "0.0000",
+    ]
 
 
 def test_demographic_breakdown_variable_order_and_render():
-    cohort = _mini_cohort()
-    rows = demographic_breakdown({"A": 0, "B": 0, "C": 0}, cohort)
+    art = demographic_breakdown([0, 0, 0], _mini_cohort())
     variables = []
-    for r in rows:
-        if r.variable not in variables:
-            variables.append(r.variable)
+    for row in art.rows:
+        if row[1] not in variables:
+            variables.append(row[1])
     assert variables == ["sex", "race", "age_group", "mortality"]
-    art = render_demographics(rows)
     assert art.name == "demographics.csv"
     assert art.header == ["cluster", "variable", "category", "count", "cluster_size", "pct"]
-    assert art.rows[0][4] == 3
+    assert art.rows[0] == [0, "sex", "Female", 2, 3, "66.6667"]
 
 
-def test_demographic_breakdown_missing_assignment():
-    with pytest.raises(ValueError, match="missing cluster assignments"):
-        demographic_breakdown({"A": 0}, _mini_cohort())
+def test_demographic_breakdown_missing_assignment(tmp_path):
+    write_csv(tmp_path / "assignments.csv", ["patient_id", "cluster"], [["A", 0], ["B", 0]])
+    ctx = Context({}, tmp_path, META)
+    with pytest.raises(ValueError, match="1 patients missing cluster assignments"):
+        ctx.cluster_labels("assignments.csv", _mini_cohort().patient_ids())
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +248,23 @@ def test_demographic_breakdown_missing_assignment():
 
 
 def test_crosstab_counts_and_totals():
-    a = {"p1": 0, "p2": 0, "p3": 1, "p4": 1, "p5": 1}
-    b = {"p1": 0, "p2": 1, "p3": 1, "p4": 1, "p5": 0}
-    ct = cluster_crosstab(a, b)
-    assert ct.labels_a == [0, 1] and ct.labels_b == [0, 1]
-    assert ct.counts.tolist() == [[1, 1], [1, 2]]
-    art = render_crosstab(ct)
+    art = cluster_crosstab([0, 0, 1, 1, 1], [0, 1, 1, 1, 0])
+    assert art.name == "crosstab.csv"
     assert art.header == ["cluster_a", "b_0", "b_1", "row_total"]
     assert art.rows == [[0, 1, 1, 2], [1, 1, 2, 3], ["col_total", 2, 3, 5]]
 
 
 def test_crosstab_identity_is_diagonal():
-    a = {"p1": 0, "p2": 1, "p3": 2}
-    ct = cluster_crosstab(a, dict(a))
-    assert np.array_equal(ct.counts, np.eye(3, dtype=np.int64))
+    art = cluster_crosstab([0, 1, 2], [0, 1, 2])
+    assert [row[1:4] for row in art.rows[:3]] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-def test_crosstab_mismatched_patients():
-    with pytest.raises(ValueError, match="different patients"):
-        cluster_crosstab({"p1": 0}, {"p2": 0})
+def test_crosstab_mismatched_patients(tmp_path):
+    rows = [["A", 0], ["B", 1], ["C", 1], ["STALE", 0]]
+    write_csv(tmp_path / "assignments_aggregate.csv", ["patient_id", "cluster"], rows)
+    ctx = Context({}, tmp_path, META)
+    with pytest.raises(ValueError, match="1 assigned patients not in the cohort"):
+        ctx.cluster_labels("assignments_aggregate.csv", _mini_cohort().patient_ids())
 
 
 # ---------------------------------------------------------------------------

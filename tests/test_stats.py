@@ -45,19 +45,11 @@ def test_contingency_restrict_and_binarize():
     assert t2.counts[:, 0].tolist() == [1, 0, 1]
 
 
-def test_contingency_explicit_categories_fix_column_order():
-    t = contingency([0, 1], ["y", "x"], categories=["y", "x"])
-    assert t.col_labels == ["y", "x"]
-    assert t.counts.tolist() == [[1, 0], [0, 1]]
-
-
 def test_contingency_errors():
     with pytest.raises(ValueError, match="align"):
         contingency([0, 1], ["a"])
     with pytest.raises(ValueError, match="not present"):
         contingency([0, 1], ["a", "b"], restrict=(0, 5))
-    with pytest.raises(ValueError, match="not in category list"):
-        contingency([0, 1], ["a", "z"], categories=["a", "b"])
     with pytest.raises(ValueError, match="nonnegative"):
         from adsubtype.stats import ContingencyTable
 

@@ -20,13 +20,13 @@ from adsubtype.synth import (
     load_profiles,
     demo_profiles,
     profile_from_dict,
-    profile_to_dict,
-    save_profiles,
     validate_profiles,
     well_separated_profiles,
 )
 
 import numpy as np
+
+from conftest import profile_dict, write_profiles
 
 SEX = {"F": 0.6, "M": 0.4}
 RACE = {"05": 0.7, "03": 0.3}
@@ -88,7 +88,7 @@ def test_profile_dict_round_trip():
         "rt", 1.0, {("401.1", 1): 0.8, ("401.1", 3): 0.2, ("250.2", 6): 0.4},
         mortality=0.15, drugs={"N02B": 0.3},
     )
-    data = profile_to_dict(profile)
+    data = profile_dict(profile)
     assert data["condition_slot_prob"] == {
         "250.2": {"6": 0.4},
         "401.1": {"1": 0.8, "3": 0.2},
@@ -98,7 +98,7 @@ def test_profile_dict_round_trip():
 
 
 def test_profile_from_dict_missing_field():
-    data = profile_to_dict(_profile("x", 1.0, {}))
+    data = profile_dict(_profile("x", 1.0, {}))
     del data["mortality_prob"]
     with pytest.raises(ValueError, match="missing field"):
         profile_from_dict(data)
@@ -107,7 +107,7 @@ def test_profile_from_dict_missing_field():
 def test_save_load_profiles(tmp_path):
     profiles = [_profile("a", 0.7, {("401.1", 2): 0.9}), _profile("b", 0.3, {})]
     path = tmp_path / "profiles.json"
-    save_profiles(profiles, path)
+    write_profiles(profiles, path)
     assert load_profiles(path) == profiles
     (tmp_path / "bad.json").write_text('{"not_profiles": []}')
     with pytest.raises(ValueError, match="'profiles' list"):
