@@ -213,10 +213,15 @@ def _check_kmeans(section: str, cfg: dict, problems: list[str]) -> None:
     )
 
 
+def _is_str_list(v: Any) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
 def validate_config(cfg: dict) -> list[str]:
     problems: list[str] = []
     _require(_is_int(cfg["seed"], least=0), "seed must be a nonnegative integer", problems)
     _require(_is_int(cfg["threads"]), "threads must be a positive integer", problems)
+    _require(isinstance(cfg["out_dir"], str), "out_dir must be a path string", problems)
 
     co = cfg["cohort"]
     _require(_is_int(co["slot_count"]), "cohort.slot_count must be >= 1", problems)
@@ -226,24 +231,35 @@ def validate_config(cfg: dict) -> list[str]:
         "cohort.min_age_years must be a nonnegative integer",
         problems,
     )
+    window = []
     for key in ("window_start", "window_end"):
         try:
-            date.fromisoformat(co[key])
+            window.append(date.fromisoformat(co[key]))
         except (TypeError, ValueError):
             problems.append(f"cohort.{key} must be an ISO date string")
-    if co["ad_codes"] is not None and (
-        not isinstance(co["ad_codes"], list) or not co["ad_codes"]
-    ):
-        problems.append("cohort.ad_codes must be null or a non-empty list")
+    if len(window) == 2:
+        _require(
+            window[0] < window[1], "cohort.window_end must be after cohort.window_start", problems
+        )
+    if co["ad_codes"] is not None and not (_is_str_list(co["ad_codes"]) and co["ad_codes"]):
+        problems.append("cohort.ad_codes must be null or a non-empty list of ICD code strings")
 
     _require(_is_int(cfg["synth"]["n_patients"]), "synth.n_patients must be >= 1", problems)
+    _require(
+        isinstance(cfg["synth"]["profiles"], str),
+        "synth.profiles must be \"demo\" or a path string",
+        problems,
+    )
 
     ing = cfg["ingest"]
     _require(_is_int(ing["review_size"]), "ingest.review_size must be >= 1", problems)
     _require(_is_int(ing["keep"]), "ingest.keep must be >= 1", problems)
     if isinstance(ing["review_size"], int) and isinstance(ing["keep"], int):
         _require(ing["keep"] <= ing["review_size"], "ingest.keep must be <= review_size", problems)
-    _require(isinstance(ing["exclusions"], list), "ingest.exclusions must be a list of phecodes", problems)
+    _require(
+        _is_str_list(ing["exclusions"]), "ingest.exclusions must be a list of phecode strings",
+        problems,
+    )
 
     el = cfg["elbow"]
     _require(_is_int(el["kmin"]) and _is_int(el["kmax"]), "elbow.kmin/kmax must be >= 1", problems)
@@ -274,15 +290,15 @@ def validate_config(cfg: dict) -> list[str]:
     _require(_is_int(st["bonferroni_m"]), "stats.bonferroni_m must be >= 1", problems)
 
     _require(
-        isinstance(cfg["mlr"]["reference_cluster"], int),
-        "mlr.reference_cluster must be an integer",
+        _is_int(cfg["mlr"]["reference_cluster"], least=0),
+        "mlr.reference_cluster must be a nonnegative integer",
         problems,
     )
 
     dr = cfg["drugs"]
     _require(_is_int(dr["top"]), "drugs.top must be >= 1", problems)
-    if dr["selected"] is not None and not isinstance(dr["selected"], list):
-        problems.append("drugs.selected must be null or a list of ATC3 codes")
+    if dr["selected"] is not None and not _is_str_list(dr["selected"]):
+        problems.append("drugs.selected must be null or a list of ATC3 code strings")
 
     rp = cfg["report"]
     _require(_is_int(rp["top_k"]), "report.top_k must be >= 1", problems)

@@ -115,23 +115,28 @@ def knn_sparsified_affinity(
     Distances are computed in row blocks so the full N x N matrix is never
     materialized; the kept pattern is symmetrized by elementwise max (union
     of directed kNN edges). The diagonal is always kept. The block matmul
-    runs in float32, which is exact for 0/1 rows with fewer than 2^24 columns.
+    and the distances run in float32, which is exact for 0/1 rows with fewer
+    than 2^24 columns.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     n = X.shape[0]
     m = min(neighbors + 1, n)  # +1: the diagonal is its own best neighbor
     Xf = np.asarray(X, dtype=np.float32 if X.shape[1] < 2**24 else np.float64)
-    counts = Xf.sum(axis=1, dtype=np.float64)
+    counts = Xf.sum(axis=1)
     cols = np.empty((n, m), dtype=np.intp)
     vals = np.empty((n, m))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        Db = counts[start:stop, None] + counts[None, :] - 2.0 * (Xf[start:stop] @ Xf.T)
-        Db = np.rint(Db)
+        # distances built in place on the gram block; all exact integers
+        Db = Xf[start:stop] @ Xf.T
+        Db *= -2
+        Db += counts[start:stop, None]
+        Db += counts[None, :]
         idx = np.sort(np.argpartition(Db, m - 1, axis=1)[:, :m], axis=1)
         cols[start:stop] = idx
-        vals[start:stop] = np.exp(-gamma * np.take_along_axis(Db, idx, axis=1))
+        selected = np.take_along_axis(Db, idx, axis=1).astype(np.float64)
+        vals[start:stop] = np.exp(-gamma * selected)
     # every row keeps exactly m sorted columns
     A = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n))
     A = A.maximum(A.T)

@@ -516,7 +516,8 @@ def cohort_from_json(doc: Mapping) -> Cohort:
 
 
 def save_cohort(cohort: Cohort, path: Path) -> None:
-    write_text(path, json.dumps(cohort_to_json(cohort), sort_keys=True, indent=1) + "\n")
+    text = json.dumps(cohort_to_json(cohort), sort_keys=True, separators=(",", ":"))
+    write_text(path, text + "\n")
 
 
 def load_cohort(path: Path) -> Cohort:

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .cohort import RejectedRow
 from .report import Artifact, fmt_pct
+from .stats import cluster_counts
 from .table import read_table
 
 log = logging.getLogger(__name__)
@@ -112,22 +115,16 @@ def drug_prevalence_by_cluster(
         log.warning("drug_prevalence_by_cluster: empty selected class list")
 
     unmapped: dict[str, int] = {}
-    clusters = sorted(set(labels))
-    denominators = {c: 0 for c in clusters}
-    counts: dict[tuple[int, str], int] = {}
-    for rxcuis, cluster in zip(prescriptions, labels):
-        if not rxcuis:
-            continue
-        denominators[cluster] += 1
-        patient_classes: set[str] = set()
+    patient_classes = []
+    for rxcuis in prescriptions:
+        classes: set[str] = set()
         for rxcui in rxcuis:
             hits = atc_map.lookup(rxcui)
             if not hits:
                 key = str(rxcui).strip()
                 unmapped[key] = unmapped.get(key, 0) + 1
-            patient_classes.update(atc3 for atc3, _ in hits)
-        for atc3 in patient_classes.intersection(selected):
-            counts[(cluster, atc3)] = counts.get((cluster, atc3), 0) + 1
+            classes.update(atc3 for atc3, _ in hits)
+        patient_classes.append(classes)
 
     if unmapped:
         log.warning(
@@ -136,12 +133,17 @@ def drug_prevalence_by_cluster(
             sum(unmapped.values()),
         )
 
+    # one row per patient: any post-index prescription, then each selected class
+    indicators = np.array(
+        [[bool(rxcuis) for rxcuis in prescriptions]]
+        + [[atc3 in classes for classes in patient_classes] for atc3 in selected],
+        dtype=np.uint8,
+    ).T
+    clusters, counts = cluster_counts(labels, indicators)
     names = atc_map.class_names()
     rows = []
-    for cluster in clusters:
-        denom = denominators[cluster]
-        for atc3 in selected:
-            num = counts.get((cluster, atc3), 0)
+    for cluster, (denom, *numerators) in zip(clusters, counts.tolist()):
+        for atc3, num in zip(selected, numerators):
             rows.append([cluster, atc3, names.get(atc3, ""), num, denom, fmt_pct(num, denom)])
     header = ["cluster", "atc3", "atc3_name", "numerator", "denominator", "pct"]
     return Artifact("drug_usage.csv", header, rows)

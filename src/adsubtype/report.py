@@ -22,7 +22,7 @@ import numpy as np
 
 from .cohort import DEMOGRAPHICS, Cohort
 from .phenotype import AGGREGATE, FeatureMatrix
-from .stats import ALL_CLUSTERS, GridRow, MlrFit, pair_keys
+from .stats import ALL_CLUSTERS, GridRow, MlrFit, cluster_counts, one_hot, pair_keys
 from .table import read_table, render_table, write_text
 
 log = logging.getLogger(__name__)
@@ -119,45 +119,33 @@ def condition_prevalence(
     mode = features.layout
     if temporal_denominator not in ("slot_active", "cluster_size"):
         raise ValueError(f"unknown temporal_denominator {temporal_denominator!r}")
-    labels = np.asarray(labels)
-    values = features.values
-
-    phecodes = sorted(set(code for code, _ in features.columns))
-    col_of: dict[tuple[str, int | None], int] = {
-        col: j for j, col in enumerate(features.columns)
-    }
+    codes = [code for code, slot in features.columns if slot in (None, 1)]
+    s = features.slot_count if mode != AGGREGATE else 1
+    n = features.values.shape[0]
+    # phecode-major, slot-minor: cells[i, j, t] flags code j in slot t + 1
+    cells = features.values.reshape(n, len(codes), s)
+    clusters, numerators = cluster_counts(labels, features.values)
+    numerators = numerators.reshape(len(clusters), len(codes), s).tolist()
 
     # cohort-wide prevalence per phecode (any slot, distinct patients)
-    overall: dict[str, int] = {}
-    for code in phecodes:
-        if mode == AGGREGATE:
-            overall[code] = int(values[:, col_of[(code, None)]].sum())
-        else:
-            cols = [col_of[(code, s)] for s in range(1, features.slot_count + 1)]
-            overall[code] = int(values[:, cols].max(axis=1).sum())
-    top = sorted(phecodes, key=lambda c: (-overall[c], c))[:top_k]
+    overall = cells.max(axis=2).sum(axis=0).tolist()
+    top = sorted(range(len(codes)), key=lambda j: (-overall[j], codes[j]))[:top_k]
 
+    if mode == AGGREGATE or temporal_denominator == "cluster_size":
+        active = np.ones((n, s), dtype=np.uint8)
+    else:
+        active = cells.max(axis=1)  # members with any condition in the slot
+    denominators = cluster_counts(labels, active)[1].tolist()
+
+    slots = [[]] if mode == AGGREGATE else [[t + 1] for t in range(s)]
     rows = []
-    suppressed = 0
-    for cluster in sorted(set(labels.tolist())):
-        in_cluster = labels == cluster
-        size = int(in_cluster.sum())
-        if mode == AGGREGATE:
-            for code in top:
-                num = int(values[in_cluster, col_of[(code, None)]].sum())
-                rows.append([cluster, code, num, size, fmt_pct(num, size)])
-        else:
-            for slot in range(1, features.slot_count + 1):
-                if temporal_denominator == "slot_active":
-                    slot_cols = [j for j, (_, s) in enumerate(features.columns) if s == slot]
-                    denom = int(values[in_cluster][:, slot_cols].max(axis=1).sum())
-                else:
-                    denom = size
-                if denom == 0:
-                    suppressed += len(top)
-                for code in top:
-                    num = int(values[in_cluster, col_of[(code, slot)]].sum())
-                    rows.append([cluster, code, slot, num, denom, fmt_pct(num, denom)])
+    for k, cluster in enumerate(clusters):
+        for t, slot in enumerate(slots):
+            denom = denominators[k][t]
+            for j in top:
+                num = numerators[k][j][t]
+                rows.append([cluster, codes[j], *slot, num, denom, fmt_pct(num, denom)])
+    suppressed = len(top) * sum(row.count(0) for row in denominators)
     if suppressed:
         log.warning("condition_prevalence: %d zero-denominator rows suppressed", suppressed)
     header = ["cluster", "phecode", "numerator", "denominator", "pct"]
@@ -178,21 +166,19 @@ def demographic_breakdown(labels: Sequence[int], cohort: Cohort) -> Artifact:
     DEMOGRAPHICS variable is emitted, zero counts included, so the schema is
     stable.
     """
-    sizes: dict[int, int] = {}
-    tallies: dict[tuple[int, str, str], int] = {}
-    for cluster, patient in zip(labels, cohort.patients):
-        sizes[cluster] = sizes.get(cluster, 0) + 1
-        for var, category in zip(DEMOGRAPHICS, patient.demographics()):
-            key = (cluster, var, category)
-            tallies[key] = tallies.get(key, 0) + 1
-
-    rows = []
-    for cluster in sorted(sizes):
-        size = sizes[cluster]
-        for var, categories in DEMOGRAPHICS.items():
-            for cat in categories:
-                count = tallies.get((cluster, var, cat), 0)
-                rows.append([cluster, var, cat, count, size, fmt_pct(count, size)])
+    values = cohort.demographic_labels()
+    columns = [(var, cat) for var, categories in DEMOGRAPHICS.items() for cat in categories]
+    indicators = np.hstack(
+        [one_hot(values[var], categories) for var, categories in DEMOGRAPHICS.items()]
+    )
+    clusters, counts = cluster_counts(labels, indicators)
+    # every patient falls in exactly one sex category
+    sizes = counts[:, : len(DEMOGRAPHICS["sex"])].sum(axis=1).tolist()
+    rows = [
+        [cluster, var, cat, count, size, fmt_pct(count, size)]
+        for cluster, size, cluster_row in zip(clusters, sizes, counts.tolist())
+        for (var, cat), count in zip(columns, cluster_row)
+    ]
     header = ["cluster", "variable", "category", "count", "cluster_size", "pct"]
     return Artifact("demographics.csv", header, rows)
 
@@ -204,16 +190,12 @@ def demographic_breakdown(labels: Sequence[int], cohort: Cohort) -> Artifact:
 
 def cluster_crosstab(labels_a: Sequence[int], labels_b: Sequence[int]) -> Artifact:
     """Overlap counts between two labelings of the same patients, with totals."""
-    clusters_a = sorted(set(labels_a))
     clusters_b = sorted(set(labels_b))
-    counts = {(a, b): 0 for a in clusters_a for b in clusters_b}
-    for a, b in zip(labels_a, labels_b):
-        counts[(a, b)] += 1
-    rows: list[list[Any]] = []
-    for a in clusters_a:
-        row = [counts[(a, b)] for b in clusters_b]
-        rows.append([a, *row, sum(row)])
-    col_totals = [sum(counts[(a, b)] for a in clusters_a) for b in clusters_b]
+    clusters_a, counts = cluster_counts(labels_a, one_hot(labels_b, [str(b) for b in clusters_b]))
+    rows: list[list[Any]] = [
+        [a, *row, sum(row)] for a, row in zip(clusters_a, counts.tolist())
+    ]
+    col_totals = counts.sum(axis=0).tolist()
     rows.append(["col_total", *col_totals, sum(col_totals)])
     header = ["cluster_a"] + [f"b_{b}" for b in clusters_b] + ["row_total"]
     return Artifact("crosstab.csv", header, rows)
@@ -295,9 +277,9 @@ def emit_reports(
     """Write each table as CSV, then refresh the manifest.
 
     Returns the manifest mapping (also written to manifest.json): every
-    .csv and .json artifact in out_dir with its data row count and content
-    digest. File names and column orders are fixed, so reruns on identical
-    inputs are byte-identical.
+    .csv and .json artifact in out_dir with its content digest, and each
+    CSV's data row count. File names and column orders are fixed, so reruns
+    on identical inputs are byte-identical.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -306,21 +288,16 @@ def emit_reports(
     return write_manifest(out)
 
 
-def _count_rows(path: Path) -> int:
-    """Data rows of a CSV; top-level entries of a JSON object."""
-    if path.suffix == ".json":
-        return len(json.loads(path.read_text(encoding="utf-8")))
-    with read_table(path) as (_, rows):
-        return sum(1 for _ in rows)
-
-
 def write_manifest(out_dir: str | Path) -> dict[str, Any]:
+    """List every .csv and .json artifact with its digest; CSVs also with rows."""
     out = Path(out_dir)
     entries: dict[str, Any] = {}
     for path in sorted(out.iterdir()):
         if path.is_file() and path.suffix in (".csv", ".json") and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            entries[path.name] = {"rows": _count_rows(path), "sha256": digest}
+            entries[path.name] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            if path.suffix == ".csv":
+                with read_table(path) as (_, rows):
+                    entries[path.name]["rows"] = sum(1 for _ in rows)
     manifest = {"artifacts": entries}
     write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

@@ -1,6 +1,6 @@
 """Cluster validation statistics.
 
-Contingency tables over cluster assignments, Pearson chi-square tests
+Per-cluster count tables over cluster assignments, Pearson chi-square tests
 (optionally Yates-corrected for 2x2), a pairwise/all-clusters p-value grid,
 Bonferroni threshold adjustment, and multinomial logistic regression fit by
 Newton's method with HC0 sandwich standard errors.
@@ -39,43 +39,26 @@ class ChiSquareResult:
     expected_min: float
 
 
-def contingency(
-    labels: Sequence[int],
-    values: Sequence[str],
-    restrict: tuple[int, int] | None = None,
-    binarize: str | None = None,
-) -> ContingencyTable:
-    """Cluster-by-category count table.
+def cluster_counts(labels: Sequence[int], columns: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Sorted distinct clusters and, per cluster, the count of 1s in each column.
 
-    All-clusters mode tabulates every cluster; restrict=(i, j) keeps just
-    that pair; binarize collapses the variable to {category, rest}. A cluster
-    with no patients in scope is an error.
+    columns is an n x m 0/1 matrix whose rows align with labels; the counts
+    are an integer clusters x m matrix.
     """
-    labels = list(labels)
-    values = [str(v) for v in values]
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    clusters = sorted(set(labels))
-    if restrict is not None:
-        i, j = restrict
-        if i not in clusters or j not in clusters:
-            raise ValueError(f"restricted cluster pair {restrict} not present")
-        clusters = sorted((i, j))
-    if binarize is not None:
-        cats = [binarize, f"not_{binarize}"]
-        values = [binarize if v == binarize else f"not_{binarize}" for v in values]
-    else:
-        cats = sorted(set(values))
-    cat_idx = {c: m for m, c in enumerate(cats)}
-    cl_idx = {c: m for m, c in enumerate(clusters)}
-    counts = np.zeros((len(clusters), len(cats)), dtype=np.int64)
-    for lab, val in zip(labels, values):
-        if lab in cl_idx:
-            counts[cl_idx[lab], cat_idx[val]] += 1
-    if (counts.sum(axis=1) == 0).any():
-        empty = [c for c in clusters if counts[cl_idx[c]].sum() == 0]
-        raise ValueError(f"empty cluster(s) in scope: {empty}")
-    return ContingencyTable(counts, [str(c) for c in clusters], cats)
+    labels = np.asarray(labels)
+    columns = np.asarray(columns)
+    if columns.ndim != 2 or len(labels) != columns.shape[0]:
+        raise ValueError("labels and columns must align")
+    order = np.argsort(labels, kind="stable")
+    clusters, starts = np.unique(labels[order], return_index=True)
+    counts = np.add.reduceat(columns[order], starts, axis=0, dtype=np.int64)
+    return clusters.tolist(), counts
+
+
+def one_hot(values: Sequence[str], categories: Sequence[str]) -> np.ndarray:
+    """n x len(categories) 0/1 matrix: entry 1 iff str(value) is that category."""
+    values = np.asarray(values, dtype=str)
+    return (values[:, None] == np.asarray(categories, dtype=str)[None, :]).astype(np.uint8)
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -179,15 +162,6 @@ def pair_keys(clusters: Sequence[int]) -> list[str]:
     ]
 
 
-def _grid_cell(labels, values, restrict, binarize, yates) -> CellResult:
-    try:
-        table = contingency(labels, values, restrict=restrict, binarize=binarize)
-        result = chi_square_test(table, yates=yates)
-        return CellResult(p_value=result.p_value, statistic=result.statistic)
-    except ValueError as exc:
-        return CellResult(p_value=None, error=str(exc))
-
-
 def pairwise_test_grid(
     labels: Sequence[int],
     variables: Sequence[VariableSpec],
@@ -196,29 +170,41 @@ def pairwise_test_grid(
     """P-values for every cluster pair plus the all-clusters omnibus test.
 
     For each variable: one row on the full category split, then (when the
-    variable expands) one binarized row per category. Untestable cells carry
-    their error and a None p-value; the grid is emitted regardless.
+    variable expands) one binarized (category vs rest) row per category.
+    Every cell slices the variable's one cluster x category count table.
+    Untestable cells carry their error and a None p-value; the grid is
+    emitted regardless.
     """
     clusters = sorted(set(labels))
     if len(clusters) < 2:
         raise ValueError("pairwise grid needs at least 2 clusters")
-    pairs = [(a, b) for i, a in enumerate(clusters) for b in clusters[i + 1 :]]
+    names = [str(c) for c in clusters]
+    k = len(clusters)
+    pairs = [[i, j] for i in range(k) for j in range(i + 1, k)]
+    # (cell key, table rows in scope)
+    scopes = [*zip(pair_keys(clusters), pairs), (ALL_CLUSTERS, list(range(k)))]
     rows: list[GridRow] = []
     for spec in variables:
-        row = GridRow(variable=spec.name, category=None)
-        for a, b in pairs:
-            row.cells[f"{a}_vs_{b}"] = _grid_cell(labels, spec.values, (a, b), None, yates)
-        row.cells[ALL_CLUSTERS] = _grid_cell(labels, spec.values, None, None, yates)
-        rows.append(row)
+        categories = sorted(set(spec.values))
+        _, counts = cluster_counts(labels, one_hot(spec.values, categories))
+        tables = [(None, counts, categories)]
         if spec.expand_categories:
             for cat in spec.ordered_categories():
-                row = GridRow(variable=spec.name, category=cat)
-                for a, b in pairs:
-                    row.cells[f"{a}_vs_{b}"] = _grid_cell(
-                        labels, spec.values, (a, b), cat, yates
+                column = counts[:, [categories.index(cat)]]
+                split = np.hstack([column, counts.sum(axis=1, keepdims=True) - column])
+                tables.append((cat, split, [cat, f"not_{cat}"]))
+        for category, table, columns in tables:
+            row = GridRow(variable=spec.name, category=category)
+            for key, idx in scopes:
+                try:
+                    result = chi_square_test(
+                        ContingencyTable(table[idx], [names[i] for i in idx], columns),
+                        yates=yates,
                     )
-                row.cells[ALL_CLUSTERS] = _grid_cell(labels, spec.values, None, cat, yates)
-                rows.append(row)
+                    row.cells[key] = CellResult(p_value=result.p_value, statistic=result.statistic)
+                except ValueError as exc:
+                    row.cells[key] = CellResult(p_value=None, error=str(exc))
+            rows.append(row)
     return rows
 
 
@@ -474,16 +460,13 @@ def expand_categorical(
     category (sorted) takes its place so the design stays full rank; the
     reference actually used is returned.
     """
-    values = [str(v) for v in values]
-    present = sorted(set(values))
+    present = sorted(set(str(v) for v in values))
     if reference not in present:
         log.warning(
             "expand_categorical: reference %r absent; using %r", reference, present[0]
         )
         reference = present[0]
     cats = [c for c in present if c != reference]
-    cols = np.zeros((len(values), len(cats)))
-    for j, cat in enumerate(cats):
-        cols[:, j] = [1.0 if v == cat else 0.0 for v in values]
+    cols = one_hot(values, cats).astype(np.float64)
     names = [f"{prefix}{c}" if prefix else c for c in cats]
     return cols, names, reference

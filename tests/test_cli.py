@@ -186,6 +186,24 @@ def test_removed_plan_keys_rejected(tmp_path, capsys):
         pytest.param({"cluster": {"tol": -1e-4}}, "cluster.tol", id="tol-negative"),
         pytest.param({"elbow": {"tol": "1e-4"}}, "elbow.tol", id="tol-string"),
         pytest.param({"ingest": {"exclusions": "401.1"}}, "ingest.exclusions", id="exclusions-string"),
+        pytest.param(
+            {"cohort": {"window_start": "2021-01-31", "window_end": "2012-01-01"}},
+            "cohort.window_end",
+            id="window-reversed",
+        ),
+        pytest.param({"out_dir": 5}, "out_dir", id="out-dir-int"),
+        pytest.param({"synth": {"profiles": 5}}, "synth.profiles", id="profiles-int"),
+        pytest.param(
+            {"ingest": {"exclusions": [401.1]}}, "ingest.exclusions", id="exclusions-float"
+        ),
+        pytest.param({"drugs": {"selected": [5]}}, "drugs.selected", id="selected-int"),
+        pytest.param({"cohort": {"ad_codes": [331.0]}}, "cohort.ad_codes", id="ad-codes-float"),
+        pytest.param(
+            {"mlr": {"reference_cluster": True}}, "mlr.reference_cluster", id="reference-bool"
+        ),
+        pytest.param(
+            {"mlr": {"reference_cluster": -1}}, "mlr.reference_cluster", id="reference-negative"
+        ),
     ],
 )
 def test_validation_rejects_bad_values(tmp_path, capsys, override, key):

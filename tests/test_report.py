@@ -370,7 +370,8 @@ def test_manifest_lists_extras_and_skips_itself(tmp_path):
     assert "manifest.json" not in names
     assert "notes.txt" not in names
     assert manifest["artifacts"]["zz_extra.csv"]["rows"] == 2
-    assert manifest["artifacts"]["zz_extra.json"]["rows"] == 2
+    # JSON artifacts carry only their digest; nothing parses them
+    assert list(manifest["artifacts"]["zz_extra.json"]) == ["sha256"]
 
 
 def test_write_text_failure_is_runtime_error(tmp_path):

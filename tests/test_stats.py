@@ -1,6 +1,7 @@
-"""Contingency tests, chi-square, Bonferroni, the p-value grid, and MLR."""
+"""Cluster counts, chi-square, Bonferroni, the p-value grid, and MLR."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,51 +9,40 @@ import scipy.stats
 
 from adsubtype.stats import (
     ALL_CLUSTERS,
+    ContingencyTable,
     VariableSpec,
     bonferroni_threshold,
     chi2_sf,
     chi_square_test,
-    contingency,
+    cluster_counts,
     expand_categorical,
     fit_multinomial_logit,
     mlr_gradient,
+    one_hot,
     pair_keys,
     pairwise_test_grid,
 )
 
 # ---------------------------------------------------------------------------
-# contingency
+# cluster counts
 # ---------------------------------------------------------------------------
 
 
-def test_contingency_basic():
-    labels = [0, 0, 0, 1, 1, 2]
+def test_cluster_counts_basic():
+    labels = [2, 0, 0, 1, 1, 0]
     values = ["a", "a", "b", "b", "b", "a"]
-    t = contingency(labels, values)
-    assert t.row_labels == ["0", "1", "2"]
-    assert t.col_labels == ["a", "b"]
-    assert t.counts.tolist() == [[2, 1], [0, 2], [1, 0]]
+    indicators = one_hot(values, ["a", "b"])
+    assert indicators.tolist() == [[1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [1, 0]]
+    clusters, counts = cluster_counts(labels, indicators)
+    assert clusters == [0, 1, 2]
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [[2, 1], [0, 2], [1, 0]]
 
 
-def test_contingency_restrict_and_binarize():
-    labels = [0, 0, 1, 1, 2, 2]
-    values = ["a", "b", "b", "c", "a", "c"]
-    t = contingency(labels, values, restrict=(0, 2))
-    assert t.row_labels == ["0", "2"]
-    assert t.counts.sum() == 4
-    t2 = contingency(labels, values, binarize="a")
-    assert t2.col_labels == ["a", "not_a"]
-    assert t2.counts[:, 0].tolist() == [1, 0, 1]
-
-
-def test_contingency_errors():
+def test_cluster_counts_and_table_errors():
     with pytest.raises(ValueError, match="align"):
-        contingency([0, 1], ["a"])
-    with pytest.raises(ValueError, match="not present"):
-        contingency([0, 1], ["a", "b"], restrict=(0, 5))
+        cluster_counts([0, 1], one_hot(["a"], ["a"]))
     with pytest.raises(ValueError, match="nonnegative"):
-        from adsubtype.stats import ContingencyTable
-
         ContingencyTable(np.array([[1, -1], [0, 2]]), ["0", "1"], ["a", "b"])
 
 
@@ -62,8 +52,7 @@ def test_contingency_errors():
 
 
 def test_chi_square_hand_derived_2x2():
-    t = contingency([0] * 30 + [1] * 30, ["a"] * 10 + ["b"] * 20 + ["a"] * 20 + ["b"] * 10)
-    assert t.counts.tolist() == [[10, 20], [20, 10]]
+    t = ContingencyTable(np.array([[10, 20], [20, 10]]), ["0", "1"], ["a", "b"])
     plain = chi_square_test(t, yates=False)
     assert plain.statistic == pytest.approx(20 / 3, abs=1e-4)
     assert plain.p_value == pytest.approx(0.00982, abs=1e-4)
@@ -216,13 +205,70 @@ def test_pairwise_grid_untestable_cells_carry_errors():
         assert cell.error
 
 
+def _counter_test(labels, values, scope, binarize, yates):
+    """The chi-square of one grid cell, tabulated independently with Counter."""
+    if binarize is not None:
+        values = [v if v == binarize else f"not_{binarize}" for v in values]
+        categories = [binarize, f"not_{binarize}"]
+    else:
+        categories = sorted(set(values))
+    tally = Counter(zip(labels, values))
+    counts = np.array([[tally[(c, v)] for v in categories] for c in scope])
+    return chi_square_test(
+        ContingencyTable(counts, [str(c) for c in scope], categories), yates=yates
+    )
+
+
 def test_pairwise_grid_pair_matches_direct_test():
     labels, sex, _ = _demo_labels_values()
     grid = pairwise_test_grid(labels, [VariableSpec("sex", tuple(sex))], yates=True)
-    direct = chi_square_test(contingency(labels, sex, restrict=(0, 1)), yates=True)
+    direct = _counter_test(labels, sex, (0, 1), None, yates=True)
     cell = grid[0].cells["0_vs_1"]
     assert cell.statistic == direct.statistic
     assert cell.p_value == direct.p_value
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pairwise_grid_matches_counter_oracle(seed):
+    rng = np.random.default_rng(seed)
+    k = 3 + seed % 3
+    n = 60 * k
+    labels = rng.integers(0, k, n).tolist()
+    common = ["w", "x", "y", "z"]
+    mixed = [common[i] for i in rng.choice(4, n, p=[0.4, 0.3, 0.2, 0.1])]
+    # "rare" occurs only in cluster 0, so pairs without it have a zero column
+    rare = ["rare" if lab == 0 and rng.random() < 0.3 else "common" for lab in labels]
+    specs = [
+        VariableSpec("mixed", tuple(mixed), expand_categories=True),
+        VariableSpec("constant", ("same",) * n, expand_categories=True),
+        VariableSpec(
+            "rare", tuple(rare), expand_categories=True, category_order=("rare", "common")
+        ),
+    ]
+    yates = bool(seed % 2)
+    grid = pairwise_test_grid(labels, specs, yates=yates)
+
+    clusters = sorted(set(labels))
+    scopes = {f"{a}_vs_{b}": (a, b) for i, a in enumerate(clusters) for b in clusters[i + 1 :]}
+    scopes[ALL_CLUSTERS] = tuple(clusters)
+    expected = [(spec, cat) for spec in specs for cat in [None, *spec.ordered_categories()]]
+    assert [(row.variable, row.category) for row in grid] == [(s.name, c) for s, c in expected]
+    untestable = 0
+    for row, (spec, _) in zip(grid, expected):
+        assert list(row.cells) == list(scopes)
+        for key, scope in scopes.items():
+            cell = row.cells[key]
+            try:
+                direct = _counter_test(labels, spec.values, scope, row.category, yates)
+            except ValueError as exc:
+                untestable += 1
+                assert cell.p_value is None and cell.statistic is None
+                assert cell.error == str(exc)
+                continue
+            assert cell.error is None
+            assert cell.statistic == direct.statistic
+            assert cell.p_value == direct.p_value
+    assert 0 < untestable < len(grid) * len(scopes)
 
 
 def test_pairwise_grid_needs_two_clusters():
