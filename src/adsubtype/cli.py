@@ -25,8 +25,9 @@ import copy
 import gc
 import json
 import logging
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -87,73 +88,161 @@ from .stats import (
     pairwise_test_grid,
 )
 from .synth import generate_cohort, load_profiles, demo_profiles
-from .table import read_table, write_text
+from .table import read_table, write_json, write_text
 
 log = logging.getLogger("adsubtype")
 
-DEFAULT_CONFIG: dict[str, Any] = {
-    "seed": 0,
-    "out_dir": "out",
-    "threads": 1,
-    "cohort": {
-        "min_age_years": 20,
-        "window_start": "2012-01-01",
-        "window_end": "2021-01-31",
-        "slot_count": 6,
-        "slot_days": 183,
-        "ad_codes": None,
-    },
-    "synth": {
-        "n_patients": 2000,
-        "profiles": "demo",
-    },
-    "ingest": {
-        "demographics": None,
-        "diagnoses": None,
-        "prescriptions": None,
-        "deaths": None,
-        "phecode_map": None,
-        "vocabulary": "ranked",
-        "review_size": 60,
-        "keep": 40,
-        "exclusions": [],
-    },
-    "elbow": {
-        "kmin": 1,
-        "kmax": 10,
-        "restarts": 10,
-        "max_iter": 300,
-        "tol": 1e-4,
-    },
-    "cluster": {
-        "k": None,
-        "gamma": None,
-        "restarts": 10,
-        "max_iter": 300,
-        "tol": 1e-4,
-        "knn_sparsify": None,
-    },
-    "stats": {
-        "yates": True,
-        "alpha": 0.05,
-        "bonferroni_m": 15,
-    },
-    "mlr": {
-        "reference_cluster": 0,
-        "sex_reference": "Female",
-        "race_reference": "American Indian or Alaska Native",
-        "age_reference": "<65",
-    },
-    "drugs": {
-        "atc_map": None,
-        "selected": None,
-        "top": 13,
-    },
-    "report": {
-        "top_k": 20,
-        "temporal_denominator": "slot_active",
-    },
-}
+
+@dataclass(frozen=True)
+class Kind:
+    """A named value check: `test` accepts a value, `text` ends "<key> must be ...".
+
+    On a file kind, every accepted string except `keywords` names an input
+    file, which validate_config requires to exist.
+    """
+
+    text: str
+    test: Callable[[Any], bool]
+    names_file: bool = False
+    keywords: tuple[str, ...] = ()
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_str_list(v: Any) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _is_iso_date(v: Any) -> bool:
+    try:
+        date.fromisoformat(v)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def int_at_least(least: int) -> Kind:
+    return Kind(f"an integer >= {least}", lambda v: _is_int(v) and v >= least)
+
+
+def nullable(kind: Kind) -> Kind:
+    return replace(kind, text=f"null or {kind.text}", test=lambda v: v is None or kind.test(v))
+
+
+def one_of(*choices: str) -> Kind:
+    text = "one of " + ", ".join(json.dumps(c) for c in choices)
+    return Kind(text, lambda v: isinstance(v, str) and v in choices)
+
+
+def input_file(*keywords: str) -> Kind:
+    """A path to an existing file, or one of the keywords."""
+    text = " or ".join([*(json.dumps(k) for k in keywords), "a path string"])
+    return Kind(text, lambda v: isinstance(v, str), names_file=True, keywords=keywords)
+
+
+NONNEG_INT = int_at_least(0)
+POS_INT = int_at_least(1)
+NONNEG_NUMBER = Kind("a number >= 0", lambda v: _is_number(v) and v >= 0)
+POS_NUMBER = Kind("a number > 0", lambda v: _is_number(v) and v > 0)
+OPEN_UNIT = Kind("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1)
+BOOL = Kind("true or false", lambda v: isinstance(v, bool))
+ISO_DATE = Kind("an ISO date string", _is_iso_date)
+PATH = Kind("a path string", lambda v: isinstance(v, str))
+STRINGS = Kind("a list of strings", _is_str_list)
+NONEMPTY_STRINGS = Kind("a non-empty list of strings", lambda v: _is_str_list(v) and len(v) > 0)
+FILE = input_file()
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config value: its dotted name, default and check."""
+
+    name: str
+    default: Any
+    kind: Kind
+
+    def get(self, cfg: Mapping[str, Any]) -> Any:
+        section, _, leaf = self.name.rpartition(".")
+        return (cfg[section] if section else cfg)[leaf]
+
+
+# Every config value, in the order errors are reported.
+CONFIG_KEYS = (
+    Key("seed", 0, NONNEG_INT),
+    Key("out_dir", "out", PATH),
+    Key("threads", 1, POS_INT),
+    Key("cohort.min_age_years", 20, NONNEG_INT),
+    Key("cohort.window_start", "2012-01-01", ISO_DATE),
+    Key("cohort.window_end", "2021-01-31", ISO_DATE),
+    Key("cohort.slot_count", 6, POS_INT),
+    Key("cohort.slot_days", 183, POS_INT),
+    Key("cohort.ad_codes", None, nullable(NONEMPTY_STRINGS)),
+    Key("synth.n_patients", 2000, POS_INT),
+    Key("synth.profiles", "demo", input_file("demo")),
+    Key("ingest.demographics", None, nullable(FILE)),
+    Key("ingest.diagnoses", None, nullable(FILE)),
+    Key("ingest.prescriptions", None, nullable(FILE)),
+    Key("ingest.deaths", None, nullable(FILE)),
+    Key("ingest.phecode_map", None, nullable(FILE)),
+    Key("ingest.vocabulary", "ranked", input_file("ranked", "bundled")),
+    Key("ingest.review_size", 60, POS_INT),
+    Key("ingest.keep", 40, POS_INT),
+    Key("ingest.exclusions", [], STRINGS),
+    Key("elbow.kmin", 1, POS_INT),
+    Key("elbow.kmax", 10, POS_INT),
+    Key("elbow.restarts", 10, POS_INT),
+    Key("elbow.max_iter", 300, POS_INT),
+    Key("elbow.tol", 1e-4, NONNEG_NUMBER),
+    Key("cluster.k", None, nullable(POS_INT)),
+    Key("cluster.gamma", None, nullable(POS_NUMBER)),
+    Key("cluster.restarts", 10, POS_INT),
+    Key("cluster.max_iter", 300, POS_INT),
+    Key("cluster.tol", 1e-4, NONNEG_NUMBER),
+    Key("cluster.knn_sparsify", None, nullable(POS_INT)),
+    Key("stats.yates", True, BOOL),
+    Key("stats.alpha", 0.05, OPEN_UNIT),
+    Key("stats.bonferroni_m", 15, POS_INT),
+    Key("mlr.reference_cluster", 0, NONNEG_INT),
+    Key("mlr.sex_reference", "Female", one_of(*DEMOGRAPHICS["sex"])),
+    Key("mlr.race_reference", "American Indian or Alaska Native", one_of(*DEMOGRAPHICS["race"])),
+    Key("mlr.age_reference", "<65", one_of(*DEMOGRAPHICS["age_group"])),
+    Key("drugs.atc_map", None, nullable(FILE)),
+    Key("drugs.selected", None, nullable(STRINGS)),
+    Key("drugs.top", 13, POS_INT),
+    Key("report.top_k", 20, POS_INT),
+    Key("report.temporal_denominator", "slot_active", one_of("slot_active", "cluster_size")),
+)
+
+
+def _dates_ascending(start: str, end: str) -> bool:
+    return date.fromisoformat(start) < date.fromisoformat(end)
+
+
+# (first key, second key, holds(first, second), problem); a rule is checked
+# only once both of its keys have passed their own checks
+CROSS_KEY_RULES = (
+    ("cohort.window_start", "cohort.window_end", _dates_ascending,
+     "cohort.window_end must be after cohort.window_start"),
+    ("ingest.keep", "ingest.review_size", operator.le, "ingest.keep must be <= review_size"),
+    ("elbow.kmin", "elbow.kmax", operator.lt, "elbow.kmin must be < kmax"),
+)
+
+
+def _default_config() -> dict[str, Any]:
+    config: dict[str, Any] = {}
+    for key in CONFIG_KEYS:
+        section, _, leaf = key.name.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[leaf] = key.default
+    return config
+
+
+DEFAULT_CONFIG = _default_config()
 
 
 class ConfigError(Exception):
@@ -192,142 +281,26 @@ def load_config(path: str | None) -> dict:
     return merge_config(DEFAULT_CONFIG, data)
 
 
-def _require(cond: bool, message: str, problems: list[str]) -> None:
-    if not cond:
-        problems.append(message)
-
-
-def _is_int(v: Any, least: int = 1) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
-
-
-def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_kmeans(section: str, cfg: dict, problems: list[str]) -> None:
-    _require(_is_int(cfg["restarts"]), f"{section}.restarts must be >= 1", problems)
-    _require(_is_int(cfg["max_iter"]), f"{section}.max_iter must be an integer >= 1", problems)
-    _require(
-        _is_number(cfg["tol"]) and cfg["tol"] >= 0, f"{section}.tol must be a number >= 0", problems
-    )
-
-
-def _is_str_list(v: Any) -> bool:
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-
 def validate_config(cfg: dict) -> list[str]:
+    """Every problem with cfg, in CONFIG_KEYS order, then the cross-key rules."""
     problems: list[str] = []
-    _require(_is_int(cfg["seed"], least=0), "seed must be a nonnegative integer", problems)
-    _require(_is_int(cfg["threads"]), "threads must be a positive integer", problems)
-    _require(isinstance(cfg["out_dir"], str), "out_dir must be a path string", problems)
-
-    co = cfg["cohort"]
-    _require(_is_int(co["slot_count"]), "cohort.slot_count must be >= 1", problems)
-    _require(_is_int(co["slot_days"]), "cohort.slot_days must be >= 1", problems)
-    _require(
-        _is_int(co["min_age_years"], least=0),
-        "cohort.min_age_years must be a nonnegative integer",
-        problems,
-    )
-    window = []
-    for key in ("window_start", "window_end"):
-        try:
-            window.append(date.fromisoformat(co[key]))
-        except (TypeError, ValueError):
-            problems.append(f"cohort.{key} must be an ISO date string")
-    if len(window) == 2:
-        _require(
-            window[0] < window[1], "cohort.window_end must be after cohort.window_start", problems
-        )
-    if co["ad_codes"] is not None and not (_is_str_list(co["ad_codes"]) and co["ad_codes"]):
-        problems.append("cohort.ad_codes must be null or a non-empty list of ICD code strings")
-
-    _require(_is_int(cfg["synth"]["n_patients"]), "synth.n_patients must be >= 1", problems)
-    _require(
-        isinstance(cfg["synth"]["profiles"], str),
-        "synth.profiles must be \"demo\" or a path string",
-        problems,
-    )
-
-    ing = cfg["ingest"]
-    _require(_is_int(ing["review_size"]), "ingest.review_size must be >= 1", problems)
-    _require(_is_int(ing["keep"]), "ingest.keep must be >= 1", problems)
-    if isinstance(ing["review_size"], int) and isinstance(ing["keep"], int):
-        _require(ing["keep"] <= ing["review_size"], "ingest.keep must be <= review_size", problems)
-    _require(
-        _is_str_list(ing["exclusions"]), "ingest.exclusions must be a list of phecode strings",
-        problems,
-    )
-
-    el = cfg["elbow"]
-    _require(_is_int(el["kmin"]) and _is_int(el["kmax"]), "elbow.kmin/kmax must be >= 1", problems)
-    if _is_int(el["kmin"]) and _is_int(el["kmax"]):
-        _require(el["kmin"] < el["kmax"], "elbow.kmin must be < kmax", problems)
-    _check_kmeans("elbow", el, problems)
-
-    cl = cfg["cluster"]
-    if cl["k"] is not None:
-        _require(_is_int(cl["k"]), "cluster.k must be null or >= 1", problems)
-    if cl["gamma"] is not None:
-        _require(
-            _is_number(cl["gamma"]) and cl["gamma"] > 0,
-            "cluster.gamma must be null or > 0",
-            problems,
-        )
-    if cl["knn_sparsify"] is not None:
-        _require(_is_int(cl["knn_sparsify"]), "cluster.knn_sparsify must be null or >= 1", problems)
-    _check_kmeans("cluster", cl, problems)
-
-    st = cfg["stats"]
-    _require(isinstance(st["yates"], bool), "stats.yates must be boolean", problems)
-    _require(
-        isinstance(st["alpha"], (int, float)) and 0 < st["alpha"] < 1,
-        "stats.alpha must be in (0,1)",
-        problems,
-    )
-    _require(_is_int(st["bonferroni_m"]), "stats.bonferroni_m must be >= 1", problems)
-
-    _require(
-        _is_int(cfg["mlr"]["reference_cluster"], least=0),
-        "mlr.reference_cluster must be a nonnegative integer",
-        problems,
-    )
-
-    dr = cfg["drugs"]
-    _require(_is_int(dr["top"]), "drugs.top must be >= 1", problems)
-    if dr["selected"] is not None and not _is_str_list(dr["selected"]):
-        problems.append("drugs.selected must be null or a list of ATC3 code strings")
-
-    rp = cfg["report"]
-    _require(_is_int(rp["top_k"]), "report.top_k must be >= 1", problems)
-    _require(
-        rp["temporal_denominator"] in ("slot_active", "cluster_size"),
-        "report.temporal_denominator must be slot_active|cluster_size",
-        problems,
-    )
-
-    # external files named in the config must exist up front
-    external = [
-        ("ingest.phecode_map", ing["phecode_map"]),
-        ("drugs.atc_map", dr["atc_map"]),
-    ]
-    if isinstance(cfg["synth"]["profiles"], str) and cfg["synth"]["profiles"] != "demo":
-        external.append(("synth.profiles", cfg["synth"]["profiles"]))
-    if ing["vocabulary"] not in ("ranked", "bundled"):
-        external.append(("ingest.vocabulary", ing["vocabulary"]))
-    for name in ("demographics", "diagnoses", "prescriptions", "deaths"):
-        if ing[name] is not None:
-            external.append((f"ingest.{name}", ing[name]))
-    for label, value in external:
-        if value is None:
+    valid: dict[str, Any] = {}
+    for key in CONFIG_KEYS:
+        value = key.get(cfg)
+        if not key.kind.test(value):
+            problems.append(f"{key.name} must be {key.kind.text}")
             continue
-        if not isinstance(value, str):
-            problems.append(f"{label} must be a path string")
-        elif not Path(value).exists():
-            problems.append(f"{label}: file not found: {value}")
-
+        valid[key.name] = value
+        if (
+            key.kind.names_file
+            and value is not None
+            and value not in key.kind.keywords
+            and not Path(value).exists()
+        ):
+            problems.append(f"{key.name}: file not found: {value}")
+    for first, second, holds, problem in CROSS_KEY_RULES:
+        if first in valid and second in valid and not holds(valid[first], valid[second]):
+            problems.append(problem)
     return problems
 
 
@@ -578,10 +551,7 @@ def stage_stats(ctx: Context) -> list[str]:
         "clusters": clusters,
     }
     written = [ctx.write(formatted), ctx.write(raw)]
-    write_text(
-        ctx.path("stats_summary.json"),
-        json.dumps(summary, sort_keys=True, indent=2) + "\n",
-    )
+    write_json(ctx.path("stats_summary.json"), summary)
     written.append("stats_summary.json")
     return written
 
@@ -614,7 +584,7 @@ def stage_mlr(ctx: Context) -> list[str]:
     written = [ctx.write(render_mlr(fit))]
     summary = mlr_summary_json(fit)
     summary["references"] = references
-    write_text(ctx.path("mlr.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(ctx.path("mlr.json"), summary)
     written.append("mlr.json")
     return written
 
@@ -751,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "all" else "run every stage")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--out", help="override output directory")
+        p.add_argument("--out", dest="out_dir", help="override output directory")
         p.add_argument("--threads", type=int, help="worker threads for the k-means restarts")
         p.add_argument(
             "--dry-run", action="store_true", help="print the plan without writing"
@@ -769,12 +739,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out_dir"] = args.out
-    if args.threads is not None:
-        cfg["threads"] = args.threads
+    for key in ("seed", "out_dir", "threads"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
 
     problems = validate_config(cfg)
     if problems:
@@ -791,17 +758,13 @@ def main(argv=None) -> int:
         return 0
 
     out = Path(cfg["out_dir"])
-    semantic = semantic_config(cfg)
     meta = ArtifactMeta(
         version=__version__, seed=cfg["seed"], config_digest=config_hash(cfg)
     )
     ctx = Context(cfg=cfg, out=out, meta=meta)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_text(
-            ctx.path("effective_config.json"),
-            json.dumps(semantic, sort_keys=True, indent=2) + "\n",
-        )
+        write_json(ctx.path("effective_config.json"), semantic_config(cfg))
     except (OSError, RuntimeError) as exc:
         print(f"error: cannot prepare output directory: {exc}", file=sys.stderr)
         return 1

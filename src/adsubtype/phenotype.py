@@ -245,12 +245,24 @@ def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str | None = None) ->
 
 
 def read_feature_csv(path: Path) -> FeatureMatrix:
+    """Read a features CSV; a row whose field count differs from the
+    header's, or with a cell other than "0" or "1", is a ValueError."""
     pids: list[str] = []
-    rows: list[list[int]] = []
+    cells: list[str] = []  # each row's cells joined, one character per cell
     with read_table(path) as (header, data):
-        for _, fields in data:
+        width = len(header) - 1
+        for lineno, fields in data:
+            if len(fields) != len(header):
+                problem = f"{len(fields)} fields, header has {len(header)}"
+                raise ValueError(f"{path}: line {lineno}: {problem}")
+            row = "".join(fields[1:])
+            # width characters, all 0 or 1, over width non-empty cells: one each
+            if len(row) != width or row.strip("01") or "" in fields[1:]:
+                raise ValueError(f"{path}: line {lineno}: feature cells must be 0 or 1")
             pids.append(fields[0])
-            rows.append([int(v) for v in fields[1:]])
+            cells.append(row)
+    buf = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8)
+    values = buf.reshape(len(pids), width) - np.uint8(ord("0"))
     columns: list[tuple[str, int | None]] = []
     layout = AGGREGATE
     for label in header[1:]:
@@ -260,7 +272,6 @@ def read_feature_csv(path: Path) -> FeatureMatrix:
             layout = TEMPORAL
         else:
             columns.append((label, None))
-    values = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, len(columns)), dtype=np.uint8)
     slot_count = max((s for _, s in columns if s is not None), default=None)
     return FeatureMatrix(pids, layout, values, columns, slot_count=slot_count)
 

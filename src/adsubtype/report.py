@@ -23,7 +23,7 @@ import numpy as np
 from .cohort import DEMOGRAPHICS, Cohort
 from .phenotype import AGGREGATE, FeatureMatrix
 from .stats import ALL_CLUSTERS, GridRow, MlrFit, cluster_counts, one_hot, pair_keys
-from .table import read_table, render_table, write_text
+from .table import read_table, render_table, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -299,5 +299,5 @@ def write_manifest(out_dir: str | Path) -> dict[str, Any]:
                 with read_table(path) as (_, rows):
                     entries[path.name]["rows"] = sum(1 for _ in rows)
     manifest = {"artifacts": entries}
-    write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(out / "manifest.json", manifest)
     return manifest

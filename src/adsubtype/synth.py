@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -215,12 +215,16 @@ class SyntheticData:
         return list(tables)
 
 
-def _draw_categorical(rng: np.random.Generator, dist: Mapping[str, float]) -> str:
+def _categorical(dist: Mapping[str, float]) -> Callable[[np.random.Generator], str]:
+    """One draw from dist per call; labels are taken in sorted order."""
     items = sorted(dist.items())
     cum = np.cumsum([p for _, p in items])
-    u = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return items[min(idx, len(items) - 1)][0]
+
+    def draw(rng: np.random.Generator) -> str:
+        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        return items[min(idx, len(items) - 1)][0]
+
+    return draw
 
 
 def _anniversary(base: date, years_back: int) -> date:
@@ -282,6 +286,20 @@ def generate_cohort(
     ad_codes = sorted(config.ad_code_set)
     slot_days = config.slot_days
 
+    # per profile, in draw order: the sex, race and age-group distributions,
+    # each planted condition's (probability, first day of its slot, ICD pool)
+    # and each drug class's (probability, RxCUI pool)
+    plans = []
+    for profile in profiles:
+        planted = []
+        for (code, slot), p in sorted(profile.condition_slot_prob.items()):
+            if slot > config.slot_count:
+                raise ValueError(f"profile {profile.name}: slot {slot} beyond {config.slot_count}")
+            planted.append((p, (slot - 1) * slot_days, code_pool[code]))
+        drugs = [(p, rx_pool[atc3]) for atc3, p in sorted(profile.drug_class_probs.items())]
+        plans.append((_categorical(profile.sex_dist), _categorical(profile.race_dist),
+                      _categorical(profile.age_dist), planted, drugs))
+
     patients: list[PatientRecord] = []
     diagnoses: list[DiagnosisEvent] = []
     prescriptions: list[PrescriptionEvent] = []
@@ -297,10 +315,10 @@ def generate_cohort(
         profile = profiles[k]
         truth[pid] = k
 
-        sex = Sex(_draw_categorical(rng, profile.sex_dist))
-        race = Race(_draw_categorical(rng, profile.race_dist))
-        group = _draw_categorical(rng, profile.age_dist)
-        lo, hi = _AGE_RANGES[group]
+        draw_sex, draw_race, draw_age_group, planted, drugs = plans[k]
+        sex = Sex(draw_sex(rng))
+        race = Race(draw_race(rng))
+        lo, hi = _AGE_RANGES[draw_age_group(rng)]
         age = int(rng.integers(lo, hi + 1))
 
         index_date = config.window_start + timedelta(days=int(rng.integers(0, window_days + 1)))
@@ -310,14 +328,11 @@ def generate_cohort(
         ad_system = CodeSystem.ICD9 if ad_code.replace(".", "").isdigit() else CodeSystem.ICD10CM
         diagnoses.append(DiagnosisEvent(pid, ad_code, ad_system, index_date))
 
-        for (code, slot), p in sorted(profile.condition_slot_prob.items()):
-            if slot > config.slot_count:
-                raise ValueError(f"profile {profile.name}: slot {slot} beyond {config.slot_count}")
+        for p, first_day, pool in planted:
             if rng.random() >= p:
                 continue
-            day = (slot - 1) * slot_days + int(rng.integers(0, slot_days))
+            day = first_day + int(rng.integers(0, slot_days))
             event_date = index_date - timedelta(days=day)
-            pool = code_pool[code]
             icd, system = pool[int(rng.integers(0, len(pool)))]
             diagnoses.append(DiagnosisEvent(pid, icd, system, event_date))
 
@@ -326,11 +341,10 @@ def generate_cohort(
         if died:
             death_date = index_date + timedelta(days=int(rng.integers(30, 1096)))
 
-        for atc3, p in sorted(profile.drug_class_probs.items()):
+        for p, pool in drugs:
             if rng.random() >= p:
                 continue
             rx_date = index_date + timedelta(days=int(rng.integers(0, 366)))
-            pool = rx_pool[atc3]
             rxcui = pool[int(rng.integers(0, len(pool)))]
             prescriptions.append(PrescriptionEvent(pid, rxcui, rx_date))
 

@@ -5,13 +5,15 @@ Writers emit a single '# meta' line, the header and the rows, each ending in
 '\\n', in UTF-8. Every artifact write replaces its target atomically: the
 bytes go to '<name>.tmp' in the same directory, a suffix the manifest never
 lists, and are renamed over the target only once complete, so a write that
-fails part-way leaves the previous file in place.
+fails part-way leaves the previous file in place. JSON artifacts are
+written through write_json, with the same atomic replace.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -85,3 +87,8 @@ def write_text(path: str | Path, text: str) -> None:
         raise RuntimeError(f"failed writing artifact {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path: str | Path, data: Any) -> None:
+    """Atomically replace path with data as JSON: sorted keys, indent 2, final newline."""
+    write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")

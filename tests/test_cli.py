@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from adsubtype import cli
 from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
 from adsubtype.synth import SubtypeProfile
 
@@ -204,6 +205,11 @@ def test_removed_plan_keys_rejected(tmp_path, capsys):
         pytest.param(
             {"mlr": {"reference_cluster": -1}}, "mlr.reference_cluster", id="reference-negative"
         ),
+        pytest.param({"mlr": {"sex_reference": "female"}}, "mlr.sex_reference", id="sex-case"),
+        pytest.param(
+            {"mlr": {"race_reference": "Hispanic"}}, "mlr.race_reference", id="race-unknown"
+        ),
+        pytest.param({"mlr": {"age_reference": "65-74"}}, "mlr.age_reference", id="age-unknown"),
     ],
 )
 def test_validation_rejects_bad_values(tmp_path, capsys, override, key):
@@ -211,6 +217,91 @@ def test_validation_rejects_bad_values(tmp_path, capsys, override, key):
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **override}))
     assert main(["all", "--config", str(cfg), "--dry-run"]) == 2
     assert f"error: {key} must be" in capsys.readouterr().err
+
+
+# every settable value, as a dotted key
+CONFIG_VALUE_KEYS = [
+    name for name, value in DEFAULT_CONFIG.items() if not isinstance(value, dict)
+] + [
+    f"{name}.{sub}"
+    for name, section in DEFAULT_CONFIG.items()
+    if isinstance(section, dict)
+    for sub in section
+]
+
+
+@pytest.mark.parametrize("key", CONFIG_VALUE_KEYS)
+def test_every_config_value_is_checked(tmp_path, capsys, key):
+    section, _, leaf = key.rpartition(".")
+    override = {section: {leaf: {}}} if section else {key: {}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **override}))
+    assert main(["all", "--config", str(cfg), "--dry-run"]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
+def test_cross_key_rules_wait_for_their_keys():
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+    cfg["cohort"]["window_end"] = 20120101
+    cfg["ingest"]["keep"] = "40"
+    cfg["elbow"]["kmax"] = None
+    assert cli.validate_config(cfg) == [
+        "cohort.window_end must be an ISO date string",
+        "ingest.keep must be an integer >= 1",
+        "elbow.kmax must be an integer >= 1",
+    ]
+
+
+def test_window_dates_compare_as_dates():
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+    # as strings "20120201" sorts after "2012-03-01"; as dates it comes first
+    cfg["cohort"]["window_start"] = "20120201"
+    cfg["cohort"]["window_end"] = "2012-03-01"
+    assert cli.validate_config(cfg) == []
+    cfg["cohort"]["window_end"] = "2012-02-01"
+    assert cli.validate_config(cfg) == ["cohort.window_end must be after cohort.window_start"]
+
+
+class _RecordingSection(dict):
+    """A config (section) that notes each value read with [] once armed.
+
+    `armed` is a list shared by every section; it arms them all when
+    something is appended. Sections themselves are not noted, only values.
+    """
+
+    def __init__(self, data, prefix, reads, armed):
+        super().__init__(
+            (k, _RecordingSection(v, f"{prefix}{k}.", reads, armed) if isinstance(v, dict) else v)
+            for k, v in data.items()
+        )
+        self.prefix, self.reads, self.armed = prefix, reads, armed
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if self.armed and not isinstance(value, dict):
+            self.reads.add(self.prefix + key)
+        return value
+
+
+def test_every_config_value_is_read(pipeline, tmp_path, monkeypatch):
+    """No knob is accepted but never read by main (after validation) or a stage."""
+    reads: set[str] = set()
+    armed: list[bool] = []
+    load_config, validate_config = cli.load_config, cli.validate_config
+
+    def recording_config(path):
+        return _RecordingSection(load_config(path), "", reads, armed)
+
+    def validate_then_arm(cfg):
+        problems = validate_config(cfg)
+        armed.append(True)
+        return problems
+
+    monkeypatch.setattr(cli, "load_config", recording_config)
+    monkeypatch.setattr(cli, "validate_config", validate_then_arm)
+    argv = ["all", "--config", str(pipeline["config_path"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert sorted(set(CONFIG_VALUE_KEYS) - reads) == []
 
 
 def test_readme_config_block_matches_defaults():

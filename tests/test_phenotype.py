@@ -282,6 +282,30 @@ def test_feature_csv_round_trip(build_cohort, tiny_vocab, tmp_path):
         assert np.array_equal(back.values, fm.values)
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        pytest.param(["P2", "1", "0"], "line 4: 3 fields, header has 4", id="short-row"),
+        pytest.param(["P2", "1", "0", "1", "0"], "line 4: 5 fields, header has 4", id="long-row"),
+        pytest.param(["P2", "1", "2", "0"], "line 4: feature cells must be 0 or 1", id="two"),
+        pytest.param(["P2", "10", "", "1"], "line 4: feature cells must be 0 or 1", id="shifted"),
+        pytest.param(["P2", "1", " 0", "1"], "line 4: feature cells must be 0 or 1", id="space"),
+        pytest.param(["P2", "1", "/", "1"], "line 4: feature cells must be 0 or 1", id="below-0"),
+        pytest.param(
+            ["P2", "1", "\u00e9", "1"], "line 4: feature cells must be 0 or 1", id="non-ascii"
+        ),
+    ],
+)
+def test_read_feature_csv_rejects_malformed_rows(tmp_path, row, problem):
+    path = tmp_path / "features_aggregate.csv"
+    path.write_text("# meta\npatient_id,401.1,272.1,250.2\nP1,0,1,0\n", encoding="utf-8")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(",".join(row) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_feature_csv(path)
+    assert str(exc.value) == f"{path}: {problem}"
+
+
 def test_vocabulary_csv_round_trip(tmp_path, tiny_vocab):
     path = tmp_path / "vocab.csv"
     write_vocabulary_csv(tiny_vocab, path, counts={"401.1": 9, "272.1": 4}, meta="m")

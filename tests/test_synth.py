@@ -15,7 +15,7 @@ from adsubtype.drugs import AtcMap
 from adsubtype.synth import (
     SubtypeProfile,
     _anniversary,
-    _draw_categorical,
+    _categorical,
     generate_cohort,
     load_profiles,
     demo_profiles,
@@ -122,8 +122,8 @@ def test_save_load_profiles(tmp_path):
 def test_draw_categorical_insertion_order_does_not_matter():
     a = {"x": 0.3, "y": 0.7}
     b = {"y": 0.7, "x": 0.3}
-    draws_a = [_draw_categorical(np.random.default_rng([1, i]), a) for i in range(50)]
-    draws_b = [_draw_categorical(np.random.default_rng([1, i]), b) for i in range(50)]
+    draws_a = [_categorical(a)(np.random.default_rng([1, i])) for i in range(50)]
+    draws_b = [_categorical(b)(np.random.default_rng([1, i])) for i in range(50)]
     assert draws_a == draws_b
 
 
