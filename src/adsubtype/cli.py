@@ -148,10 +148,8 @@ def input_file(*keywords: str) -> Kind:
 
 NONNEG_INT = int_at_least(0)
 POS_INT = int_at_least(1)
-NONNEG_NUMBER = Kind("a number >= 0", lambda v: _is_number(v) and v >= 0)
 POS_NUMBER = Kind("a number > 0", lambda v: _is_number(v) and v > 0)
 OPEN_UNIT = Kind("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1)
-BOOL = Kind("true or false", lambda v: isinstance(v, bool))
 ISO_DATE = Kind("an ISO date string", _is_iso_date)
 PATH = Kind("a path string", lambda v: isinstance(v, str))
 STRINGS = Kind("a list of strings", _is_str_list)
@@ -194,18 +192,11 @@ CONFIG_KEYS = (
     Key("ingest.review_size", 60, POS_INT),
     Key("ingest.keep", 40, POS_INT),
     Key("ingest.exclusions", [], STRINGS),
-    Key("elbow.kmin", 1, POS_INT),
-    Key("elbow.kmax", 10, POS_INT),
+    Key("elbow.kmax", 10, int_at_least(3)),  # detect_elbow needs three curve points
     Key("elbow.restarts", 10, POS_INT),
-    Key("elbow.max_iter", 300, POS_INT),
-    Key("elbow.tol", 1e-4, NONNEG_NUMBER),
     Key("cluster.k", None, nullable(POS_INT)),
     Key("cluster.gamma", None, nullable(POS_NUMBER)),
-    Key("cluster.restarts", 10, POS_INT),
-    Key("cluster.max_iter", 300, POS_INT),
-    Key("cluster.tol", 1e-4, NONNEG_NUMBER),
     Key("cluster.knn_sparsify", None, nullable(POS_INT)),
-    Key("stats.yates", True, BOOL),
     Key("stats.alpha", 0.05, OPEN_UNIT),
     Key("stats.bonferroni_m", 15, POS_INT),
     Key("mlr.reference_cluster", 0, NONNEG_INT),
@@ -216,7 +207,6 @@ CONFIG_KEYS = (
     Key("drugs.selected", None, nullable(STRINGS)),
     Key("drugs.top", 13, POS_INT),
     Key("report.top_k", 20, POS_INT),
-    Key("report.temporal_denominator", "slot_active", one_of("slot_active", "cluster_size")),
 )
 
 
@@ -230,7 +220,6 @@ CROSS_KEY_RULES = (
     ("cohort.window_start", "cohort.window_end", _dates_ascending,
      "cohort.window_end must be after cohort.window_start"),
     ("ingest.keep", "ingest.review_size", operator.le, "ingest.keep must be <= review_size"),
-    ("elbow.kmin", "elbow.kmax", operator.lt, "elbow.kmin must be < kmax"),
 )
 
 
@@ -461,11 +450,8 @@ def stage_elbow(ctx: Context) -> list[str]:
     fm = read_feature_csv(ctx.need("features_temporal.csv"))
     curve = elbow_sse_curve(
         fm.values.astype(np.float64),
-        kmin=el["kmin"],
         kmax=el["kmax"],
         restarts=el["restarts"],
-        max_iter=el["max_iter"],
-        tol=el["tol"],
         seed=ctx.seed,
         threads=ctx.cfg["threads"],
     )
@@ -506,9 +492,6 @@ def stage_cluster(ctx: Context) -> list[str]:
     config = SpectralConfig(
         k=cl["k"] if cl["k"] is not None else _read_chosen_k(ctx),
         gamma=cl["gamma"],
-        kmeans_restarts=cl["restarts"],
-        kmeans_max_iter=cl["max_iter"],
-        kmeans_tol=cl["tol"],
         seed=ctx.seed,
         knn_sparsify=cl["knn_sparsify"],
         threads=ctx.cfg["threads"],
@@ -522,6 +505,10 @@ def stage_cluster(ctx: Context) -> list[str]:
         ctx.write(Artifact("cluster_sizes.csv", ["layout", "cluster", "n"], size_rows))
     )
     return written
+
+
+# every 2x2 chi-square table gets Yates's continuity correction
+YATES = True
 
 
 def stage_stats(ctx: Context) -> list[str]:
@@ -539,7 +526,7 @@ def stage_stats(ctx: Context) -> list[str]:
         )
         for var, categories in DEMOGRAPHICS.items()
     ]
-    grid = pairwise_test_grid(labels, specs, yates=st["yates"])
+    grid = pairwise_test_grid(labels, specs, yates=YATES)
     clusters = sorted(set(labels))
     formatted, raw = render_stats_grid(grid, clusters)
     threshold = bonferroni_threshold(st["alpha"], st["bonferroni_m"])
@@ -547,7 +534,7 @@ def stage_stats(ctx: Context) -> list[str]:
         "alpha": st["alpha"],
         "bonferroni_m": st["bonferroni_m"],
         "threshold": threshold,
-        "yates": st["yates"],
+        "yates": YATES,
         "clusters": clusters,
     }
     written = [ctx.write(formatted), ctx.write(raw)]
@@ -616,7 +603,6 @@ def stage_report(ctx: Context) -> list[str]:
                 ctx.cluster_labels("assignments.csv", fm.patient_ids),
                 fm,
                 top_k=rcfg["top_k"],
-                temporal_denominator=rcfg["temporal_denominator"],
             )
         )
     artifacts.append(demographic_breakdown(labels, cohort))

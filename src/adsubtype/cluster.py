@@ -27,9 +27,6 @@ log = logging.getLogger(__name__)
 class SpectralConfig:
     k: int
     gamma: float | None = None  # None -> 1 / feature_count
-    kmeans_restarts: int = 10
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-4
     seed: int = 0
     knn_sparsify: int | None = None
     threads: int = 1  # k-means restart workers; never changes the result
@@ -39,8 +36,6 @@ class SpectralConfig:
             raise ValueError("k must be >= 1")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be > 0")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be >= 1")
 
 
 @dataclass
@@ -199,6 +194,11 @@ def normalized_laplacian_embedding(A: AffinityMatrix, k: int) -> Embedding:
 # k-means
 # ---------------------------------------------------------------------------
 
+# Lloyd stops after this many iterations, or once no center moves by TOL or
+# more (scikit-learn's KMeans defaults)
+MAX_ITER = 300
+TOL = 1e-4
+
 
 def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
@@ -234,7 +234,7 @@ def _assigned_residuals(X: np.ndarray, centers: np.ndarray, labels: np.ndarray) 
 
 
 def _lloyd(
-    X: np.ndarray, x2: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
+    X: np.ndarray, x2: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Lloyd iterations; returns (labels, centers, sse, per-iteration sse).
 
@@ -247,7 +247,7 @@ def _lloyd(
     n, k = X.shape[0], centers.shape[0]
     rows = np.arange(n)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = _point_center_sqdist(X, x2, centers)
         labels = d2.argmin(axis=1)
         history.append(float(d2[rows, labels].sum()))
@@ -267,7 +267,7 @@ def _lloyd(
 
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < tol:
+        if shift < TOL:
             break
     labels = _point_center_sqdist(X, x2, centers).argmin(axis=1)
     sse = float(_assigned_residuals(X, centers, labels).sum())
@@ -289,8 +289,6 @@ def kmeans(
     X: np.ndarray,
     k: int,
     restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-4,
     seed: int = 0,
     threads: int = 1,
 ) -> ClusterAssignment:
@@ -310,7 +308,7 @@ def kmeans(
 
     def restart(r: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
         centers = _kmeanspp_centers(X, k, np.random.default_rng([seed, r]))
-        return _lloyd(X, x2, centers, max_iter, tol)
+        return _lloyd(X, x2, centers)
 
     workers = min(threads, restarts, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -348,15 +346,7 @@ def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment
         affinity = laplacian_kernel_affinity(hamming_distance_matrix(X), gamma)
 
     embedding = normalized_laplacian_embedding(affinity, config.k)
-    return kmeans(
-        embedding.values,
-        config.k,
-        restarts=config.kmeans_restarts,
-        max_iter=config.kmeans_max_iter,
-        tol=config.kmeans_tol,
-        seed=config.seed,
-        threads=config.threads,
-    )
+    return kmeans(embedding.values, config.k, seed=config.seed, threads=config.threads)
 
 
 def elbow_sse_curve(
@@ -364,8 +354,6 @@ def elbow_sse_curve(
     kmin: int = 1,
     kmax: int = 10,
     restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-4,
     seed: int = 0,
     threads: int = 1,
 ) -> list[tuple[int, float]]:
@@ -377,10 +365,7 @@ def elbow_sse_curve(
         raise ValueError("need 1 <= kmin <= kmax")
     points = []
     for k in range(kmin, kmax + 1):
-        result = kmeans(
-            X, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed, threads=threads
-        )
-        points.append((k, result.sse))
+        points.append((k, kmeans(X, k, restarts=restarts, seed=seed, threads=threads).sse))
     return points
 
 

@@ -96,7 +96,6 @@ class PhenotypeVocabulary:
     """Ranked phenotype list (most prevalent first) used as feature columns."""
 
     phecodes: tuple[tuple[str, str], ...]
-    exclusions: frozenset[str] = frozenset()
 
     def __post_init__(self):
         codes = [code for code, _ in self.phecodes]
@@ -154,7 +153,7 @@ def rank_phenotypes(
         raise ValueError(
             f"only {len(survivors)} distinct phecodes survive ranking; {keep} required"
         )
-    return PhenotypeVocabulary(tuple(survivors), exclusions=excl), freq_table
+    return PhenotypeVocabulary(tuple(survivors)), freq_table
 
 
 @dataclass
@@ -175,10 +174,6 @@ class FeatureMatrix:
         return [
             code if slot is None else f"{code}_s{slot}" for code, slot in self.columns
         ]
-
-    @property
-    def n_patients(self) -> int:
-        return len(self.patient_ids)
 
 
 def build_temporal_matrix(cohort: Cohort, vocabulary: PhenotypeVocabulary) -> FeatureMatrix:

@@ -105,20 +105,16 @@ def condition_prevalence(
     labels: Sequence[int],
     features: FeatureMatrix,
     top_k: int = 20,
-    temporal_denominator: str = "slot_active",
 ) -> Artifact:
     """Per-cluster condition prevalence on the top_k cohort-wide conditions.
 
     labels holds each feature row's cluster. The features' layout sets the
     mode and the artifact name. Aggregate mode divides by cluster size.
     Temporal mode divides, per slot, by the cluster members having at least
-    one condition flagged in that slot; temporal_denominator="cluster_size"
-    switches to cluster size. A zero denominator shows as an 'NA'
+    one condition flagged in that slot. A zero denominator shows as an 'NA'
     percentage (the row keeps its counts).
     """
     mode = features.layout
-    if temporal_denominator not in ("slot_active", "cluster_size"):
-        raise ValueError(f"unknown temporal_denominator {temporal_denominator!r}")
     codes = [code for code, slot in features.columns if slot in (None, 1)]
     s = features.slot_count if mode != AGGREGATE else 1
     n = features.values.shape[0]
@@ -131,7 +127,7 @@ def condition_prevalence(
     overall = cells.max(axis=2).sum(axis=0).tolist()
     top = sorted(range(len(codes)), key=lambda j: (-overall[j], codes[j]))[:top_k]
 
-    if mode == AGGREGATE or temporal_denominator == "cluster_size":
+    if mode == AGGREGATE:
         active = np.ones((n, s), dtype=np.uint8)
     else:
         active = cells.max(axis=1)  # members with any condition in the slot

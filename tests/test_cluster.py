@@ -243,7 +243,7 @@ def test_kmeans_history_monotone_on_random_instances():
         d = int(rng.integers(2, 5))
         k = int(rng.integers(2, 6))
         X = rng.random((n, d))
-        result = kmeans(X, k=k, restarts=1, max_iter=50, seed=trial)
+        result = kmeans(X, k=k, restarts=1, seed=trial)
         h = result.sse_history
         assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1)), (trial, h)
         assert result.sse == h[-1]
@@ -316,8 +316,8 @@ def test_lloyd_matches_reference_loop():
         spread = 1.0 if trial % 3 else 4.0
         centers = rng.uniform(-spread, spread, size=(k, d))
         x2 = np.einsum("ij,ij->i", X, X)
-        labels, _, sse, history = cluster._lloyd(X, x2, centers, 50, 1e-4)
-        ref_labels, ref_sse = _reference_lloyd(X, centers, 50, 1e-4)
+        labels, _, sse, history = cluster._lloyd(X, x2, centers)
+        ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
         assert np.array_equal(labels, ref_labels), trial
         assert abs(sse - ref_sse) <= 1e-9, trial
         assert sse == history[-1]
@@ -478,8 +478,6 @@ def test_spectral_config_validation():
         SpectralConfig(k=0)
     with pytest.raises(ValueError):
         SpectralConfig(k=2, gamma=-1.0)
-    with pytest.raises(ValueError):
-        SpectralConfig(k=2, kmeans_restarts=0)
 
 
 def test_ari_reference_values():

@@ -2,8 +2,10 @@
 
 A definition counts as used when its name is referenced (as a name, an
 attribute or an import) somewhere in the package or in the acceptance
-criteria, which are the oracles the package is held to. Dunder methods are
-called by Python itself and are exempt. Read as source only, with `ast`.
+criteria, which are the oracles the package is held to. A method or property
+is reached through an object, so only an attribute or an import counts for
+it: a local variable of the same name does not. Dunder methods are called by
+Python itself and are exempt. Read as source only, with `ast`.
 """
 
 import ast
@@ -14,29 +16,42 @@ PACKAGE = ROOT / "src" / "adsubtype"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
-def _references(tree: ast.AST) -> set[str]:
-    names = set()
+def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(bare names, attribute and imported names) referenced in tree."""
+    bare, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-    return names
+            attributes.add(node.name.rsplit(".", 1)[-1])
+    return bare, attributes
 
 
 def test_every_definition_is_referenced_outside_the_unit_tests():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.rglob("*.py")}
-    referenced = set().union(*map(_references, trees.values()))
-    referenced |= _references(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    bare, attributes = set(), set()
+    for tree in [*trees.values(), ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))]:
+        tree_bare, tree_attributes = _references(tree)
+        bare |= tree_bare
+        attributes |= tree_attributes
+    # definitions in a class body, reached as attributes of the class or an instance
+    members = {
+        id(node)
+        for tree in trees.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    }
     unreferenced = [
         f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
         for path, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in referenced
+        and node.name not in attributes
+        and (id(node) in members or node.name not in bare)
     ]
     assert len(trees) >= 10
     assert unreferenced == []

@@ -159,14 +159,6 @@ def test_condition_prevalence_temporal_slot_active():
     assert by_key[("401.1", 2)]["numerator"] == 0
 
 
-def test_condition_prevalence_temporal_cluster_size_denominator():
-    features = _temporal_features()
-    art = condition_prevalence(
-        [0, 0, 0], features, top_k=2, temporal_denominator="cluster_size"
-    )
-    assert {row[4] for row in art.rows} == {3}
-
-
 def test_condition_prevalence_zero_denominator_suppressed(caplog):
     features = _temporal_features()
     # cluster 1 holds only B, who has no slot-2 flags
@@ -178,8 +170,8 @@ def test_condition_prevalence_zero_denominator_suppressed(caplog):
 
 
 def test_condition_prevalence_errors():
-    with pytest.raises(ValueError, match="temporal_denominator"):
-        condition_prevalence([0, 0, 0], _temporal_features(), temporal_denominator="x")
+    with pytest.raises(ValueError, match="must align"):
+        condition_prevalence([0, 0], _temporal_features())
 
 
 def test_render_prevalence_headers():
