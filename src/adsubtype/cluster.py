@@ -63,10 +63,17 @@ class Embedding:
 @dataclass
 class ClusterAssignment:
     labels: np.ndarray
-    k: int
     sse: float
-    seed: int
     sse_history: list[float] = field(default_factory=list)
+
+
+def _binary_csr(X: np.ndarray) -> sp.csr_matrix | None:
+    """CSR copy of X when every value is 0 or 1, else None.
+
+    Only the stored nonzeros are compared, so no n x p temporary is built.
+    """
+    Xs = sp.csr_matrix(X)
+    return Xs if (Xs.data == 1).all() else None
 
 
 def hamming_distance_matrix(X: np.ndarray) -> np.ndarray:
@@ -78,7 +85,7 @@ def hamming_distance_matrix(X: np.ndarray) -> np.ndarray:
     integers, built in place in the gram buffer (one N x N allocation).
     """
     X = np.asarray(X)
-    if X.size and not np.isin(X, (0, 1)).all():
+    if X.size and _binary_csr(X) is None:
         raise ValueError("hamming_distance_matrix expects a binary matrix")
     Xf = X.astype(np.float64)
     counts = Xf.sum(axis=1)
@@ -200,12 +207,20 @@ MAX_ITER = 300
 TOL = 1e-4
 
 
-def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_centers(
+    X: np.ndarray, Xs: sp.csr_matrix | None, x2: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = X.shape[0]
-    centers = np.empty((k, X.shape[1]), dtype=np.float64)
-    centers[0] = X[rng.integers(n)]
-    closest = ((X - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
+
+    def sqdist(i: int) -> np.ndarray:
+        # squared distances to row i; on 0/1 rows exact Hamming counts either way
+        if Xs is None:
+            return ((X - X[i]) ** 2).sum(axis=1)
+        return x2 + x2[i] - 2.0 * (Xs @ X[i])
+
+    chosen = [int(rng.integers(n))]
+    closest = sqdist(chosen[0])
+    for _ in range(1, k):
         total = closest.sum()
         if total <= 0:
             # all points coincide with a chosen center; lowest index wins
@@ -214,48 +229,66 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             r = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(closest), r, side="right"))
             idx = min(idx, n - 1)
-        centers[c] = X[idx]
-        closest = np.minimum(closest, ((X - centers[c]) ** 2).sum(axis=1))
-    return centers
+        chosen.append(idx)
+        closest = np.minimum(closest, sqdist(idx))
+    return X[chosen]
 
 
-def _point_center_sqdist(X: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ||x||^2 - 2 x.c + ||c||^2 with x2 = ||x||^2 precomputed; clamped at 0
+def _point_center_sqdist(
+    P: np.ndarray | sp.csr_matrix, x2: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    # ||x||^2 - 2 x.c + ||c||^2 with x2 = ||x||^2 precomputed; clamped at 0.
+    # P holds the points, dense or as their CSR copy.
     c2 = np.einsum("ij,ij->i", centers, centers)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * (X @ centers.T)
+    d2 = x2[:, None] + c2[None, :] - 2.0 * (P @ centers.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
 def _assigned_residuals(X: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    # exact per-point squared distance to the assigned center
-    diff = X - centers[labels]
-    return np.einsum("ij,ij->i", diff, diff)
+    # exact per-point squared distance to the assigned center; each row's sum
+    # is the same in any row block, and blocks keep no n x p buffer alive
+    residuals = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], 256):
+        rows = slice(start, start + 256)
+        diff = centers[labels[rows]]
+        np.subtract(X[rows], diff, out=diff)
+        residuals[rows] = np.einsum("ij,ij->i", diff, diff)
+    return residuals
 
 
 def _lloyd(
-    X: np.ndarray, x2: np.ndarray, centers: np.ndarray
+    X: np.ndarray, Xs: sp.csr_matrix | None, x2: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Lloyd iterations; returns (labels, centers, sse, per-iteration sse).
 
-    The objective is recorded after each assignment step from the assignment
-    distances, and the final entry is the exact SSE; it is non-increasing up
-    to rounding. Centroids are per-cluster sums over the rows sorted by label.
-    An empty cluster is re-seeded at the point farthest from its assigned
-    center.
+    Xs is the CSR copy of a 0/1 X, or None. With it, every per-iteration
+    product reads only the nonzeros, and each centroid sum counts a cluster's
+    ones per column, exact in any order. Without it, centroids are
+    per-cluster sums over the rows sorted by label. The objective is recorded
+    after each assignment step from the assignment distances, and the final
+    entry is the exact SSE; it is non-increasing up to rounding. An empty
+    cluster is re-seeded at the point farthest from its assigned center.
     """
-    n, k = X.shape[0], centers.shape[0]
+    (n, p), k = X.shape, centers.shape[0]
     rows = np.arange(n)
+    P = X if Xs is None else Xs
     history: list[float] = []
     for _ in range(MAX_ITER):
-        d2 = _point_center_sqdist(X, x2, centers)
+        d2 = _point_center_sqdist(P, x2, centers)
         labels = d2.argmin(axis=1)
         history.append(float(d2[rows, labels].sum()))
 
         counts = np.bincount(labels, minlength=k)
         present = counts > 0
-        starts = np.cumsum(counts) - counts
-        sums = np.add.reduceat(X[np.argsort(labels, kind="stable")], starts[present], axis=0)
+        if Xs is None:
+            starts = np.cumsum(counts) - counts
+            order = np.argsort(labels, kind="stable")
+            sums = np.add.reduceat(X[order], starts[present], axis=0)
+        else:
+            cells = np.repeat(labels * p, np.diff(Xs.indptr))
+            cells += Xs.indices
+            sums = np.bincount(cells, minlength=k * p).reshape(k, p)[present]
         new_centers = centers.copy()
         new_centers[present] = sums / counts[present, None]
         if not present.all():
@@ -269,7 +302,7 @@ def _lloyd(
         centers = new_centers
         if shift < TOL:
             break
-    labels = _point_center_sqdist(X, x2, centers).argmin(axis=1)
+    labels = _point_center_sqdist(P, x2, centers).argmin(axis=1)
     sse = float(_assigned_residuals(X, centers, labels).sum())
     history.append(sse)
     return labels, centers, sse, history
@@ -298,26 +331,26 @@ def kmeans(
     a pool of at most `threads` workers; results are reduced in restart
     order and ties keep the earliest, so the output does not depend on
     `threads`. The winning partition's clusters are numbered by size
-    descending, ties by lowest member row.
+    descending, ties by lowest member row. On 0/1 input the products read
+    a CSR copy of X; the SSE is still the dense residual sum.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
     x2 = np.einsum("ij,ij->i", X, X)
+    Xs = _binary_csr(X)
 
     def restart(r: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-        centers = _kmeanspp_centers(X, k, np.random.default_rng([seed, r]))
-        return _lloyd(X, x2, centers)
+        centers = _kmeanspp_centers(X, Xs, x2, k, np.random.default_rng([seed, r]))
+        return _lloyd(X, Xs, x2, centers)
 
     workers = min(threads, restarts, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         runs = list(pool.map(restart, range(restarts)))
     best = min(range(restarts), key=lambda r: runs[r][2])  # min keeps the earliest tie
     labels, _, sse, history = runs[best]
-    return ClusterAssignment(
-        labels=_canonical_labels(labels, k), k=k, sse=sse, seed=seed, sse_history=history
-    )
+    return ClusterAssignment(labels=_canonical_labels(labels, k), sse=sse, sse_history=history)
 
 
 def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment:

@@ -295,7 +295,11 @@ def parse_tables(paths: TablePaths) -> RawTables:
     deaths = dict(_read_rows(paths.deaths, DEATHS_COLUMNS, "deaths", death, rejects))
 
     if rejects:
-        log.warning("parse_tables: %d malformed rows rejected", len(rejects))
+        first = rejects[0]
+        log.warning(
+            "parse_tables: %d malformed rows rejected, the first at %s line %d: %s",
+            len(rejects), first.file, first.line, first.reason,
+        )
     return RawTables(patients, diagnoses, prescriptions, deaths, rejects)
 
 

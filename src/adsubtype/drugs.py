@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import RejectedRow
 from .report import Artifact, fmt_pct
 from .stats import cluster_counts
 from .table import read_table
@@ -30,7 +29,6 @@ class AtcMap:
     """rxcui -> set of (ATC level-3 code, class name); one drug may hit several."""
 
     entries: Mapping[str, frozenset[tuple[str, str]]]
-    rejects: tuple[RejectedRow, ...] = ()
 
     def lookup(self, rxcui: str) -> frozenset[tuple[str, str]]:
         return self.entries.get(str(rxcui).strip(), frozenset())
@@ -46,12 +44,11 @@ class AtcMap:
 def load_atc_map(path: str | Path) -> AtcMap:
     """Read an rxcui,atc3,atc3_name CSV into a multimap.
 
-    Rows whose atc3 does not match letter-digit-digit-letter are rejected
-    with line numbers (kept on the map's reject list, not fatal); a missing
-    file or missing columns is fatal.
+    Rows with an empty rxcui, or whose atc3 does not match
+    letter-digit-digit-letter, are skipped with one warning each naming the
+    line (not fatal); a missing file or missing columns is fatal.
     """
     sets: dict[str, set[tuple[str, str]]] = {}
-    rejects: list[RejectedRow] = []
     with read_table(path) as (header, rows):
         required = {"rxcui", "atc3", "atc3_name"}
         if not required.issubset(header):
@@ -62,20 +59,16 @@ def load_atc_map(path: str | Path) -> AtcMap:
             atc3 = row.get("atc3", "").strip().upper()
             name = row.get("atc3_name", "").strip()
             if not rxcui:
-                rejects.append(RejectedRow("atc_map", lineno, "empty rxcui"))
+                log.warning("load_atc_map: rejected line %d: empty rxcui", lineno)
                 continue
             if not ATC3_PATTERN.match(atc3):
-                rejects.append(
-                    RejectedRow("atc_map", lineno, f"invalid ATC3 code {atc3!r}")
-                )
+                log.warning("load_atc_map: rejected line %d: invalid ATC3 code %r", lineno, atc3)
                 continue
             sets.setdefault(rxcui, set()).add((atc3, name))
-    if rejects:
-        log.warning("load_atc_map: rejected %d rows", len(rejects))
     if not sets:
         log.warning("load_atc_map: %s yielded an empty map", path)
     entries = {k: frozenset(v) for k, v in sets.items()}
-    return AtcMap(entries=entries, rejects=tuple(rejects))
+    return AtcMap(entries=entries)
 
 
 def rank_drug_classes(

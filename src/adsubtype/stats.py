@@ -33,10 +33,7 @@ class ContingencyTable:
 @dataclass
 class ChiSquareResult:
     statistic: float
-    df: int
     p_value: float
-    yates_applied: bool
-    expected_min: float
 
 
 def cluster_counts(labels: Sequence[int], columns: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -70,7 +67,7 @@ def chi2_sf(x: float, df: int) -> float:
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
-def chi_square_test(table: ContingencyTable, yates: bool = False) -> ChiSquareResult:
+def chi_square_test(table: ContingencyTable, *, yates: bool) -> ChiSquareResult:
     """Pearson chi-square on an r x c table; Yates correction for 2x2 only."""
     obs = table.counts.astype(np.float64)
     r, c = obs.shape
@@ -88,19 +85,11 @@ def chi_square_test(table: ContingencyTable, yates: bool = False) -> ChiSquareRe
             "chi_square_test: smallest expected cell %.3f < 5; p-value is approximate",
             expected_min,
         )
-    apply_yates = yates and r == 2 and c == 2
     dev = np.abs(obs - expected)
-    if apply_yates:
+    if yates and r == 2 and c == 2:
         dev = np.maximum(dev - 0.5, 0.0)
     statistic = float((dev**2 / expected).sum())
-    df = (r - 1) * (c - 1)
-    return ChiSquareResult(
-        statistic=statistic,
-        df=df,
-        p_value=chi2_sf(statistic, df),
-        yates_applied=apply_yates,
-        expected_min=expected_min,
-    )
+    return ChiSquareResult(statistic=statistic, p_value=chi2_sf(statistic, (r - 1) * (c - 1)))
 
 
 def bonferroni_threshold(alpha: float, m: int) -> float:
@@ -139,9 +128,8 @@ class VariableSpec:
 
 @dataclass
 class CellResult:
-    p_value: float | None
+    p_value: float | None  # None when the cell's table is untestable
     statistic: float | None = None
-    error: str | None = None
 
 
 @dataclass
@@ -165,14 +153,15 @@ def pair_keys(clusters: Sequence[int]) -> list[str]:
 def pairwise_test_grid(
     labels: Sequence[int],
     variables: Sequence[VariableSpec],
-    yates: bool = True,
+    *,
+    yates: bool,
 ) -> list[GridRow]:
     """P-values for every cluster pair plus the all-clusters omnibus test.
 
     For each variable: one row on the full category split, then (when the
     variable expands) one binarized (category vs rest) row per category.
     Every cell slices the variable's one cluster x category count table.
-    Untestable cells carry their error and a None p-value; the grid is
+    Untestable cells carry a None p-value and statistic; the grid is
     emitted regardless.
     """
     clusters = sorted(set(labels))
@@ -202,8 +191,8 @@ def pairwise_test_grid(
                         yates=yates,
                     )
                     row.cells[key] = CellResult(p_value=result.p_value, statistic=result.statistic)
-                except ValueError as exc:
-                    row.cells[key] = CellResult(p_value=None, error=str(exc))
+                except ValueError:
+                    row.cells[key] = CellResult(p_value=None)
             rows.append(row)
     return rows
 

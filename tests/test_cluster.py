@@ -56,6 +56,20 @@ def test_hamming_matches_naive_loop():
 def test_hamming_rejects_non_binary():
     with pytest.raises(ValueError, match="binary"):
         hamming_distance_matrix(np.array([[0, 2], [1, 0]]))
+    with pytest.raises(ValueError, match="binary"):
+        hamming_distance_matrix(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+
+def test_binary_csr_predicate():
+    X = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    Xs = cluster._binary_csr(X)
+    assert Xs.nnz == 3 and np.array_equal(Xs.toarray(), X)
+    assert cluster._binary_csr(np.zeros((2, 3))).nnz == 0
+    assert cluster._binary_csr(X.astype(bool)) is not None
+    for value in (0.5, -1.0, 2.0, np.nan, np.inf):
+        Y = X.copy()
+        Y[1, 2] = value
+        assert cluster._binary_csr(Y) is None, value
 
 
 def test_laplacian_kernel_values():
@@ -316,7 +330,9 @@ def test_lloyd_matches_reference_loop():
         spread = 1.0 if trial % 3 else 4.0
         centers = rng.uniform(-spread, spread, size=(k, d))
         x2 = np.einsum("ij,ij->i", X, X)
-        labels, _, sse, history = cluster._lloyd(X, x2, centers)
+        Xs = cluster._binary_csr(X)
+        assert (Xs is not None) == bool(trial % 2)  # binary trials take the 0/1 path
+        labels, _, sse, history = cluster._lloyd(X, Xs, x2, centers)
         ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
         assert np.array_equal(labels, ref_labels), trial
         assert abs(sse - ref_sse) <= 1e-9, trial
@@ -328,6 +344,7 @@ def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
     monkeypatch.setattr(cluster.os, "cpu_count", lambda: 8)  # more workers than cores
     rng = np.random.default_rng(5)
     X = (rng.random((120, 10)) < 0.3).astype(float) if binary else rng.normal(size=(120, 4))
+    taken = _record_lloyd_paths(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -340,6 +357,71 @@ def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
         assert other.sse_history == runs[0].sse_history
     curves = [elbow_sse_curve(X, kmax=5, restarts=8, seed=4, threads=t) for t in (1, 2, 8)]
     assert curves[1] == curves[0] == curves[2]
+    assert taken and all(sp.issparse(Xs) == binary for Xs in taken)  # binary runs take the 0/1 path
+
+
+def _binary_instances(rng):
+    """0/1 matrices with an all-zero column, many duplicate rows, or both."""
+    for trial in range(60):
+        n, p = int(rng.integers(20, 80)), int(rng.integers(2, 30))
+        X = (rng.random((n, p)) < rng.uniform(0.05, 0.5)).astype(np.float64)
+        if trial % 2:
+            X[:, int(rng.integers(p))] = 0.0
+        if trial % 3 == 0:
+            X = X[rng.integers(0, max(2, n // 8), size=n)]  # few distinct rows
+        yield trial, X, int(rng.integers(2, 9))
+
+
+def _record_lloyd_paths(monkeypatch) -> list:
+    """Patch _lloyd to record the CSR copy (or None) each restart receives."""
+    taken = []
+    lloyd = cluster._lloyd
+    monkeypatch.setattr(cluster, "_lloyd", lambda X, Xs, *a: taken.append(Xs) or lloyd(X, Xs, *a))
+    return taken
+
+
+def test_kmeans_binary_path_matches_dense_path(monkeypatch):
+    instances = list(_binary_instances(np.random.default_rng(31)))
+    taken = _record_lloyd_paths(monkeypatch)
+    sparse = [kmeans(X, k=k, restarts=3, seed=t) for t, X, k in instances]
+    assert len(taken) == 3 * len(instances) and all(sp.issparse(Xs) for Xs in taken)
+    monkeypatch.setattr(cluster, "_binary_csr", lambda X: None)
+    for (trial, X, k), fast in zip(instances, sparse):
+        dense = kmeans(X, k=k, restarts=3, seed=trial)
+        assert np.array_equal(fast.labels, dense.labels), trial
+        assert fast.sse == dense.sse, trial
+        assert len(fast.sse_history) == len(dense.sse_history), trial
+
+
+def test_lloyd_binary_path_reseeds_empty_clusters():
+    # starts far outside [0, 1] leave clusters empty, so the re-seed branch runs
+    rng = np.random.default_rng(37)
+    reseeded = 0
+    for trial, X, k in _binary_instances(rng):
+        x2 = np.einsum("ij,ij->i", X, X)
+        centers = rng.uniform(-4.0, 4.0, size=(k, X.shape[1]))
+        first_labels = cluster._point_center_sqdist(X, x2, centers).argmin(axis=1)
+        reseeded += int((np.bincount(first_labels, minlength=k) == 0).any())
+        fast = cluster._lloyd(X, cluster._binary_csr(X), x2, centers)
+        dense = cluster._lloyd(X, None, x2, centers)
+        assert np.array_equal(fast[0], dense[0]), trial
+        assert fast[2] == dense[2], trial
+        assert len(fast[3]) == len(dense[3]), trial
+    assert reseeded > 30
+
+
+def test_kmeans_non_binary_value_takes_dense_path(monkeypatch):
+    rng = np.random.default_rng(41)
+    X = (rng.random((60, 12)) < 0.3).astype(np.float64)
+    X[7, 3] = 0.5
+    taken = _record_lloyd_paths(monkeypatch)
+    result = kmeans(X, k=4, restarts=3, seed=2)
+    assert taken == [None] * 3
+    # the dense code's result from before the 0/1 path existed
+    assert result.sse == float.fromhex("0x1.b9fed4297ed42p+6")
+    labels = "011010322011030000111002211003102000013202111202100002030031"
+    assert "".join(map(str, result.labels)) == labels
+    assert len(result.sse_history) == 5
 
 
 def test_kmeans_workers_capped(monkeypatch):
@@ -451,7 +533,7 @@ def test_spectral_gamma_default():
     # noisy blocks, so the labels depend on gamma
     X, _ = _planted_blocks(10, 3, 8, seed=14, p_sig=0.6, p_noise=0.3)
     result = spectral_cluster(X, SpectralConfig(k=3, seed=0))
-    assert result.k == 3
+    assert result.labels.max() == 2
     # gamma defaults to 1 / n_features
     A = laplacian_kernel_affinity(hamming_distance_matrix(X), 1.0 / 8)
     expected = kmeans(normalized_laplacian_embedding(A, k=3).values, 3, seed=0)

@@ -91,12 +91,18 @@ def test_parse_tables_rejects_malformed_rows(table_writer):
     assert any("duplicate" in r.reason for r in by_file["demographics"])
 
 
-def test_parse_tables_rejects_duplicate_death_rows(table_writer):
+def test_parse_tables_rejects_duplicate_death_rows(table_writer, caplog):
     paths = table_writer(
         patients=[["P1", "F", "05", "1950-03-02"]],
         deaths=[["P1", "2016-01-01"], ["P1", "2019-09-09"], ["P1", "bad-date"]],
     )
-    tables = parse_tables(paths)
+    with caplog.at_level("WARNING"):
+        tables = parse_tables(paths)
+    assert any(
+        r.getMessage() == "parse_tables: 2 malformed rows rejected, "
+        "the first at deaths line 3: duplicate patient_id 'P1'"
+        for r in caplog.records
+    )
     assert tables.deaths == {"P1": date(2016, 1, 1)}
     assert [(r.file, r.line, r.reason) for r in tables.rejects] == [
         ("deaths", 3, "duplicate patient_id 'P1'"),

@@ -270,16 +270,16 @@ def test_render_stats_grid_formatted_and_raw():
             "sex",
             None,
             {
-                "0_vs_1": CellResult(0.0004, 12.0, None),
-                "all_clusters": CellResult(0.25, 1.3, None),
+                "0_vs_1": CellResult(0.0004, 12.0),
+                "all_clusters": CellResult(0.25, 1.3),
             },
         ),
         GridRow(
             "race",
             "White",
             {
-                "0_vs_1": CellResult(None, None, "empty cluster(s) in scope"),
-                "all_clusters": CellResult(0.04963, 3.9, None),
+                "0_vs_1": CellResult(None),
+                "all_clusters": CellResult(0.04963, 3.9),
             },
         ),
     ]

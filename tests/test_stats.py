@@ -56,18 +56,16 @@ def test_chi_square_hand_derived_2x2():
     plain = chi_square_test(t, yates=False)
     assert plain.statistic == pytest.approx(20 / 3, abs=1e-4)
     assert plain.p_value == pytest.approx(0.00982, abs=1e-4)
-    assert plain.df == 1 and not plain.yates_applied
     corrected = chi_square_test(t, yates=True)
     assert corrected.statistic == pytest.approx(5.4, abs=1e-4)
     assert corrected.p_value == pytest.approx(0.02014, abs=1e-4)
-    assert corrected.yates_applied
 
 
 def test_chi_square_independent_rows_give_zero():
     from adsubtype.stats import ContingencyTable
 
     t = ContingencyTable(np.array([[10, 30], [20, 60]]), ["0", "1"], ["a", "b"])
-    result = chi_square_test(t)
+    result = chi_square_test(t, yates=False)
     assert result.statistic == 0.0
     assert result.p_value == 1.0
 
@@ -79,11 +77,10 @@ def test_chi_square_matches_scipy_on_rxc():
     for _ in range(10):
         counts = rng.integers(5, 60, size=(3, 4))
         t = ContingencyTable(counts, ["0", "1", "2"], list("abcd"))
-        ours = chi_square_test(t)
+        ours = chi_square_test(t, yates=False)
         ref = scipy.stats.chi2_contingency(counts, correction=False)
         assert ours.statistic == pytest.approx(ref.statistic, rel=1e-12)
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-10)
-        assert ours.df == ref.dof
 
 
 def test_chi_square_yates_only_applies_to_2x2():
@@ -91,19 +88,34 @@ def test_chi_square_yates_only_applies_to_2x2():
 
     t = ContingencyTable(np.array([[5, 10], [10, 5], [7, 7]]), ["0", "1", "2"], ["a", "b"])
     result = chi_square_test(t, yates=True)
-    assert not result.yates_applied
-    assert result.df == 2
+    assert result == chi_square_test(t, yates=False)
+    ref = scipy.stats.chi2_contingency(t.counts, correction=True)
+    assert result.p_value == pytest.approx(ref.pvalue, rel=1e-10) and ref.dof == 2
+
+
+def test_chi_square_yates_is_required():
+    t = ContingencyTable(np.array([[10, 20], [20, 10]]), ["0", "1"], ["a", "b"])
+    with pytest.raises(TypeError):
+        chi_square_test(t)
+    with pytest.raises(TypeError):
+        chi_square_test(t, True)
+    with pytest.raises(TypeError):
+        pairwise_test_grid([0, 1], [VariableSpec("x", ("a", "b"))])
 
 
 def test_chi_square_errors_and_warning(caplog):
     from adsubtype.stats import ContingencyTable
 
     with pytest.raises(ValueError, match="zero marginal"):
-        chi_square_test(ContingencyTable(np.array([[0, 0], [1, 2]]), ["0", "1"], ["a", "b"]))
+        chi_square_test(
+            ContingencyTable(np.array([[0, 0], [1, 2]]), ["0", "1"], ["a", "b"]), yates=False
+        )
     with pytest.raises(ValueError, match="at least 2x2"):
-        chi_square_test(ContingencyTable(np.array([[1], [2]]), ["0", "1"], ["a"]))
+        chi_square_test(ContingencyTable(np.array([[1], [2]]), ["0", "1"], ["a"]), yates=False)
     with caplog.at_level("WARNING"):
-        chi_square_test(ContingencyTable(np.array([[2, 8], [3, 7]]), ["0", "1"], ["a", "b"]))
+        chi_square_test(
+            ContingencyTable(np.array([[2, 8], [3, 7]]), ["0", "1"], ["a", "b"]), yates=False
+        )
     assert any("approximate" in r.message for r in caplog.records)
 
 
@@ -164,6 +176,7 @@ def test_pairwise_grid_shape_and_cells():
             VariableSpec("sex", tuple(sex)),
             VariableSpec("race", tuple(race), expand_categories=True),
         ],
+        yates=False,
     )
     # one full-split row per variable plus one binarized row per race category
     assert [(r.variable, r.category) for r in grid] == [
@@ -177,7 +190,6 @@ def test_pairwise_grid_shape_and_cells():
     for row in grid:
         assert set(row.cells) == expected_keys
         for cell in row.cells.values():
-            assert cell.error is None
             assert 0.0 <= cell.p_value <= 1.0
 
 
@@ -191,6 +203,7 @@ def test_pairwise_grid_category_order_respected():
                 category_order=("White", "Asian", "Black", "Never Present"),
             )
         ],
+        yates=False,
     )
     assert [r.category for r in grid] == [None, "White", "Asian", "Black"]
 
@@ -198,11 +211,10 @@ def test_pairwise_grid_category_order_respected():
 def test_pairwise_grid_untestable_cells_carry_errors():
     labels = [0] * 20 + [1] * 20
     constant = ["same"] * 40
-    grid = pairwise_test_grid(labels, [VariableSpec("flag", tuple(constant))])
+    grid = pairwise_test_grid(labels, [VariableSpec("flag", tuple(constant))], yates=False)
     assert len(grid) == 1
     for cell in grid[0].cells.values():
-        assert cell.p_value is None
-        assert cell.error
+        assert cell.p_value is None and cell.statistic is None
 
 
 def _counter_test(labels, values, scope, binarize, yates):
@@ -260,12 +272,10 @@ def test_pairwise_grid_matches_counter_oracle(seed):
             cell = row.cells[key]
             try:
                 direct = _counter_test(labels, spec.values, scope, row.category, yates)
-            except ValueError as exc:
+            except ValueError:
                 untestable += 1
                 assert cell.p_value is None and cell.statistic is None
-                assert cell.error == str(exc)
                 continue
-            assert cell.error is None
             assert cell.statistic == direct.statistic
             assert cell.p_value == direct.p_value
     assert 0 < untestable < len(grid) * len(scopes)
@@ -273,7 +283,7 @@ def test_pairwise_grid_matches_counter_oracle(seed):
 
 def test_pairwise_grid_needs_two_clusters():
     with pytest.raises(ValueError, match="at least 2"):
-        pairwise_test_grid([0, 0], [VariableSpec("x", ("a", "b"))])
+        pairwise_test_grid([0, 0], [VariableSpec("x", ("a", "b"))], yates=False)
 
 
 # ---------------------------------------------------------------------------
