@@ -175,11 +175,11 @@ CONFIG_KEYS = (
     Key("seed", 0, NONNEG_INT),
     Key("out_dir", "out", PATH),
     Key("threads", 1, POS_INT),
-    Key("cohort.min_age_years", 20, NONNEG_INT),
-    Key("cohort.window_start", "2012-01-01", ISO_DATE),
-    Key("cohort.window_end", "2021-01-31", ISO_DATE),
-    Key("cohort.slot_count", 6, POS_INT),
-    Key("cohort.slot_days", 183, POS_INT),
+    Key("cohort.min_age_years", CohortConfig.min_age_years, NONNEG_INT),
+    Key("cohort.window_start", CohortConfig.window_start.isoformat(), ISO_DATE),
+    Key("cohort.window_end", CohortConfig.window_end.isoformat(), ISO_DATE),
+    Key("cohort.slot_count", CohortConfig.slot_count, POS_INT),
+    Key("cohort.slot_days", CohortConfig.slot_days, POS_INT),
     Key("cohort.ad_codes", None, nullable(NONEMPTY_STRINGS)),
     Key("synth.n_patients", 2000, POS_INT),
     Key("synth.profiles", "demo", input_file("demo")),
@@ -341,12 +341,16 @@ class Context:
     def cluster_labels(self, name: str, patient_ids: Sequence[str]) -> list[int]:
         """The clusters in assignments file `name`, in patient_ids order.
 
-        The file must assign exactly these patients; one left over from
-        another cohort is refused.
+        The file must assign exactly these patients, each once; one left
+        over from another cohort, or listed twice, is refused.
         """
         path = self.need(name)
+        assignments: dict[str, int] = {}
         with read_table(path) as (_, rows):
-            assignments = {pid: int(cluster) for _, (pid, cluster) in rows}
+            for lineno, (pid, cluster) in rows:
+                if pid in assignments:
+                    raise ValueError(f"{path}: line {lineno}: duplicate patient_id {pid!r}")
+                assignments[pid] = int(cluster)
         missing = sum(1 for pid in patient_ids if pid not in assignments)
         extra = len(assignments.keys() - set(patient_ids))
         if missing or extra:
@@ -521,8 +525,7 @@ def stage_stats(ctx: Context) -> list[str]:
         VariableSpec(
             var,
             tuple(values[var]),
-            expand_categories=var in ("race", "age_group"),
-            category_order=categories,
+            binarize=categories if var in ("race", "age_group") else (),
         )
         for var, categories in DEMOGRAPHICS.items()
     ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
@@ -26,8 +26,8 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SpectralConfig:
     k: int
+    seed: int
     gamma: float | None = None  # None -> 1 / feature_count
-    seed: int = 0
     knn_sparsify: int | None = None
     threads: int = 1  # k-means restart workers; never changes the result
 
@@ -64,7 +64,7 @@ class Embedding:
 class ClusterAssignment:
     labels: np.ndarray
     sse: float
-    sse_history: list[float] = field(default_factory=list)
+    sse_history: list[float]
 
 
 def _binary_csr(X: np.ndarray) -> sp.csr_matrix | None:
@@ -109,14 +109,17 @@ def laplacian_kernel_affinity(D: np.ndarray, gamma: float) -> AffinityMatrix:
     return AffinityMatrix(np.exp(A, out=A))
 
 
-def knn_sparsified_affinity(
-    X: np.ndarray, gamma: float, neighbors: int, block: int = 1024
-) -> AffinityMatrix:
+# rows per distance block in knn_sparsified_affinity
+KNN_BLOCK = 1024
+
+
+def knn_sparsified_affinity(X: np.ndarray, gamma: float, neighbors: int) -> AffinityMatrix:
     """Sparse affinity keeping the `neighbors` largest entries per row.
 
-    Distances are computed in row blocks so the full N x N matrix is never
-    materialized; the kept pattern is symmetrized by elementwise max (union
-    of directed kNN edges). The diagonal is always kept. The block matmul
+    Distances are computed in blocks of KNN_BLOCK rows so the full N x N
+    matrix is never materialized; the kept pattern is symmetrized by
+    elementwise max (union of directed kNN edges). The diagonal is always
+    kept. The block matmul
     and the distances run in float32, which is exact for 0/1 rows with fewer
     than 2^24 columns.
     """
@@ -128,8 +131,8 @@ def knn_sparsified_affinity(
     counts = Xf.sum(axis=1)
     cols = np.empty((n, m), dtype=np.intp)
     vals = np.empty((n, m))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, KNN_BLOCK):
+        stop = min(start + KNN_BLOCK, n)
         # distances built in place on the gram block; all exact integers
         Db = Xf[start:stop] @ Xf.T
         Db *= -2
@@ -322,7 +325,8 @@ def kmeans(
     X: np.ndarray,
     k: int,
     restarts: int = 10,
-    seed: int = 0,
+    *,
+    seed: int,
     threads: int = 1,
 ) -> ClusterAssignment:
     """k-means++ seeded Lloyd's algorithm; best of `restarts` runs by SSE.
@@ -384,10 +388,11 @@ def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment
 
 def elbow_sse_curve(
     X: np.ndarray,
+    *,
     kmin: int = 1,
-    kmax: int = 10,
-    restarts: int = 10,
-    seed: int = 0,
+    kmax: int,
+    restarts: int,
+    seed: int,
     threads: int = 1,
 ) -> list[tuple[int, float]]:
     """(k, best k-means SSE on the raw features) for each k in [kmin, kmax]."""

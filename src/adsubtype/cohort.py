@@ -323,7 +323,7 @@ def find_first_ad_date(
 
 
 def assign_timeslot(
-    event_date: date, index_date: date, slot_days: int = 183, slot_count: int = 6
+    event_date: date, index_date: date, slot_days: int, slot_count: int
 ) -> int | None:
     """Timeslot index (1-based, slot 1 adjacent to the index date) or None.
 
@@ -349,15 +349,12 @@ def bin_age(age: int) -> AgeGroup:
     return AgeGroup.OVER_85
 
 
-def compute_age_group(birth_date: date, index_date: date) -> tuple[int, AgeGroup]:
-    """Completed years at the index date and the half-open age bin."""
-    if birth_date > index_date:
-        raise ValueError(f"birth_date {birth_date} after index_date {index_date}")
+def completed_years(birth_date: date, index_date: date) -> int:
+    """Whole years from birth_date to index_date; negative if born after it."""
     age = index_date.year - birth_date.year
     if (index_date.month, index_date.day) < (birth_date.month, birth_date.day):
         age -= 1
-    group = bin_age(age)
-    return age, group
+    return age
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +397,7 @@ def select_cohort(
         idx = first_ad[p.patient_id]
         if p.birth_date > idx:
             continue
-        age, _ = compute_age_group(p.birth_date, idx)
+        age = completed_years(p.birth_date, idx)
         if age >= config.min_age_years:
             of_age.append(p)
             age_at_index[p.patient_id] = age

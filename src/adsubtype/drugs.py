@@ -74,7 +74,7 @@ def load_atc_map(path: str | Path) -> AtcMap:
 def rank_drug_classes(
     prescriptions: Sequence[Sequence[str]],
     atc_map: AtcMap,
-    top: int = 13,
+    top: int,
 ) -> list[str]:
     """Most frequently prescribed ATC3 classes by distinct patients cohort-wide.
 

@@ -116,9 +116,9 @@ class PhenotypeVocabulary:
 def rank_phenotypes(
     cohort: Cohort,
     pmap: PhecodeMap,
-    review_size: int = 60,
-    keep: int = 40,
-    exclusions: Iterable[str] = (),
+    review_size: int,
+    keep: int,
+    exclusions: Iterable[str],
 ) -> tuple[PhenotypeVocabulary, list[tuple[str, str, int]]]:
     """Rank phecodes by distinct-patient prevalence and build the vocabulary.
 
@@ -234,7 +234,7 @@ def _assert_rows_nonzero(values: np.ndarray, pids: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str | None = None) -> None:
+def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str) -> None:
     rows = ([pid, *row.tolist()] for pid, row in zip(fm.patient_ids, fm.values))
     write_table(path, ["patient_id"] + fm.column_labels(), rows, meta)
 
@@ -274,9 +274,10 @@ def read_feature_csv(path: Path) -> FeatureMatrix:
 def write_vocabulary_csv(
     vocabulary: PhenotypeVocabulary,
     path: Path,
-    counts: Mapping[str, int] | None = None,
-    meta: str | None = None,
+    counts: Mapping[str, int] | None,
+    meta: str,
 ) -> None:
+    """Write the vocabulary; patient_count is blank without counts."""
     rows = [
         [rank, code, name, counts.get(code, "") if counts else ""]
         for rank, (code, name) in enumerate(vocabulary.phecodes, start=1)

@@ -23,7 +23,7 @@ import numpy as np
 from .cohort import DEMOGRAPHICS, Cohort
 from .phenotype import AGGREGATE, FeatureMatrix
 from .stats import ALL_CLUSTERS, GridRow, MlrFit, cluster_counts, one_hot, pair_keys
-from .table import read_table, render_table, write_json, write_text
+from .table import render_table, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -61,8 +61,8 @@ class Artifact:
     rows: list[list[Any]]
 
 
-def render_csv(artifact: Artifact, meta: ArtifactMeta | None) -> str:
-    return render_table(artifact.header, artifact.rows, None if meta is None else meta.line())
+def render_csv(artifact: Artifact, meta: ArtifactMeta) -> str:
+    return render_table(artifact.header, artifact.rows, meta.line())
 
 
 def fmt_pct(numerator: int, denominator: int) -> str:
@@ -104,7 +104,7 @@ def significance_stars(p: float) -> str:
 def condition_prevalence(
     labels: Sequence[int],
     features: FeatureMatrix,
-    top_k: int = 20,
+    top_k: int,
 ) -> Artifact:
     """Per-cluster condition prevalence on the top_k cohort-wide conditions.
 
@@ -215,8 +215,7 @@ def render_stats_grid(
         fmt = list(base)
         raw = list(base)
         for key in keys:
-            cell = row.cells.get(key)
-            p = cell.p_value if cell else None
+            p = row.cells.get(key)
             fmt.append(format_p(p))
             raw.append("" if p is None else f"{p:.10g}")
         fmt_rows.append(fmt)
@@ -273,9 +272,9 @@ def emit_reports(
     """Write each table as CSV, then refresh the manifest.
 
     Returns the manifest mapping (also written to manifest.json): every
-    .csv and .json artifact in out_dir with its content digest, and each
-    CSV's data row count. File names and column orders are fixed, so reruns
-    on identical inputs are byte-identical.
+    .csv and .json artifact in out_dir with its content digest. File names
+    and column orders are fixed, so reruns on identical inputs are
+    byte-identical.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,15 +284,13 @@ def emit_reports(
 
 
 def write_manifest(out_dir: str | Path) -> dict[str, Any]:
-    """List every .csv and .json artifact with its digest; CSVs also with rows."""
+    """List every .csv and .json artifact with its SHA-256."""
     out = Path(out_dir)
-    entries: dict[str, Any] = {}
-    for path in sorted(out.iterdir()):
-        if path.is_file() and path.suffix in (".csv", ".json") and path.name != "manifest.json":
-            entries[path.name] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-            if path.suffix == ".csv":
-                with read_table(path) as (_, rows):
-                    entries[path.name]["rows"] = sum(1 for _ in rows)
+    entries = {
+        path.name: {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        for path in sorted(out.iterdir())
+        if path.is_file() and path.suffix in (".csv", ".json") and path.name != "manifest.json"
+    }
     manifest = {"artifacts": entries}
     write_json(out / "manifest.json", manifest)
     return manifest

@@ -9,7 +9,7 @@ Newton's method with HC0 sandwich standard errors.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -110,33 +110,21 @@ def bonferroni_threshold(alpha: float, m: int) -> float:
 class VariableSpec:
     """A categorical per-patient variable for the test grid.
 
-    With expand_categories, each category additionally gets a binarized
-    (category vs rest) row, as the race and age-group rows do.
+    Each category in binarize that occurs in values additionally gets a
+    binarized (category vs rest) row, in binarize order, as the race and
+    age-group rows do.
     """
 
     name: str
     values: tuple[str, ...]
-    expand_categories: bool = False
-    category_order: tuple[str, ...] | None = None
-
-    def ordered_categories(self) -> list[str]:
-        present = set(self.values)
-        if self.category_order:
-            return [c for c in self.category_order if c in present]
-        return sorted(present)
-
-
-@dataclass
-class CellResult:
-    p_value: float | None  # None when the cell's table is untestable
-    statistic: float | None = None
+    binarize: tuple[str, ...] = ()
 
 
 @dataclass
 class GridRow:
     variable: str
     category: str | None
-    cells: dict[str, CellResult] = field(default_factory=dict)
+    cells: dict[str, float | None]  # p-value per cell key; None when untestable
 
 
 ALL_CLUSTERS = "all_clusters"
@@ -158,11 +146,10 @@ def pairwise_test_grid(
 ) -> list[GridRow]:
     """P-values for every cluster pair plus the all-clusters omnibus test.
 
-    For each variable: one row on the full category split, then (when the
-    variable expands) one binarized (category vs rest) row per category.
+    For each variable: one row on the full category split, then one
+    binarized (category vs rest) row per present category it binarizes.
     Every cell slices the variable's one cluster x category count table.
-    Untestable cells carry a None p-value and statistic; the grid is
-    emitted regardless.
+    Untestable cells carry a None p-value; the grid is emitted regardless.
     """
     clusters = sorted(set(labels))
     if len(clusters) < 2:
@@ -177,23 +164,22 @@ def pairwise_test_grid(
         categories = sorted(set(spec.values))
         _, counts = cluster_counts(labels, one_hot(spec.values, categories))
         tables = [(None, counts, categories)]
-        if spec.expand_categories:
-            for cat in spec.ordered_categories():
+        for cat in spec.binarize:
+            if cat in categories:
                 column = counts[:, [categories.index(cat)]]
                 split = np.hstack([column, counts.sum(axis=1, keepdims=True) - column])
                 tables.append((cat, split, [cat, f"not_{cat}"]))
         for category, table, columns in tables:
-            row = GridRow(variable=spec.name, category=category)
+            cells: dict[str, float | None] = {}
             for key, idx in scopes:
                 try:
-                    result = chi_square_test(
+                    cells[key] = chi_square_test(
                         ContingencyTable(table[idx], [names[i] for i in idx], columns),
                         yates=yates,
-                    )
-                    row.cells[key] = CellResult(p_value=result.p_value, statistic=result.statistic)
+                    ).p_value
                 except ValueError:
-                    row.cells[key] = CellResult(p_value=None)
-            rows.append(row)
+                    cells[key] = None
+            rows.append(GridRow(variable=spec.name, category=category, cells=cells))
     return rows
 
 
@@ -309,22 +295,26 @@ def _check_full_rank(X: np.ndarray, names: list[str]) -> None:
     )
 
 
+# Newton stops once the gradient infinity-norm is at most GRAD_TOL and
+# fails after MAX_NEWTON_ITER iterations; a coefficient beyond MAX_ABS_COEF
+# in magnitude is reported as separation
+MAX_NEWTON_ITER = 100
+GRAD_TOL = 1e-8
+MAX_ABS_COEF = 15.0
+
+
 def fit_multinomial_logit(
     features: np.ndarray,
     labels: Sequence[int],
     reference_cluster: int,
     feature_names: Sequence[str] | None = None,
-    add_intercept: bool = True,
-    max_iter: int = 100,
-    grad_tol: float = 1e-8,
-    max_abs_coef: float = 15.0,
 ) -> MlrFit:
     """Maximum-likelihood multinomial logit with the reference class pinned at 0.
 
     Full Newton iterations with step halving until the gradient infinity-norm
-    falls below grad_tol. Standard errors are HC0 sandwich estimates
+    is at most GRAD_TOL. Standard errors are HC0 sandwich estimates
     H^{-1} (sum_i g_i g_i^T) H^{-1} with H the observed information. The
-    intercept ('Constant') is appended as the last column when add_intercept.
+    intercept ('Constant') is appended as the last column.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -335,9 +325,8 @@ def fit_multinomial_logit(
     ]
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length does not match feature columns")
-    if add_intercept:
-        X = np.column_stack([X, np.ones(n)])
-        names = names + ["Constant"]
+    X = np.column_stack([X, np.ones(n)])
+    names = names + ["Constant"]
     p = X.shape[1]
     _check_full_rank(X, names)
 
@@ -353,12 +342,12 @@ def fit_multinomial_logit(
 
     n_iter = 0
     grad_norm = np.inf
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_NEWTON_ITER + 1):
         probs = _softmax_probs(X, beta)
         resid = onehot[:, 1:] - probs[:, 1:]
         grad = (resid.T @ X).ravel()
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= grad_tol:
+        if grad_norm <= GRAD_TOL:
             break
 
         info = _observed_information(X, probs[:, 1:])
@@ -380,19 +369,18 @@ def fit_multinomial_logit(
             )
         beta = candidate
         ll = cand_ll
-        if np.abs(beta).max() > max_abs_coef:
+        if np.abs(beta).max() > MAX_ABS_COEF:
             raise RuntimeError(
-                f"separation detected (|coef| > {max_abs_coef}); a predictor perfectly "
+                f"separation detected (|coef| > {MAX_ABS_COEF}); a predictor perfectly "
                 "splits the classes and regularized fitting is out of scope"
             )
     else:
         raise RuntimeError(
-            f"Newton did not converge in {max_iter} iterations; gradient norm {grad_norm:.3e}"
+            f"Newton did not converge in {MAX_NEWTON_ITER} iterations; "
+            f"gradient norm {grad_norm:.3e}"
         )
 
-    probs = _softmax_probs(X, beta)
-    resid = onehot[:, 1:] - probs[:, 1:]
-
+    # probs and resid are those of the converged beta, from the final iteration
     info = _observed_information(X, probs[:, 1:])
 
     # HC0 sandwich: per-observation scores G[i] = vec(resid_i x_i)
@@ -435,19 +423,20 @@ def fit_multinomial_logit(
         feature_names=names,
         n_obs=n,
         n_iter=n_iter,
-        converged=grad_norm <= grad_tol,
+        converged=grad_norm <= GRAD_TOL,
         grad_norm=grad_norm,
     )
 
 
 def expand_categorical(
-    values: Sequence[str], reference: str, prefix: str | None = None
+    values: Sequence[str], reference: str, prefix: str
 ) -> tuple[np.ndarray, list[str], str]:
     """Indicator columns for every category present except the reference.
 
-    When the stated reference is absent from the data, the first present
-    category (sorted) takes its place so the design stays full rank; the
-    reference actually used is returned.
+    Each column is named prefix + category. When the stated reference is
+    absent from the data, the first present category (sorted) takes its
+    place so the design stays full rank; the reference actually used is
+    returned.
     """
     present = sorted(set(str(v) for v in values))
     if reference not in present:
@@ -457,5 +446,5 @@ def expand_categorical(
         reference = present[0]
     cats = [c for c in present if c != reference]
     cols = one_hot(values, cats).astype(np.float64)
-    names = [f"{prefix}{c}" if prefix else c for c in cats]
+    names = [f"{prefix}{c}" for c in cats]
     return cols, names, reference

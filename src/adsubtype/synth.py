@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -74,7 +74,7 @@ class SubtypeProfile:
     race_dist: Mapping[str, float]
     age_dist: Mapping[str, float]
     mortality_prob: float
-    drug_class_probs: Mapping[str, float] = field(default_factory=dict)
+    drug_class_probs: Mapping[str, float]
 
     def __post_init__(self):
         if not 0.0 < self.mixture_weight <= 1.0:
@@ -173,7 +173,7 @@ class SyntheticData:
             },
         )
 
-    def write_tables(self, out_dir: str | Path, meta: str | None = None) -> list[str]:
+    def write_tables(self, out_dir: str | Path, meta: str) -> list[str]:
         """Write the four input tables plus truth_labels.csv; returns names."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -398,7 +398,7 @@ def demo_profiles() -> list[SubtypeProfile]:
     """
     from .data import default_vocabulary
 
-    all_slots = range(1, 7)
+    all_slots = range(1, CohortConfig.slot_count + 1)
 
     def spread(code: str, prob: float, slots=all_slots) -> dict:
         return {(code, s): prob for s in slots}
@@ -455,29 +455,31 @@ def demo_profiles() -> list[SubtypeProfile]:
     ]
 
 
+# probability of a well-separated profile's signature cells and of its baseline
+P_HIGH = 0.9
+P_LOW = 0.05
+
+
 def well_separated_profiles(
-    phecodes: Sequence[str],
-    k: int = 4,
-    cells_per_profile: int = 12,
-    p_high: float = 0.9,
-    p_low: float = 0.05,
-    slot_count: int = 6,
+    phecodes: Sequence[str], k: int, cells_per_profile: int = 12
 ) -> list[SubtypeProfile]:
     """Profiles with disjoint high-probability signature cells.
 
-    Every profile shares a low baseline on all (phecode, slot) cells it
-    touches and raises cells_per_profile disjoint cells to p_high, giving a
-    planted separation of p_high - p_low per signature cell.
+    Every profile shares a P_LOW baseline on all (phecode, slot) cells it
+    touches, over the default cohort's slots, and raises cells_per_profile
+    disjoint cells to P_HIGH, giving a planted separation of P_HIGH - P_LOW
+    per signature cell.
     """
     needed = k * cells_per_profile
-    cells = [(code, s) for code in phecodes for s in range(1, slot_count + 1)]
+    slots = range(1, CohortConfig.slot_count + 1)
+    cells = [(code, s) for code in phecodes for s in slots]
     if len(cells) < needed:
         raise ValueError(f"need {needed} cells, only {len(cells)} available")
     profiles = []
     for i in range(k):
         sig = cells[i * cells_per_profile : (i + 1) * cells_per_profile]
-        probs = {cell: p_low for cell in cells[:needed]}
-        probs.update({cell: p_high for cell in sig})
+        probs = {cell: P_LOW for cell in cells[:needed]}
+        probs.update({cell: P_HIGH for cell in sig})
         profiles.append(
             SubtypeProfile(
                 name=f"planted_{i}",

@@ -48,13 +48,10 @@ def read_table(path: str | Path) -> Iterator[tuple[list[str], Rows]]:
         yield header, ((lineno, fields) for fields in reader if fields)
 
 
-def render_table(
-    header: Sequence[str], rows: Iterable[Sequence[Any]], meta: str | None = None
-) -> str:
-    """'# meta' line (when given), header and rows as LF-terminated CSV text."""
+def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]], meta: str) -> str:
+    """'# meta' line, header and rows as LF-terminated CSV text."""
     buf = io.StringIO()
-    if meta:
-        buf.write(f"# {meta}\n")
+    buf.write(f"# {meta}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -65,7 +62,7 @@ def write_table(
     path: str | Path,
     header: Sequence[str],
     rows: Iterable[Sequence[Any]],
-    meta: str | None = None,
+    meta: str,
 ) -> None:
     """Atomically replace path with the rendered table."""
     write_text(path, render_table(header, rows, meta))

@@ -9,11 +9,8 @@ import pytest
 
 from adsubtype import cli
 from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
-from adsubtype.cluster import elbow_sse_curve, kmeans
+from adsubtype.cluster import kmeans
 from adsubtype.cohort import CohortConfig
-from adsubtype.drugs import rank_drug_classes
-from adsubtype.phenotype import rank_phenotypes
-from adsubtype.report import condition_prevalence
 from adsubtype.synth import SubtypeProfile
 
 from conftest import write_profiles
@@ -335,14 +332,8 @@ def test_library_defaults_match_config_defaults():
         ("cohort.window_end", cohort.window_end.isoformat()),
         ("cohort.slot_count", cohort.slot_count),
         ("cohort.slot_days", cohort.slot_days),
-        ("elbow.kmax", _param_default(elbow_sse_curve, "kmax")),
-        ("elbow.restarts", _param_default(elbow_sse_curve, "restarts")),
         # the spectral step's restart count, the same as the elbow's
         ("elbow.restarts", _param_default(kmeans, "restarts")),
-        ("ingest.review_size", _param_default(rank_phenotypes, "review_size")),
-        ("ingest.keep", _param_default(rank_phenotypes, "keep")),
-        ("drugs.top", _param_default(rank_drug_classes, "top")),
-        ("report.top_k", _param_default(condition_prevalence, "top_k")),
     ]
     defaults = {key.name: key.default for key in cli.CONFIG_KEYS}
     assert [(key, defaults[key]) for key, _ in mirrors] == mirrors
@@ -430,7 +421,6 @@ def test_pipeline_produces_expected_artifacts(pipeline):
     assert len(_data_lines(out / "mlr.csv")) == 1 + 2 * 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert "assignments.csv" in manifest["artifacts"]
-    assert manifest["artifacts"]["funnel.csv"]["rows"] == 5
 
 
 def test_each_stage_writes_what_it_declares(pipeline):
@@ -522,6 +512,14 @@ def test_stale_assignments_fail_every_consumer(pipeline, tmp_path, capsys):
         fh.write("STALE1,0\n")
     assert main(["report", "--config", str(pipeline["config_path"]), "--out", str(work)]) == 1
     assert "assignments_aggregate.csv does not match the cohort" in capsys.readouterr().err
+
+
+def test_duplicate_assignment_rows_refused(tmp_path):
+    """A patient listed twice is refused at the repeat's line, not resolved to one cluster."""
+    (tmp_path / "assignments.csv").write_text("# meta\npatient_id,cluster\nP1,0\nP2,1\nP2,0\n")
+    ctx = cli.Context(cfg=DEFAULT_CONFIG, out=tmp_path, meta=cli.ArtifactMeta("test", 0, "0" * 12))
+    with pytest.raises(ValueError, match=r"assignments.csv: line 5: duplicate patient_id 'P2'"):
+        ctx.cluster_labels("assignments.csv", ["P1", "P2"])
 
 
 def test_cluster_uses_elbow_choice_when_k_unset(pipeline, tmp_path):

@@ -109,7 +109,7 @@ def test_knn_affinity_symmetric_union():
     assert (M.getnnz(axis=1) >= 4).all()
 
 
-def test_knn_affinity_matches_row_loop():
+def test_knn_affinity_matches_row_loop(monkeypatch):
     X, _ = _planted_blocks(10, 3, 12, seed=3)
     gamma, m = 0.2, 4
     D = hamming_distance_matrix(X).astype(np.float64)
@@ -119,8 +119,9 @@ def test_knn_affinity_matches_row_loop():
             expected[i, j] = np.exp(-gamma * row[j])
     expected = np.maximum(expected, expected.T)
     np.fill_diagonal(expected, 1.0)
-    # block=7 splits the rows into uneven blocks
-    A = knn_sparsified_affinity(X, gamma, neighbors=m - 1, block=7).values
+    # blocks of 7 split the rows unevenly
+    monkeypatch.setattr(cluster, "KNN_BLOCK", 7)
+    A = knn_sparsified_affinity(X, gamma, neighbors=m - 1).values
     ref = sp.csr_matrix(expected)
     assert np.array_equal(A.toarray(), expected)
     for part in ("data", "indices", "indptr"):
@@ -282,7 +283,7 @@ def test_kmeans_handles_duplicate_points():
 
 def test_kmeans_k_exceeds_n_error():
     with pytest.raises(ValueError, match="exceeds"):
-        kmeans(np.zeros((3, 2)), k=4)
+        kmeans(np.zeros((3, 2)), k=4, seed=0)
 
 
 def _reference_lloyd(X, centers, max_iter, tol):
@@ -483,9 +484,9 @@ def test_elbow_curve_k1_equals_total_scatter():
 def test_elbow_curve_validation():
     X = np.zeros((5, 2))
     with pytest.raises(ValueError, match="kmax"):
-        elbow_sse_curve(X, kmin=1, kmax=6)
+        elbow_sse_curve(X, kmin=1, kmax=6, restarts=1, seed=0)
     with pytest.raises(ValueError, match="kmin"):
-        elbow_sse_curve(X, kmin=3, kmax=2)
+        elbow_sse_curve(X, kmin=3, kmax=2, restarts=1, seed=0)
 
 
 def test_detect_elbow_hand_curve():
@@ -550,16 +551,16 @@ def test_spectral_dense_memory_check_and_knn_route(monkeypatch):
         cluster.os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
     )
     with pytest.raises(ValueError, match=r"n=30 .*knn_sparsify"):
-        spectral_cluster(X, SpectralConfig(k=2))
+        spectral_cluster(X, SpectralConfig(k=2, seed=0))
     result = spectral_cluster(X, SpectralConfig(k=2, knn_sparsify=8, seed=0))
     assert adjusted_rand_index(result.labels, truth) >= 0.9
 
 
 def test_spectral_config_validation():
     with pytest.raises(ValueError):
-        SpectralConfig(k=0)
+        SpectralConfig(k=0, seed=0)
     with pytest.raises(ValueError):
-        SpectralConfig(k=2, gamma=-1.0)
+        SpectralConfig(k=2, seed=0, gamma=-1.0)
 
 
 def test_ari_reference_values():

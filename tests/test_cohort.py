@@ -16,7 +16,7 @@ from adsubtype.cohort import (
     TablePaths,
     assign_timeslot,
     bin_age,
-    compute_age_group,
+    completed_years,
     find_first_ad_date,
     load_cohort,
     normalize_code,
@@ -155,15 +155,15 @@ def test_assign_timeslot_boundaries():
     idx = date(2018, 6, 1)
     cases = {0: 1, 1: 1, 182: 1, 183: 2, 365: 2, 366: 3, 914: 5, 915: 6, 1096: 6, 1097: 6}
     for d, slot in cases.items():
-        assert assign_timeslot(idx - timedelta(days=d), idx) == slot
-    assert assign_timeslot(idx - timedelta(days=1098), idx) is None
-    assert assign_timeslot(idx + timedelta(days=1), idx) is None
+        assert assign_timeslot(idx - timedelta(days=d), idx, 183, 6) == slot
+    assert assign_timeslot(idx - timedelta(days=1098), idx, 183, 6) is None
+    assert assign_timeslot(idx + timedelta(days=1), idx, 183, 6) is None
 
 
 def test_assign_timeslot_full_range():
     idx = date(2019, 1, 1)
     for d in range(0, 183 * 6):
-        assert assign_timeslot(idx - timedelta(days=d), idx) == d // 183 + 1
+        assert assign_timeslot(idx - timedelta(days=d), idx, 183, 6) == d // 183 + 1
 
 
 def test_assign_timeslot_custom_geometry():
@@ -182,16 +182,11 @@ def test_bin_age_half_open_bins():
     assert bin_age(85) is AgeGroup.OVER_85
 
 
-def test_compute_age_group_completed_years():
+def test_completed_years():
     idx = date(2018, 6, 1)
-    assert compute_age_group(date(1953, 6, 1), idx) == (65, AgeGroup.FROM_65_TO_75)
-    assert compute_age_group(date(1953, 6, 2), idx) == (64, AgeGroup.UNDER_65)
-    assert compute_age_group(date(1943, 6, 1), idx)[0] == 75
-
-
-def test_compute_age_group_birth_after_index():
-    with pytest.raises(ValueError, match="after index_date"):
-        compute_age_group(date(2019, 1, 1), date(2018, 6, 1))
+    assert completed_years(date(1953, 6, 1), idx) == 65
+    assert completed_years(date(1953, 6, 2), idx) == 64
+    assert completed_years(date(1943, 6, 1), idx) == 75
 
 
 def test_find_first_ad_date_earliest_and_normalized():
@@ -257,6 +252,17 @@ def test_select_cohort_window_edges_inclusive(build_cohort):
     ]
     cohort = build_cohort(patients, diagnoses)
     assert sorted(cohort.patient_ids()) == ["E", "S"]
+
+
+def test_select_cohort_skips_birth_after_index(build_cohort):
+    patients = [_eligible_patient("A"), _eligible_patient("L", birth="2016-01-01")]
+    diagnoses = [
+        ["A", "331.0", "ICD9", "2015-06-01"],
+        ["L", "331.0", "ICD9", "2015-06-01"],
+    ]
+    cohort = build_cohort(patients, diagnoses, config=CohortConfig(min_age_years=0))
+    assert cohort.patient_ids() == ["A"]
+    assert cohort.funnel[-1] == ("age_at_index_ge_0", 1)
 
 
 def test_select_cohort_funnel_monotone(build_cohort, tiny_vocab):

@@ -92,7 +92,7 @@ def test_rank_drug_classes_distinct_patients_and_ties():
         ["1"],
         ["2", "3"],
     ]
-    assert rank_drug_classes(prescriptions, amap) == ["B01A", "N02B", "C09A"]
+    assert rank_drug_classes(prescriptions, amap, top=13) == ["B01A", "N02B", "C09A"]
     assert rank_drug_classes(prescriptions, amap, top=2) == ["B01A", "N02B"]
 
 

@@ -133,7 +133,7 @@ def _ranking_cohort(build_cohort, per_code_patients):
 
 def test_rank_phenotypes_orders_by_distinct_patients(build_cohort, tiny_pmap):
     cohort = _ranking_cohort(build_cohort, {"401.1": 3, "272.1": 5, "250.2": 3})
-    vocab, table = rank_phenotypes(cohort, tiny_pmap, review_size=10, keep=3)
+    vocab, table = rank_phenotypes(cohort, tiny_pmap, review_size=10, keep=3, exclusions=())
     assert table == [
         ("272.1", "Hyperlipidemia", 5),
         ("250.2", "Type 2 diabetes", 3),  # tie with 401.1 breaks by phecode string
@@ -153,7 +153,7 @@ def test_rank_phenotypes_counts_distinct_not_events(build_cohort, tiny_pmap):
         ["P1", "2724", "ICD9", "2015-01-01"],
     ]
     cohort = build_cohort(patients, diagnoses)
-    _, table = rank_phenotypes(cohort, tiny_pmap, review_size=5, keep=2)
+    _, table = rank_phenotypes(cohort, tiny_pmap, review_size=5, keep=2, exclusions=())
     assert dict((c, n) for c, _, n in table) == {"401.1": 1, "272.1": 1}
 
 
@@ -177,14 +177,14 @@ def test_rank_phenotypes_excludes_ad_phecode(build_cohort, tiny_pmap):
         ["P0", "4019", "ICD9", "2015-01-01"],
     ]
     cohort = build_cohort(patients, diagnoses)
-    _, table = rank_phenotypes(cohort, tiny_pmap, review_size=5, keep=1)
+    _, table = rank_phenotypes(cohort, tiny_pmap, review_size=5, keep=1, exclusions=())
     assert all(code != "290.11" for code, _, _ in table)
 
 
 def test_rank_phenotypes_insufficient_survivors(build_cohort, tiny_pmap):
     cohort = _ranking_cohort(build_cohort, {"401.1": 2})
     with pytest.raises(ValueError, match="survive ranking"):
-        rank_phenotypes(cohort, tiny_pmap, review_size=10, keep=3)
+        rank_phenotypes(cohort, tiny_pmap, review_size=10, keep=3, exclusions=())
 
 
 def test_rank_phenotypes_review_size_caps_survivors(build_cohort, tiny_pmap):

@@ -26,7 +26,7 @@ from adsubtype.report import (
     significance_stars,
     write_manifest,
 )
-from adsubtype.stats import CellResult, GridRow, fit_multinomial_logit
+from adsubtype.stats import GridRow, fit_multinomial_logit
 
 from conftest import write_csv
 
@@ -51,7 +51,6 @@ def test_meta_line_and_render_csv():
     art = Artifact("x.csv", ["a", "b"], [[1, "two"], [3, "four"]])
     text = render_csv(art, META)
     assert text == "# adsubtype=test seed=0 config=000000000000\na,b\n1,two\n3,four\n"
-    assert render_csv(art, None).startswith("a,b\n")
 
 
 def test_fmt_pct():
@@ -171,13 +170,13 @@ def test_condition_prevalence_zero_denominator_suppressed(caplog):
 
 def test_condition_prevalence_errors():
     with pytest.raises(ValueError, match="must align"):
-        condition_prevalence([0, 0], _temporal_features())
+        condition_prevalence([0, 0], _temporal_features(), top_k=2)
 
 
 def test_render_prevalence_headers():
-    agg = condition_prevalence([0, 0, 0, 0], _aggregate_features())
+    agg = condition_prevalence([0, 0, 0, 0], _aggregate_features(), top_k=2)
     assert agg.header == ["cluster", "phecode", "numerator", "denominator", "pct"]
-    tmp = condition_prevalence([0, 0, 0], _temporal_features())
+    tmp = condition_prevalence([0, 0, 0], _temporal_features(), top_k=2)
     assert tmp.header == ["cluster", "phecode", "slot", "numerator", "denominator", "pct"]
 
 
@@ -266,22 +265,8 @@ def test_crosstab_mismatched_patients(tmp_path):
 
 def test_render_stats_grid_formatted_and_raw():
     grid = [
-        GridRow(
-            "sex",
-            None,
-            {
-                "0_vs_1": CellResult(0.0004, 12.0),
-                "all_clusters": CellResult(0.25, 1.3),
-            },
-        ),
-        GridRow(
-            "race",
-            "White",
-            {
-                "0_vs_1": CellResult(None),
-                "all_clusters": CellResult(0.04963, 3.9),
-            },
-        ),
+        GridRow("sex", None, {"0_vs_1": 0.0004, "all_clusters": 0.25}),
+        GridRow("race", "White", {"0_vs_1": None, "all_clusters": 0.04963}),
     ]
     fmt, raw = render_stats_grid(grid, [0, 1])
     assert fmt.name == "stats_grid.csv" and raw.name == "stats_grid_raw.csv"
@@ -328,8 +313,7 @@ def test_emit_reports_writes_csv_and_manifest(tmp_path):
     path = tmp_path / "cluster_sizes.csv"
     assert path.exists()
     entry = manifest["artifacts"]["cluster_sizes.csv"]
-    assert entry["rows"] == 2
-    assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert entry == {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert on_disk == manifest
 
@@ -343,11 +327,11 @@ def test_emit_reports_rerun_stability(tmp_path):
     assert first == second
 
 
-def test_manifest_row_counts(tmp_path):
+def test_manifest_entries_hold_only_the_digest(tmp_path):
     empty = Artifact("elbow.csv", ["k", "sse"], [])
     emit_reports([empty], tmp_path, META)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["artifacts"]["elbow.csv"]["rows"] == 0
+    assert list(manifest["artifacts"]["elbow.csv"]) == ["sha256"]
 
 
 def test_manifest_lists_extras_and_skips_itself(tmp_path):
@@ -361,8 +345,8 @@ def test_manifest_lists_extras_and_skips_itself(tmp_path):
     assert "zz_extra.csv" in names
     assert "manifest.json" not in names
     assert "notes.txt" not in names
-    assert manifest["artifacts"]["zz_extra.csv"]["rows"] == 2
-    # JSON artifacts carry only their digest; nothing parses them
+    # every entry carries only its digest; nothing parses the files
+    assert list(manifest["artifacts"]["zz_extra.csv"]) == ["sha256"]
     assert list(manifest["artifacts"]["zz_extra.json"]) == ["sha256"]
 
 

@@ -63,9 +63,9 @@ def test_profile_validation_errors():
     with pytest.raises(ValueError, match="slot"):
         _profile("x", 1.0, {("401.1", 0): 0.5})
     with pytest.raises(ValueError, match="unknown age group"):
-        SubtypeProfile("x", 1.0, {}, SEX, RACE, {"young": 1.0}, 0.1)
+        SubtypeProfile("x", 1.0, {}, SEX, RACE, {"young": 1.0}, 0.1, {})
     with pytest.raises(ValueError, match="sums to"):
-        SubtypeProfile("x", 1.0, {}, {"F": 0.5, "M": 0.4}, RACE, AGE, 0.1)
+        SubtypeProfile("x", 1.0, {}, {"F": 0.5, "M": 0.4}, RACE, AGE, 0.1, {})
     with pytest.raises(ValueError, match="mortality_prob"):
         _profile("x", 1.0, {}, mortality=1.2)
     with pytest.raises(ValueError, match="drug_class_probs"):

@@ -24,7 +24,7 @@ def test_failed_write_leaves_previous_file(tmp_path):
         raise RuntimeError("row source failed")
 
     with pytest.raises(RuntimeError, match="row source failed"):
-        write_table(path, ["k", "sse"], rows())
+        write_table(path, ["k", "sse"], rows(), meta="m")
     # fails while encoding, after the temp file is open
     with pytest.raises(UnicodeEncodeError):
         write_text(path, "k,sse\n" * 1000 + "\ud800\n")
