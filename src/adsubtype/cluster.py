@@ -1,10 +1,12 @@
 """Spectral clustering of binary feature matrices.
 
-Pipeline: pairwise Hamming distances -> Laplacian-kernel affinity ->
-normalized-Laplacian eigen-embedding (top-k eigenvectors of
-D^{-1/2} A D^{-1/2}, rows renormalized) -> k-means labels in the embedding.
-Also provides the raw-feature SSE elbow probe for choosing k and the
-adjusted Rand index for partition agreement.
+Pipeline: Laplacian-kernel affinity A(i,j) = exp(-gamma * Hamming(x_i, x_j))
+-> normalized-Laplacian eigen-embedding (top-k eigenvectors of
+M = D^{-1/2} A D^{-1/2}, rows renormalized) -> k-means labels in the
+embedding. M is applied as an operator through a sparse factorisation of A
+(`binomial_kernel_operator`), so no N x N buffer is built; the explicit dense
+and kNN-sparsified affinities remain. Also provides the raw-feature SSE elbow
+probe for choosing k and the adjusted Rand index for partition agreement.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -40,7 +43,11 @@ class SpectralConfig:
 
 @dataclass
 class AffinityMatrix:
-    """Symmetric affinity with unit diagonal; dense ndarray or sparse CSR."""
+    """Explicit symmetric affinity with unit diagonal; dense ndarray or sparse CSR.
+
+    The dense (`laplacian_kernel_affinity`) and kNN-sparsified forms; the
+    unsparsified pipeline uses `binomial_kernel_operator` in place of both.
+    """
 
     values: np.ndarray | sp.csr_matrix
 
@@ -149,27 +156,126 @@ def knn_sparsified_affinity(X: np.ndarray, gamma: float, neighbors: int) -> Affi
     return AffinityMatrix(A.tocsr())
 
 
-def normalized_laplacian_embedding(A: AffinityMatrix, k: int) -> Embedding:
+# The kernel operator keeps the subset sizes m <= J of the smallest order J
+# whose relative tail bound is at most this.
+KERNEL_TAIL_TOL = 2e-2
+
+
+def _kernel_order(r_max: int, q: float) -> tuple[int, float]:
+    """Smallest J with C(r_max, J+1) q^(J+1) <= KERNEL_TAIL_TOL, and that bound.
+
+    For rows sharing s <= r_max ones and q = t / (1 + t), the terms m > J drop
+    the share P(Binomial(s, q) > J) of the kernel entry, at most the bound.
+    """
+    J = 0
+    while (bound := comb(r_max, J + 1) * q ** (J + 1)) > KERNEL_TAIL_TOL:
+        J += 1
+    return J, bound
+
+
+def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matrix]:
+    """(u, P) with exp(-gamma * Hamming(x_i, x_j)) ~ u_i u_j (P P^T)(i, j).
+
+    For 0/1 rows sharing s ones, with u = exp(-gamma |x|) and
+    t = e^{2 gamma} - 1, the kernel is u_i u_j (1 + t)^s =
+    u_i u_j sum_m C(s, m) t^m, and C(s, m) counts the m-element subsets of
+    ones the two rows share. Row i of P holds sqrt(t^m) for each subset of
+    its ones of size m <= J (J from `_kernel_order`), in column
+    offset[m] + the subset's rank in the combinatorial number system. Each
+    entry of u u^T * P P^T lies within the tail bound (relative) below the
+    kernel's.
+    """
+    Xs = _binary_csr(X)
+    if Xs is None:
+        raise ValueError("the kernel operator expects a binary matrix")
+    (n, p), r = X.shape, np.diff(Xs.indptr)
+    r_max = int(r.max(initial=0))
+    t = np.expm1(2.0 * gamma)
+    J, bound = _kernel_order(r_max, -np.expm1(-2.0 * gamma))  # t / (1 + t)
+    width = np.array([sum(comb(c, m) for m in range(J + 1)) for c in range(r_max + 1)])
+    offset = np.cumsum([0] + [comb(p, m) for m in range(J + 1)])
+    row_width = width[r]
+    nnz, ncols = int(row_width.sum()), int(offset[-1])
+    idx = np.int32 if max(nnz, ncols) < 2**31 else np.int64
+    # P, plus the column-length vector of each product with P^T
+    needed = nnz * (8 + np.dtype(idx).itemsize) + 8 * ncols
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > physical:
+        raise ValueError(
+            f"the kernel operator of order {J} for gamma={gamma:.4g} needs about {needed} "
+            f"bytes, more than the {physical} bytes of physical memory; lower cluster.gamma"
+        )
+    log.info("kernel operator: order J=%d, relative tail bound %.3g, %d nonzeros", J, bound, nnz)
+
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(row_width, out=indptr[1:])
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    binom = np.array([[comb(v, i) for i in range(J + 1)] for v in range(p)], dtype=idx)
+    for c in np.unique(r):
+        rows = np.flatnonzero(r == c)
+        ones = Xs.indices[Xs.indptr[rows, None] + np.arange(c)]  # sorted columns
+        at = indptr[rows, None]  # each row's next free slot
+        for m in range(min(c, J) + 1):
+            size = comb(c, m)
+            subsets = np.array(list(combinations(range(c), m)), dtype=np.intp).reshape(size, m)
+            rank = np.full((rows.size, size), offset[m], dtype=idx)
+            for i in range(m):
+                rank += binom[ones[:, subsets[:, i]], i + 1]
+            slots = at + np.arange(size)
+            indices[slots] = rank
+            data[slots] = np.sqrt(t**m)
+            at += size
+    return np.exp(-gamma * r), sp.csr_matrix((data, indices, indptr), shape=(n, ncols))
+
+
+def _inv_sqrt_degrees(d: np.ndarray) -> np.ndarray:
+    if not (d > 0).all():
+        raise ValueError("affinity has a zero or NaN degree")
+    return 1.0 / np.sqrt(d)
+
+
+def binomial_kernel_operator(X: np.ndarray, gamma: float) -> spla.LinearOperator:
+    """M = D^{-1/2} A D^{-1/2} of the Laplacian-kernel affinity, as an operator.
+
+    A = diag(u) P P^T diag(u) from `_kernel_factor`, so no N x N buffer is
+    built: the degrees are one product with u, and
+    M v = w * (P @ (P^T @ (w * v))) with w = u / sqrt(d), where P^T is a view.
+    The m = 0 column is shared by every row, so every degree is positive
+    unless u underflows or, at a gamma of several hundred, t^m overflows.
+    """
+    u, P = _kernel_factor(X, gamma)
+    Pt = P.T
+    w = u * _inv_sqrt_degrees(u * (P @ (Pt @ u)))
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        return w * (P @ (Pt @ (w * np.ravel(v))))
+
+    return spla.LinearOperator((P.shape[0], P.shape[0]), matvec=matvec, dtype=np.float64)
+
+
+def normalized_laplacian_embedding(
+    A: AffinityMatrix | spla.LinearOperator, k: int
+) -> Embedding:
     """Top-k eigenvectors of M = D^{-1/2} A D^{-1/2}, rows renormalized.
 
-    Both layouts use Lanczos (ARPACK) for the k largest eigenpairs from a
-    fixed start, so reruns give identical bits. Eigenvector signs are fixed
-    so the largest-magnitude component of each column is positive.
+    A is an explicit affinity, or M itself as the operator from
+    `binomial_kernel_operator`. Every form uses Lanczos (ARPACK) for the k
+    largest eigenpairs from a fixed start, so reruns give identical bits.
+    Eigenvector signs are fixed so the largest-magnitude component of each
+    column is positive.
     """
-    n = A.n
+    operator = isinstance(A, spla.LinearOperator)
+    n = A.shape[0] if operator else A.n
     if k >= n:
         raise ValueError(f"k={k} exceeds n-1={n - 1}")
-    if A.is_sparse:
-        d = np.asarray(A.values.sum(axis=1)).ravel()
-    else:
-        d = A.values.sum(axis=1)
-    if (d <= 0).any():
-        raise ValueError("affinity has a zero-degree row")
-    inv_sqrt = 1.0 / np.sqrt(d)
-
-    if A.is_sparse:
+    if operator:
+        M = A
+    elif A.is_sparse:
+        inv_sqrt = _inv_sqrt_degrees(np.asarray(A.values.sum(axis=1)).ravel())
         M = sp.diags(inv_sqrt) @ A.values @ sp.diags(inv_sqrt)
     else:
+        inv_sqrt = _inv_sqrt_degrees(A.values.sum(axis=1))
         # one N x N buffer beside A; eigsh reads M without copying it
         M = inv_sqrt[:, None] * A.values
         M *= inv_sqrt[None, :]
@@ -358,29 +464,18 @@ def kmeans(
 
 
 def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment:
-    """Full pipeline: Hamming -> Laplacian-kernel affinity -> embedding -> k-means.
+    """Full pipeline: Laplacian-kernel affinity -> embedding -> k-means.
 
-    The dense route is refused before it allocates when its N x N buffers
-    would not fit in physical memory; the kNN route never builds them.
+    The affinity is the kernel operator, or the kNN-sparsified matrix when
+    `knn_sparsify` is set; neither builds an N x N buffer.
     """
     X = np.asarray(X)
-    n, n_features = X.shape
-    gamma = config.gamma if config.gamma is not None else 1.0 / n_features
+    gamma = config.gamma if config.gamma is not None else 1.0 / X.shape[1]
 
     if config.knn_sparsify is not None:
         affinity = knn_sparsified_affinity(X, gamma, config.knn_sparsify)
     else:
-        # peak: 2 N x N 8-byte buffers, distances and affinity here, then A
-        # and M in normalized_laplacian_embedding (2.16 x 8n^2 over baseline
-        # measured with ru_maxrss at n=3000)
-        needed = 2 * 8 * n * n
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if needed > physical:
-            raise ValueError(
-                f"dense affinity for n={n} needs about {needed} bytes, more than the "
-                f"{physical} bytes of physical memory; set cluster.knn_sparsify"
-            )
-        affinity = laplacian_kernel_affinity(hamming_distance_matrix(X), gamma)
+        affinity = binomial_kernel_operator(X, gamma)
 
     embedding = normalized_laplacian_embedding(affinity, config.k)
     return kmeans(embedding.values, config.k, seed=config.seed, threads=config.threads)

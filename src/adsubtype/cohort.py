@@ -395,8 +395,6 @@ def select_cohort(
     of_age: list[PatientRecord] = []
     for p in in_window:
         idx = first_ad[p.patient_id]
-        if p.birth_date > idx:
-            continue
         age = completed_years(p.birth_date, idx)
         if age >= config.min_age_years:
             of_age.append(p)

@@ -254,7 +254,6 @@ def mlr_summary_json(fit: MlrFit) -> dict[str, Any]:
         "aic": fit.aic,
         "n_obs": fit.n_obs,
         "n_iter": fit.n_iter,
-        "converged": fit.converged,
         "grad_norm": fit.grad_norm,
         "reference_cluster": fit.reference_cluster,
         "class_labels": fit.class_labels,

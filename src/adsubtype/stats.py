@@ -202,7 +202,6 @@ class MlrFit:
     feature_names: list[str]
     n_obs: int
     n_iter: int
-    converged: bool
     grad_norm: float
 
     def fitted_probabilities(self, X: np.ndarray) -> np.ndarray:
@@ -423,7 +422,6 @@ def fit_multinomial_logit(
         feature_names=names,
         n_obs=n,
         n_iter=n_iter,
-        converged=grad_norm <= GRAD_TOL,
         grad_norm=grad_norm,
     )
 

@@ -1,6 +1,7 @@
 """Spectral clustering pipeline: distances, embedding, k-means, elbow, ARI."""
 
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -131,6 +132,105 @@ def test_knn_affinity_matches_row_loop(monkeypatch):
 # ---------------------------------------------------------------------------
 # embedding
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# binomial kernel operator
+# ---------------------------------------------------------------------------
+
+
+def _sparse_binary(seed, n=40, p=12):
+    """Random 0/1 rows with two all-zero columns and rows of 0, 1 and 2 ones."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, p)) < 0.4).astype(np.uint8)
+    X[:, [0, 5]] = 0
+    X[:3] = 0
+    X[1, 3] = 1
+    X[2, [4, 7]] = 1
+    return X
+
+
+def test_kernel_order_is_smallest_under_tolerance():
+    for r_max in (0, 1, 2, 5, 24, 46):
+        for q in (0.0, 0.004, 0.05, 0.3, 0.9, 1.0):
+            tails = [math.comb(r_max, j + 1) * q ** (j + 1) for j in range(r_max + 1)]
+            J, bound = cluster._kernel_order(r_max, q)
+            assert bound == tails[J] <= cluster.KERNEL_TAIL_TOL
+            assert all(tail > cluster.KERNEL_TAIL_TOL for tail in tails[:J])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_factor_counts_shared_subsets(seed):
+    X = _sparse_binary(seed)
+    n, p = X.shape
+    gamma = 0.05
+    t = math.expm1(2 * gamma)
+    u, P = cluster._kernel_factor(X, gamma)
+    r = X.sum(axis=1)
+    J, _ = cluster._kernel_order(int(r.max()), t / (1 + t))
+    assert J >= 2 and (r < J).any()
+    offset = np.cumsum([0] + [math.comb(p, m) for m in range(J + 1)])
+    assert P.shape == (n, offset[-1])
+    assert P.indices.dtype == np.int32 and P.indptr.dtype == np.int32
+    assert np.array_equal(u, np.exp(-gamma * r))
+    S = X.astype(np.int64) @ X.T.astype(np.int64)
+    expected = np.zeros((n, n))
+    for m in range(J + 1):
+        block = P[:, offset[m] : offset[m + 1]]
+        assert (block.data == np.sqrt(t**m)).all()
+        pattern = block.copy()
+        pattern.data[:] = 1.0
+        shared = (pattern @ pattern.T).toarray()
+        assert np.array_equal(shared, np.vectorize(math.comb)(S, m))
+        expected += shared * t**m
+    assert np.allclose((P @ P.T).toarray(), expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("gamma", [0.02, 0.05, 0.2])
+def test_kernel_operator_within_tail_bound_of_dense(gamma):
+    X = _sparse_binary(7, n=30, p=10)
+    dense = laplacian_kernel_affinity(hamming_distance_matrix(X), gamma).values
+    u, P = cluster._kernel_factor(X, gamma)
+    t = math.expm1(2 * gamma)
+    _, bound = cluster._kernel_order(int(X.sum(axis=1).max()), t / (1 + t))
+    A = u[:, None] * (P @ P.T).toarray() * u[None, :]
+    shortfall = (dense - A) / dense
+    assert shortfall.min() >= -1e-12
+    assert shortfall.max() <= bound + 1e-12
+    M = cluster.binomial_kernel_operator(X, gamma) @ np.eye(X.shape[0])
+    assert np.allclose(M, _reference_m(A), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_operator_route_matches_dense(seed):
+    X, _ = _planted_blocks(40, 3, 24, seed=seed, p_sig=0.6, p_noise=0.15)
+    gamma = 1.0 / 24
+    op = normalized_laplacian_embedding(cluster.binomial_kernel_operator(X, gamma), k=3)
+    dense = normalized_laplacian_embedding(
+        laplacian_kernel_affinity(hamming_distance_matrix(X), gamma), k=3
+    )
+    assert np.abs(op.eigenvalues - dense.eigenvalues).max() <= 1e-4
+    result = spectral_cluster(X, SpectralConfig(k=3, seed=0))
+    assert np.array_equal(result.labels, kmeans(dense.values, 3, seed=0).labels)
+
+
+def test_kernel_operator_refusals(monkeypatch):
+    X, _ = _planted_blocks(15, 2, 10, seed=15)
+    with pytest.raises(ValueError, match="binary"):
+        spectral_cluster(X * 2, SpectralConfig(k=2, seed=0))
+    # t = e^{2 gamma} - 1 overflows, so the degrees are NaN
+    with pytest.raises(ValueError, match="NaN degree"), np.errstate(over="ignore"):
+        cluster.binomial_kernel_operator(X, 400.0)
+    isolated = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="zero or NaN degree"):
+        normalized_laplacian_embedding(AffinityMatrix(isolated), k=1)
+    sysconf = cluster.os.sysconf
+    # one page of physical memory: far below P's bytes
+    monkeypatch.setattr(
+        cluster.os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+    with pytest.raises(ValueError, match=r"order \d+ .*lower cluster.gamma"):
+        spectral_cluster(X, SpectralConfig(k=2, seed=0))
 
 
 def _reference_m(A):
@@ -543,15 +643,8 @@ def test_spectral_gamma_default():
     assert not np.array_equal(other.labels, result.labels)
 
 
-def test_spectral_dense_memory_check_and_knn_route(monkeypatch):
+def test_spectral_knn_route():
     X, truth = _planted_blocks(15, 2, 10, seed=15)
-    sysconf = cluster.os.sysconf
-    # one page of physical memory: far below the dense route's N x N buffers
-    monkeypatch.setattr(
-        cluster.os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
-    )
-    with pytest.raises(ValueError, match=r"n=30 .*knn_sparsify"):
-        spectral_cluster(X, SpectralConfig(k=2, seed=0))
     result = spectral_cluster(X, SpectralConfig(k=2, knn_sparsify=8, seed=0))
     assert adjusted_rand_index(result.labels, truth) >= 0.9
 

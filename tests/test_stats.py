@@ -297,7 +297,7 @@ def _counts_data():
 def test_mlr_intercept_only_closed_form():
     X, labels = _counts_data()
     fit = fit_multinomial_logit(X, labels, reference_cluster=0)
-    assert fit.converged
+    assert fit.grad_norm <= stats.GRAD_TOL
     assert fit.feature_names == ["Constant"]
     assert fit.class_labels == [1, 2]
     assert fit.coefficients[0, 0] == pytest.approx(math.log(2.0), abs=1e-8)
