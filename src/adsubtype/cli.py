@@ -317,9 +317,8 @@ class Context:
             raise FileNotFoundError(f"missing input {p} (run '{PRODUCERS[name]}' first)")
         return p
 
-    def write(self, artifact: Artifact) -> str:
+    def write(self, artifact: Artifact) -> None:
         write_text(self.path(artifact.name), render_csv(artifact, self.meta))
-        return artifact.name
 
     def cohort_config(self) -> CohortConfig:
         co = self.cfg["cohort"]
@@ -369,7 +368,7 @@ class Context:
 # ---------------------------------------------------------------------------
 
 
-def stage_synth(ctx: Context) -> list[str]:
+def stage_synth(ctx: Context) -> None:
     scfg = ctx.cfg["synth"]
     spec = scfg["profiles"]
     if spec == "demo":
@@ -379,10 +378,10 @@ def stage_synth(ctx: Context) -> list[str]:
     data = generate_cohort(
         profiles, scfg["n_patients"], ctx.seed, config=ctx.cohort_config()
     )
-    return data.write_tables(ctx.out, ctx.meta.line())
+    data.write_tables(ctx.out, ctx.meta.line())
 
 
-def stage_ingest(ctx: Context) -> list[str]:
+def stage_ingest(ctx: Context) -> None:
     ing = ctx.cfg["ingest"]
 
     def table(name: str) -> Path:
@@ -418,38 +417,27 @@ def stage_ingest(ctx: Context) -> list[str]:
         vocabulary = load_vocabulary_csv(Path(source))
 
     cohort = restrict_to_vocabulary(cohort, vocabulary)
-    written = []
-
     funnel = Artifact(
         "funnel.csv",
         ["criterion", "patients"],
         [[name, n] for name, n in cohort.funnel],
     )
-    written.append(ctx.write(funnel))
-
+    ctx.write(funnel)
     write_vocabulary_csv(
         vocabulary, ctx.path("vocabulary.csv"), counts=counts, meta=ctx.meta.line()
     )
-    written.append("vocabulary.csv")
-
     save_cohort(cohort, ctx.path("cohort.json"))
-    written.append("cohort.json")
-    return written
 
 
-def stage_features(ctx: Context) -> list[str]:
+def stage_features(ctx: Context) -> None:
     cohort = ctx.load_cohort()
     vocabulary = load_vocabulary_csv(ctx.need("vocabulary.csv"))
     temporal = build_temporal_matrix(cohort, vocabulary)
-    written = []
     for fm in (temporal, aggregate_from_temporal(temporal)):
-        name = f"features_{fm.layout}.csv"
-        write_feature_csv(fm, ctx.path(name), meta=ctx.meta.line())
-        written.append(name)
-    return written
+        write_feature_csv(fm, ctx.path(f"features_{fm.layout}.csv"), meta=ctx.meta.line())
 
 
-def stage_elbow(ctx: Context) -> list[str]:
+def stage_elbow(ctx: Context) -> None:
     el = ctx.cfg["elbow"]
     fm = read_feature_csv(ctx.need("features_temporal.csv"))
     curve = elbow_sse_curve(
@@ -465,7 +453,7 @@ def stage_elbow(ctx: Context) -> list[str]:
         ["k", "sse", "chosen"],
         [[k, f"{sse:.6f}", 1 if k == chosen else 0] for k, sse in curve],
     )
-    return [ctx.write(artifact)]
+    ctx.write(artifact)
 
 
 def _read_chosen_k(ctx: Context) -> int:
@@ -491,7 +479,7 @@ def _cluster_layout(ctx: Context, config: SpectralConfig, layout: str, name: str
     return [[layout, int(c), int(n)] for c, n in zip(clusters, counts)]
 
 
-def stage_cluster(ctx: Context) -> list[str]:
+def stage_cluster(ctx: Context) -> None:
     cl = ctx.cfg["cluster"]
     config = SpectralConfig(
         k=cl["k"] if cl["k"] is not None else _read_chosen_k(ctx),
@@ -500,22 +488,17 @@ def stage_cluster(ctx: Context) -> list[str]:
         knn_sparsify=cl["knn_sparsify"],
         threads=ctx.cfg["threads"],
     )
-    written = []
     size_rows = []
     for layout, name in ((TEMPORAL, "assignments.csv"), (AGGREGATE, "assignments_aggregate.csv")):
         size_rows += _cluster_layout(ctx, config, layout, name)
-        written.append(name)
-    written.append(
-        ctx.write(Artifact("cluster_sizes.csv", ["layout", "cluster", "n"], size_rows))
-    )
-    return written
+    ctx.write(Artifact("cluster_sizes.csv", ["layout", "cluster", "n"], size_rows))
 
 
 # every 2x2 chi-square table gets Yates's continuity correction
 YATES = True
 
 
-def stage_stats(ctx: Context) -> list[str]:
+def stage_stats(ctx: Context) -> None:
     st = ctx.cfg["stats"]
     cohort = ctx.load_cohort()
     labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
@@ -540,13 +523,12 @@ def stage_stats(ctx: Context) -> list[str]:
         "yates": YATES,
         "clusters": clusters,
     }
-    written = [ctx.write(formatted), ctx.write(raw)]
+    ctx.write(formatted)
+    ctx.write(raw)
     write_json(ctx.path("stats_summary.json"), summary)
-    written.append("stats_summary.json")
-    return written
 
 
-def stage_mlr(ctx: Context) -> list[str]:
+def stage_mlr(ctx: Context) -> None:
     mcfg = ctx.cfg["mlr"]
     cohort = ctx.load_cohort()
     labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
@@ -571,15 +553,13 @@ def stage_mlr(ctx: Context) -> list[str]:
     fit = fit_multinomial_logit(
         X, labels, reference_cluster=mcfg["reference_cluster"], feature_names=names
     )
-    written = [ctx.write(render_mlr(fit))]
+    ctx.write(render_mlr(fit))
     summary = mlr_summary_json(fit)
     summary["references"] = references
     write_json(ctx.path("mlr.json"), summary)
-    written.append("mlr.json")
-    return written
 
 
-def stage_drugs(ctx: Context) -> list[str]:
+def stage_drugs(ctx: Context) -> None:
     dcfg = ctx.cfg["drugs"]
     cohort = ctx.load_cohort()
     labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
@@ -590,10 +570,10 @@ def stage_drugs(ctx: Context) -> list[str]:
     selected = dcfg["selected"]
     if selected is None:
         selected = rank_drug_classes(prescriptions, atc_map, top=dcfg["top"])
-    return [ctx.write(drug_prevalence_by_cluster(prescriptions, labels, atc_map, selected))]
+    ctx.write(drug_prevalence_by_cluster(prescriptions, labels, atc_map, selected))
 
 
-def stage_report(ctx: Context) -> list[str]:
+def stage_report(ctx: Context) -> None:
     rcfg = ctx.cfg["report"]
     cohort = ctx.load_cohort()
     labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
@@ -613,7 +593,6 @@ def stage_report(ctx: Context) -> list[str]:
     artifacts.append(cluster_crosstab(labels, aggregate_labels))
 
     emit_reports(artifacts, ctx.out, ctx.meta)
-    return [a.name for a in artifacts] + ["manifest.json"]
 
 
 @dataclass(frozen=True)
@@ -627,7 +606,7 @@ class Stage:
     """
 
     name: str
-    run: Callable[[Context], list[str]]
+    run: Callable[[Context], None]
     reads: tuple[str, ...]
     writes: tuple[str, ...]
 
@@ -693,7 +672,7 @@ PIPELINE = [
 ]
 STAGES = [stage.name for stage in PIPELINE]
 # main() looks stages up here at dispatch time, so entries can be swapped
-STAGE_FUNCS: dict[str, Callable[[Context], list[str]]] = {
+STAGE_FUNCS: dict[str, Callable[[Context], None]] = {
     stage.name: stage.run for stage in PIPELINE
 }
 PRODUCERS = {artifact: stage.name for stage in PIPELINE for artifact in stage.writes}
@@ -738,12 +717,11 @@ def main(argv=None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 2
 
-    stages = STAGES if args.command == "all" else [args.command]
+    stages = [stage for stage in PIPELINE if args.command in ("all", stage.name)]
     if args.dry_run:
-        for stage in PIPELINE:
-            if stage.name in stages:
-                reads, writes = " ".join(stage.reads), " ".join(stage.writes)
-                print(f"{stage.name}: reads [{reads}] writes [{writes}]")
+        for stage in stages:
+            reads, writes = " ".join(stage.reads), " ".join(stage.writes)
+            print(f"{stage.name}: reads [{reads}] writes [{writes}]")
         return 0
 
     out = Path(cfg["out_dir"])
@@ -760,10 +738,10 @@ def main(argv=None) -> int:
 
     for stage in stages:
         try:
-            written = STAGE_FUNCS[stage](ctx)
-            log.info("%s: wrote %s", stage, " ".join(written))
+            STAGE_FUNCS[stage.name](ctx)
+            log.info("%s: wrote %s", stage.name, " ".join(stage.writes))
         except Exception as exc:
-            print(f"error: stage {stage} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            print(f"error: stage {stage.name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
         # A full collection also empties the interpreter's free lists. Left
         # full, they pin memory freed by one stage's per-patient tuples and

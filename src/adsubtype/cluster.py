@@ -3,10 +3,11 @@
 Pipeline: Laplacian-kernel affinity A(i,j) = exp(-gamma * Hamming(x_i, x_j))
 -> normalized-Laplacian eigen-embedding (top-k eigenvectors of
 M = D^{-1/2} A D^{-1/2}, rows renormalized) -> k-means labels in the
-embedding. M is applied as an operator through a sparse factorisation of A
-(`binomial_kernel_operator`), so no N x N buffer is built; the explicit dense
-and kNN-sparsified affinities remain. Also provides the raw-feature SSE elbow
-probe for choosing k and the adjusted Rand index for partition agreement.
+embedding. A is an explicit dense or kNN-sparsified matrix, or an operator
+through a sparse factorisation (`binomial_kernel_operator`) that builds no
+N x N buffer; every form is normalized the same way. Also provides the
+raw-feature SSE elbow probe for choosing k and the adjusted Rand index for
+partition agreement.
 """
 
 from __future__ import annotations
@@ -46,14 +47,10 @@ class AffinityMatrix:
     """Explicit symmetric affinity with unit diagonal; dense ndarray or sparse CSR.
 
     The dense (`laplacian_kernel_affinity`) and kNN-sparsified forms; the
-    unsparsified pipeline uses `binomial_kernel_operator` in place of both.
+    unsparsified pipeline applies A through `binomial_kernel_operator` instead.
     """
 
     values: np.ndarray | sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
     @property
     def is_sparse(self) -> bool:
@@ -83,23 +80,30 @@ def _binary_csr(X: np.ndarray) -> sp.csr_matrix | None:
     return Xs if (Xs.data == 1).all() else None
 
 
+def _hamming_rows(Xf: np.ndarray, counts: np.ndarray, rows: slice) -> np.ndarray:
+    """Hamming distances from Xf[rows] to every row of 0/1 Xf, whose row sums are counts.
+
+    Built in place on the gram block as |x| + |y| - 2 x.y. Every intermediate
+    is an integer exact in Xf's dtype, so BLAS threading cannot change it.
+    """
+    D = Xf[rows] @ Xf.T
+    D *= -2.0
+    D += counts[rows, None]
+    D += counts[None, :]
+    return D
+
+
 def hamming_distance_matrix(X: np.ndarray) -> np.ndarray:
     """Pairwise count of differing positions between binary rows.
 
-    Uses the identity d(x, y) = |x| + |y| - 2 x.y for 0/1 vectors; the float
-    matmul is exact here (all intermediates are integers far below 2^53), so
-    the result is independent of BLAS threading. Returns float64 holding
-    integers, built in place in the gram buffer (one N x N allocation).
+    Returns float64 holding integers, built in place in the gram buffer (one
+    N x N allocation).
     """
     X = np.asarray(X)
     if X.size and _binary_csr(X) is None:
         raise ValueError("hamming_distance_matrix expects a binary matrix")
     Xf = X.astype(np.float64)
-    counts = Xf.sum(axis=1)
-    D = Xf @ Xf.T
-    D *= -2.0
-    D += counts[:, None]
-    D += counts[None, :]
+    D = _hamming_rows(Xf, Xf.sum(axis=1), slice(None))
     return np.rint(D, out=D)
 
 
@@ -126,9 +130,8 @@ def knn_sparsified_affinity(X: np.ndarray, gamma: float, neighbors: int) -> Affi
     Distances are computed in blocks of KNN_BLOCK rows so the full N x N
     matrix is never materialized; the kept pattern is symmetrized by
     elementwise max (union of directed kNN edges). The diagonal is always
-    kept. The block matmul
-    and the distances run in float32, which is exact for 0/1 rows with fewer
-    than 2^24 columns.
+    kept. The block matmul and the distances run in float32, which is exact
+    for 0/1 rows with fewer than 2^24 columns.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
@@ -140,11 +143,7 @@ def knn_sparsified_affinity(X: np.ndarray, gamma: float, neighbors: int) -> Affi
     vals = np.empty((n, m))
     for start in range(0, n, KNN_BLOCK):
         stop = min(start + KNN_BLOCK, n)
-        # distances built in place on the gram block; all exact integers
-        Db = Xf[start:stop] @ Xf.T
-        Db *= -2
-        Db += counts[start:stop, None]
-        Db += counts[None, :]
+        Db = _hamming_rows(Xf, counts, slice(start, stop))
         idx = np.sort(np.argpartition(Db, m - 1, axis=1)[:, :m], axis=1)
         cols[start:stop] = idx
         selected = np.take_along_axis(Db, idx, axis=1).astype(np.float64)
@@ -229,27 +228,19 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
     return np.exp(-gamma * r), sp.csr_matrix((data, indices, indptr), shape=(n, ncols))
 
 
-def _inv_sqrt_degrees(d: np.ndarray) -> np.ndarray:
-    if not (d > 0).all():
-        raise ValueError("affinity has a zero or NaN degree")
-    return 1.0 / np.sqrt(d)
-
-
 def binomial_kernel_operator(X: np.ndarray, gamma: float) -> spla.LinearOperator:
-    """M = D^{-1/2} A D^{-1/2} of the Laplacian-kernel affinity, as an operator.
+    """The Laplacian-kernel affinity A as an operator.
 
     A = diag(u) P P^T diag(u) from `_kernel_factor`, so no N x N buffer is
-    built: the degrees are one product with u, and
-    M v = w * (P @ (P^T @ (w * v))) with w = u / sqrt(d), where P^T is a view.
-    The m = 0 column is shared by every row, so every degree is positive
-    unless u underflows or, at a gamma of several hundred, t^m overflows.
+    built: A v = u * (P @ (P^T @ (u * v))), where P^T is a view. The m = 0
+    column is shared by every row, so every degree is positive unless u
+    underflows or, at a gamma of several hundred, t^m overflows.
     """
     u, P = _kernel_factor(X, gamma)
     Pt = P.T
-    w = u * _inv_sqrt_degrees(u * (P @ (Pt @ u)))
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        return w * (P @ (Pt @ (w * np.ravel(v))))
+        return u * (P @ (Pt @ (u * np.ravel(v))))
 
     return spla.LinearOperator((P.shape[0], P.shape[0]), matvec=matvec, dtype=np.float64)
 
@@ -259,26 +250,26 @@ def normalized_laplacian_embedding(
 ) -> Embedding:
     """Top-k eigenvectors of M = D^{-1/2} A D^{-1/2}, rows renormalized.
 
-    A is an explicit affinity, or M itself as the operator from
-    `binomial_kernel_operator`. Every form uses Lanczos (ARPACK) for the k
-    largest eigenpairs from a fixed start, so reruns give identical bits.
+    A is an explicit affinity or the operator from `binomial_kernel_operator`.
+    Every form is normalized alike: the degrees are d = A 1, and Lanczos
+    (ARPACK) finds the k largest eigenpairs of v -> w * (A (w * v)) with
+    w = 1 / sqrt(d), from a fixed start, so reruns give identical bits.
     Eigenvector signs are fixed so the largest-magnitude component of each
     column is positive.
     """
-    operator = isinstance(A, spla.LinearOperator)
-    n = A.shape[0] if operator else A.n
+    A = A.values if isinstance(A, AffinityMatrix) else A
+    n = A.shape[0]
     if k >= n:
         raise ValueError(f"k={k} exceeds n-1={n - 1}")
-    if operator:
-        M = A
-    elif A.is_sparse:
-        inv_sqrt = _inv_sqrt_degrees(np.asarray(A.values.sum(axis=1)).ravel())
-        M = sp.diags(inv_sqrt) @ A.values @ sp.diags(inv_sqrt)
-    else:
-        inv_sqrt = _inv_sqrt_degrees(A.values.sum(axis=1))
-        # one N x N buffer beside A; eigsh reads M without copying it
-        M = inv_sqrt[:, None] * A.values
-        M *= inv_sqrt[None, :]
+    d = A @ np.ones(n)
+    if not (d > 0).all():
+        raise ValueError("affinity has a zero or NaN degree")
+    w = 1.0 / np.sqrt(d)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        return w * (A @ (w * np.ravel(v)))
+
+    M = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     rng = np.random.default_rng(0)  # start vector and any restart vectors
     try:
         eigvals, eigvecs = spla.eigsh(
@@ -317,15 +308,13 @@ TOL = 1e-4
 
 
 def _kmeanspp_centers(
-    X: np.ndarray, Xs: sp.csr_matrix | None, x2: np.ndarray, k: int, rng: np.random.Generator
+    X: np.ndarray, P: np.ndarray | sp.csr_matrix, x2: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     n = X.shape[0]
 
     def sqdist(i: int) -> np.ndarray:
-        # squared distances to row i; on 0/1 rows exact Hamming counts either way
-        if Xs is None:
-            return ((X - X[i]) ** 2).sum(axis=1)
-        return x2 + x2[i] - 2.0 * (Xs @ X[i])
+        # squared distances to row i, clamped at 0; exact Hamming counts on 0/1 rows
+        return np.maximum(x2 + x2[i] - 2.0 * (P @ X[i]), 0.0)
 
     chosen = [int(rng.integers(n))]
     closest = sqdist(chosen[0])
@@ -450,9 +439,10 @@ def kmeans(
         raise ValueError(f"k={k} exceeds number of points n={n}")
     x2 = np.einsum("ij,ij->i", X, X)
     Xs = _binary_csr(X)
+    P = X if Xs is None else Xs
 
     def restart(r: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-        centers = _kmeanspp_centers(X, Xs, x2, k, np.random.default_rng([seed, r]))
+        centers = _kmeanspp_centers(X, P, x2, k, np.random.default_rng([seed, r]))
         return _lloyd(X, Xs, x2, centers)
 
     workers = min(threads, restarts, os.cpu_count() or 1)

@@ -228,6 +228,12 @@ def _encode_labels(labels: Sequence[int], reference_cluster: int) -> tuple[np.nd
     return y, others
 
 
+def _residuals(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, one-hot labels minus probabilities), the latter without the reference."""
+    probs = _softmax_probs(X, beta)
+    return probs, np.eye(probs.shape[1])[y][:, 1:] - probs[:, 1:]
+
+
 def _loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     probs = _softmax_probs(X, beta)
     return float(np.log(probs[np.arange(len(y)), y]).sum())
@@ -241,8 +247,8 @@ def mlr_gradient(
 ) -> np.ndarray:
     """Analytic log-likelihood gradient, shaped like beta ((K-1) x p).
 
-    Exposed so the fitter's direction can be cross-checked by finite
-    differences.
+    The fitter's Newton gradient is built from the same residuals, so a
+    finite-difference check of this one covers it.
     """
     X = np.asarray(features, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -251,11 +257,7 @@ def mlr_gradient(
         raise ValueError(
             f"beta shape {beta.shape} does not match ({len(others)}, {X.shape[1]})"
         )
-    probs = _softmax_probs(X, beta)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(y)), y] = 1.0
-    resid = onehot[:, 1:] - probs[:, 1:]
-    return resid.T @ X
+    return _residuals(X, y, beta)[1].T @ X
 
 
 def _observed_information(X: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -336,14 +338,11 @@ def fit_multinomial_logit(
 
     beta = np.zeros((km1, p))
     ll = _loglik(X, y, beta)
-    onehot = np.zeros((n, km1 + 1))
-    onehot[np.arange(n), y] = 1.0
 
     n_iter = 0
     grad_norm = np.inf
     for n_iter in range(1, MAX_NEWTON_ITER + 1):
-        probs = _softmax_probs(X, beta)
-        resid = onehot[:, 1:] - probs[:, 1:]
+        probs, resid = _residuals(X, y, beta)
         grad = (resid.T @ X).ravel()
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= GRAD_TOL:
