@@ -435,6 +435,10 @@ def kmeans(
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
+    if k < 1:
+        raise ValueError(f"k={k} must be >= 1")
+    if restarts < 1:
+        raise ValueError(f"restarts={restarts} must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
     x2 = np.einsum("ij,ij->i", X, X)

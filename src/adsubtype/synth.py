@@ -5,14 +5,20 @@ date, per-(phenotype, slot) condition flags, mortality, and post-index
 prescriptions. Output tables use the same CSV schemas the ingestion stage
 reads, plus a ground-truth label table for recovery scoring.
 
-Per-patient draws come from independent substreams of the master seed, so
+Patient i draws from its own substream [seed, i] of the master seed, so
 generation is deterministic regardless of patient count or parallel order.
+Within a patient the draws come in this order: one uniform each for the
+profile, sex, race and age group; integers for the age, index date and AD
+code; mortality; then one uniform per planted condition and drug class of
+the profile and, for the ones that fire, one vector integer call for their
+days and pool picks.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -215,16 +221,29 @@ class SyntheticData:
         return list(tables)
 
 
+def _pick(cum: list[float], rng: np.random.Generator) -> int:
+    """Index of one uniform draw against the cumulative weights cum."""
+    return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+
+
 def _categorical(dist: Mapping[str, float]) -> Callable[[np.random.Generator], str]:
     """One draw from dist per call; labels are taken in sorted order."""
-    items = sorted(dist.items())
-    cum = np.cumsum([p for _, p in items])
+    labels, probs = zip(*sorted(dist.items()))
+    cum = np.cumsum(probs).tolist()
+    return lambda rng: labels[_pick(cum, rng)]
 
-    def draw(rng: np.random.Generator) -> str:
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return items[min(idx, len(items) - 1)][0]
 
-    return draw
+def _plan(rows: list[tuple[float, int, int, list]]) -> tuple:
+    """Planted (probability, first day, last day, pool) rows as arrays.
+
+    Days are inclusive offsets from the index date. Row j fires when its
+    uniform is below probs[j]; a hit's day and pool pick are then drawn in
+    one vector call, from [lows[0, j], highs[0, j]) and [0, highs[1, j]).
+    """
+    probs = np.array([row[0] for row in rows], dtype=float)
+    lows = np.array([[row[1] for row in rows], [0] * len(rows)], dtype=np.int64)
+    highs = np.array([[row[2] + 1 for row in rows], [len(row[3]) for row in rows]], dtype=np.int64)
+    return probs, lows, highs, [row[3] for row in rows]
 
 
 def _anniversary(base: date, years_back: int) -> date:
@@ -262,7 +281,9 @@ def generate_cohort(
 
     code_pool: dict[str, list[tuple[str, CodeSystem]]] = {}
     for profile in profiles:
-        for code, _slot in profile.condition_slot_prob:
+        for code, slot in profile.condition_slot_prob:
+            if slot > config.slot_count:
+                raise ValueError(f"profile {profile.name}: slot {slot} beyond {config.slot_count}")
             if code not in code_pool:
                 pool = phecode_map.codes_for_phecode(code)
                 if not pool:
@@ -281,24 +302,23 @@ def generate_cohort(
                     raise ValueError(f"no RxCUIs map to ATC3 class {atc3!r}")
                 rx_pool[atc3] = pool
 
-    weights = np.cumsum([p.mixture_weight for p in profiles])
+    weights = np.cumsum([p.mixture_weight for p in profiles]).tolist()
     window_days = (config.window_end - config.window_start).days
     ad_codes = sorted(config.ad_code_set)
     slot_days = config.slot_days
 
-    # per profile, in draw order: the sex, race and age-group distributions,
-    # each planted condition's (probability, first day of its slot, ICD pool)
-    # and each drug class's (probability, RxCUI pool)
+    # per profile: the sex, race and age-group draws, and one _plan whose first
+    # n_cells rows are the planted conditions in sorted (phecode, slot) order,
+    # dated inside their slot before the index date, and whose other rows are
+    # the drug classes in sorted order, dated in the year from the index date
     plans = []
     for profile in profiles:
-        planted = []
-        for (code, slot), p in sorted(profile.condition_slot_prob.items()):
-            if slot > config.slot_count:
-                raise ValueError(f"profile {profile.name}: slot {slot} beyond {config.slot_count}")
-            planted.append((p, (slot - 1) * slot_days, code_pool[code]))
-        drugs = [(p, rx_pool[atc3]) for atc3, p in sorted(profile.drug_class_probs.items())]
+        rows = [(p, 1 - slot * slot_days, (1 - slot) * slot_days, code_pool[code])
+                for (code, slot), p in sorted(profile.condition_slot_prob.items())]
+        n_cells = len(rows)
+        rows += [(p, 0, 365, rx_pool[atc3]) for atc3, p in sorted(profile.drug_class_probs.items())]
         plans.append((_categorical(profile.sex_dist), _categorical(profile.race_dist),
-                      _categorical(profile.age_dist), planted, drugs))
+                      _categorical(profile.age_dist), _plan(rows), n_cells))
 
     patients: list[PatientRecord] = []
     diagnoses: list[DiagnosisEvent] = []
@@ -310,12 +330,11 @@ def generate_cohort(
         rng = np.random.default_rng([seed, i])
         pid = f"P{i:0{width}d}"
 
-        k = int(np.searchsorted(weights, rng.random() * weights[-1], side="right"))
-        k = min(k, len(profiles) - 1)
+        k = _pick(weights, rng)
         profile = profiles[k]
         truth[pid] = k
 
-        draw_sex, draw_race, draw_age_group, planted, drugs = plans[k]
+        draw_sex, draw_race, draw_age_group, (probs, lows, highs, pools), n_cells = plans[k]
         sex = Sex(draw_sex(rng))
         race = Race(draw_race(rng))
         lo, hi = _AGE_RANGES[draw_age_group(rng)]
@@ -328,25 +347,20 @@ def generate_cohort(
         ad_system = CodeSystem.ICD9 if ad_code.replace(".", "").isdigit() else CodeSystem.ICD10CM
         diagnoses.append(DiagnosisEvent(pid, ad_code, ad_system, index_date))
 
-        for p, first_day, pool in planted:
-            if rng.random() >= p:
-                continue
-            day = first_day + int(rng.integers(0, slot_days))
-            event_date = index_date - timedelta(days=day)
-            icd, system = pool[int(rng.integers(0, len(pool)))]
-            diagnoses.append(DiagnosisEvent(pid, icd, system, event_date))
-
         died = rng.random() < profile.mortality_prob
         death_date = None
         if died:
             death_date = index_date + timedelta(days=int(rng.integers(30, 1096)))
 
-        for p, pool in drugs:
-            if rng.random() >= p:
-                continue
-            rx_date = index_date + timedelta(days=int(rng.integers(0, 366)))
-            rxcui = pool[int(rng.integers(0, len(pool)))]
-            prescriptions.append(PrescriptionEvent(pid, rxcui, rx_date))
+        hit = (rng.random(probs.size) < probs).nonzero()[0]
+        days, picks = rng.integers(lows[:, hit], highs[:, hit]).tolist()
+        for j, day, pick in zip(hit.tolist(), days, picks):
+            when = index_date + timedelta(days=day)
+            if j < n_cells:
+                icd, system = pools[j][pick]
+                diagnoses.append(DiagnosisEvent(pid, icd, system, when))
+            else:
+                prescriptions.append(PrescriptionEvent(pid, pools[j][pick], when))
 
         patients.append(
             PatientRecord(

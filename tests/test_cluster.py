@@ -386,6 +386,14 @@ def test_kmeans_k_exceeds_n_error():
         kmeans(np.zeros((3, 2)), k=4, seed=0)
 
 
+@pytest.mark.parametrize(
+    "k, restarts, name", [(0, 1, "k=0"), (-1, 1, "k=-1"), (2, 0, "restarts=0"), (2, -3, "restarts=-3")]
+)
+def test_kmeans_refuses_nonpositive_k_and_restarts(k, restarts, name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        kmeans(np.zeros((3, 2)), k=k, restarts=restarts, seed=0)
+
+
 def _reference_lloyd(X, centers, max_iter, tol):
     """Lloyd iterations with a boolean mask and a mean per centroid."""
 

@@ -262,6 +262,84 @@ def test_generate_errors(tiny_pmap):
         )
 
 
+def test_patient_draws_do_not_depend_on_patient_count(tiny_pmap):
+    profiles = [
+        _profile("a", 0.6, {("401.1", 1): 0.7, ("272.1", 3): 0.4}, mortality=0.3,
+                 drugs={"N02B": 0.5}),
+        _profile("b", 0.4, {("250.2", 2): 0.8}, mortality=0.2, drugs={"B01A": 0.6}),
+    ]
+    small = generate_cohort(profiles, 30, seed=4, phecode_map=tiny_pmap, atc_map=_atc_map())
+    large = generate_cohort(profiles, 90, seed=4, phecode_map=tiny_pmap, atc_map=_atc_map())
+    first = {p.patient_id for p in small.patients}  # P00..P29 at both sizes
+    assert small.patients == large.patients[:30]
+    assert small.diagnoses == [d for d in large.diagnoses if d.patient_id in first]
+    assert small.prescriptions == [r for r in large.prescriptions if r.patient_id in first]
+    assert small.truth == {pid: k for pid, k in large.truth.items() if pid in first}
+
+
+def test_vector_draws_stay_inside_their_bounds(tiny_pmap):
+    cells = {("401.1", 1): 0.9, ("401.1", 3): 0.3, ("272.1", 2): 0.6, ("250.2", 4): 0.15}
+    drugs = {"N02B": 0.4, "B01A": 0.7}
+    atc_map = AtcMap(
+        {
+            "11": frozenset({("N02B", "pain")}),
+            "12": frozenset({("N02B", "pain")}),
+            "13": frozenset({("N02B", "pain")}),
+            "22": frozenset({("B01A", "blood")}),
+            "23": frozenset({("B01A", "blood")}),
+        }
+    )
+    config = CohortConfig(slot_count=4, slot_days=20)
+    n = 2000
+    data = generate_cohort(
+        [_profile("only", 1.0, cells, mortality=0.5, drugs=drugs)],
+        n, seed=17, config=config, phecode_map=tiny_pmap, atc_map=atc_map,
+    )
+    ad_norm = config.normalized_ad_codes
+    index_of = {
+        d.patient_id: d.date for d in data.diagnoses if d.code.upper().replace(".", "") in ad_norm
+    }
+    assert len(index_of) == n
+    phecode_of = {
+        icd: phecode
+        for phecode in ("401.1", "272.1", "250.2")
+        for icd, _ in tiny_pmap.codes_for_phecode(phecode)
+    }
+
+    def within_3_sigma(hits, p):
+        return abs(hits - n * p) <= 3 * math.sqrt(n * p * (1 - p))
+
+    offsets: dict[tuple[str, int], list[int]] = {cell: [] for cell in cells}
+    codes: dict[str, set[str]] = {phecode: set() for phecode, _ in cells}
+    for d in data.diagnoses:
+        if d.code not in phecode_of:
+            continue
+        offset = (index_of[d.patient_id] - d.date).days
+        slot = offset // config.slot_days + 1
+        offsets[(phecode_of[d.code], slot)].append(offset)
+        codes[phecode_of[d.code]].add(d.code)
+    for (phecode, slot), days in offsets.items():
+        assert within_3_sigma(len(days), cells[(phecode, slot)])
+        first = (slot - 1) * config.slot_days
+        assert min(days) == first and max(days) == first + config.slot_days - 1
+    for phecode, seen in codes.items():
+        assert seen == {icd for icd, _ in tiny_pmap.codes_for_phecode(phecode)}
+
+    by_class = {"N02B": {"11", "12", "13"}, "B01A": {"22", "23"}}
+    for atc3, pool in by_class.items():
+        rows = [r for r in data.prescriptions if r.rxcui in pool]
+        assert within_3_sigma(len(rows), drugs[atc3])
+        assert {r.rxcui for r in rows} == pool
+        assert len({r.patient_id for r in rows}) == len(rows)  # one draw per class
+    for r in data.prescriptions:
+        assert 0 <= (r.date - index_of[r.patient_id]).days <= 365
+
+    dead = [p for p in data.patients if p.died]
+    assert within_3_sigma(len(dead), 0.5)
+    for p in dead:
+        assert 30 <= (p.death_date - index_of[p.patient_id]).days <= 1095
+
+
 # ---------------------------------------------------------------------------
 # table output and ingestion round trip
 # ---------------------------------------------------------------------------
