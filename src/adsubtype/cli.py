@@ -2,8 +2,10 @@
 
 Each subcommand reads only the previous stages' artifacts from the output
 directory, so any stage can be rerun in isolation; PIPELINE declares what
-each stage reads and writes. Outputs are pure functions of (inputs, config,
-seed); thread settings never affect bytes.
+each stage reads and writes. Within one process a stage reuses an earlier
+stage's parse of a file only while the next stage declares that file as a
+read; a stage run on its own parses its own files. Outputs are pure
+functions of (inputs, config, seed); thread settings never affect bytes.
 """
 
 import os
@@ -57,6 +59,7 @@ from .drugs import drug_prevalence_by_cluster, load_atc_map, rank_drug_classes
 from .phenotype import (
     AGGREGATE,
     TEMPORAL,
+    FeatureMatrix,
     aggregate_from_temporal,
     build_temporal_matrix,
     load_phecode_map,
@@ -298,11 +301,24 @@ def validate_config(cfg: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def read_assignments(path: Path) -> dict[str, int]:
+    """Each patient's cluster in an assignments file; a patient listed twice is refused."""
+    assignments: dict[str, int] = {}
+    with read_table(path) as (_, rows):
+        for lineno, (pid, cluster) in rows:
+            if pid in assignments:
+                raise ValueError(f"{path}: line {lineno}: duplicate patient_id {pid!r}")
+            assignments[pid] = int(cluster)
+    return assignments
+
+
 @dataclass
 class Context:
     cfg: dict
     out: Path
     meta: ArtifactMeta
+    # parsed artifacts by name; main keeps one only while the next stage reads it
+    parsed: dict[str, Any]
 
     @property
     def seed(self) -> int:
@@ -317,7 +333,14 @@ class Context:
             raise FileNotFoundError(f"missing input {p} (run '{PRODUCERS[name]}' first)")
         return p
 
+    def parse(self, name: str, reader: Callable[[Path], Any]) -> Any:
+        """Artifact `name` as `reader` parses it, read at most once while cached."""
+        if name not in self.parsed:
+            self.parsed[name] = reader(self.need(name))
+        return self.parsed[name]
+
     def write(self, artifact: Artifact) -> None:
+        self.parsed.pop(artifact.name, None)
         write_text(self.path(artifact.name), render_csv(artifact, self.meta))
 
     def cohort_config(self) -> CohortConfig:
@@ -343,24 +366,21 @@ class Context:
         The file must assign exactly these patients, each once; one left
         over from another cohort, or listed twice, is refused.
         """
-        path = self.need(name)
-        assignments: dict[str, int] = {}
-        with read_table(path) as (_, rows):
-            for lineno, (pid, cluster) in rows:
-                if pid in assignments:
-                    raise ValueError(f"{path}: line {lineno}: duplicate patient_id {pid!r}")
-                assignments[pid] = int(cluster)
+        assignments = self.parse(name, read_assignments)
         missing = sum(1 for pid in patient_ids if pid not in assignments)
         extra = len(assignments.keys() - set(patient_ids))
         if missing or extra:
             raise ValueError(
-                f"{path} does not match the cohort: {missing} patients missing "
+                f"{self.path(name)} does not match the cohort: {missing} patients missing "
                 f"cluster assignments, {extra} assigned patients not in the cohort"
             )
         return [assignments[pid] for pid in patient_ids]
 
     def load_cohort(self) -> Cohort:
-        return load_cohort(self.need("cohort.json"))
+        return self.parse("cohort.json", load_cohort)
+
+    def features(self, layout: str) -> FeatureMatrix:
+        return self.parse(f"features_{layout}.csv", read_feature_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +459,7 @@ def stage_features(ctx: Context) -> None:
 
 def stage_elbow(ctx: Context) -> None:
     el = ctx.cfg["elbow"]
-    fm = read_feature_csv(ctx.need("features_temporal.csv"))
+    fm = ctx.features(TEMPORAL)
     curve = elbow_sse_curve(
         fm.values.astype(np.float64),
         kmax=el["kmax"],
@@ -469,9 +489,12 @@ def _cluster_layout(ctx: Context, config: SpectralConfig, layout: str, name: str
     """Cluster one feature layout and write `name`; returns its cluster_sizes rows.
 
     Its own function so that one layout's matrix and rows are freed before
-    the next layout is clustered; holding them raises the peak memory.
+    the next layout is clustered; holding them raises the peak memory. So
+    the matrix also leaves ctx.parsed here: nothing later in this stage
+    reads it, and the next stage does not declare it.
     """
-    fm = read_feature_csv(ctx.need(f"features_{layout}.csv"))
+    fm = ctx.features(layout)
+    del ctx.parsed[f"features_{layout}.csv"]
     labels = spectral_cluster(fm.values, config).labels
     rows = [[pid, int(lab)] for pid, lab in zip(fm.patient_ids, labels)]
     ctx.write(Artifact(name, ["patient_id", "cluster"], rows))
@@ -580,7 +603,7 @@ def stage_report(ctx: Context) -> None:
 
     artifacts = []
     for layout in (TEMPORAL, AGGREGATE):
-        fm = read_feature_csv(ctx.need(f"features_{layout}.csv"))
+        fm = ctx.features(layout)
         artifacts.append(
             condition_prevalence(
                 ctx.cluster_labels("assignments.csv", fm.patient_ids),
@@ -728,7 +751,7 @@ def main(argv=None) -> int:
     meta = ArtifactMeta(
         version=__version__, seed=cfg["seed"], config_digest=config_hash(cfg)
     )
-    ctx = Context(cfg=cfg, out=out, meta=meta)
+    ctx = Context(cfg=cfg, out=out, meta=meta, parsed={})
     try:
         out.mkdir(parents=True, exist_ok=True)
         write_json(ctx.path("effective_config.json"), semantic_config(cfg))
@@ -736,13 +759,17 @@ def main(argv=None) -> int:
         print(f"error: cannot prepare output directory: {exc}", file=sys.stderr)
         return 1
 
-    for stage in stages:
+    for i, stage in enumerate(stages):
         try:
             STAGE_FUNCS[stage.name](ctx)
             log.info("%s: wrote %s", stage.name, " ".join(stage.writes))
         except Exception as exc:
             print(f"error: stage {stage.name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
+        # Keep only the parses the next stage reads: one held any longer
+        # would add its size to the peak RSS of the stages in between.
+        reads = stages[i + 1].reads if i + 1 < len(stages) else ()
+        ctx.parsed = {name: obj for name, obj in ctx.parsed.items() if name in reads}
         # A full collection also empties the interpreter's free lists. Left
         # full, they pin memory freed by one stage's per-patient tuples and
         # raise the peak RSS of every later stage in the same process.

@@ -241,7 +241,10 @@ def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str) -> None:
 
 def read_feature_csv(path: Path) -> FeatureMatrix:
     """Read a features CSV; a row whose field count differs from the
-    header's, or with a cell other than "0" or "1", is a ValueError."""
+    header's, or with a cell other than "0" or "1", is a ValueError.
+
+    The values are read-only: one parse may serve several stages.
+    """
     pids: list[str] = []
     cells: list[str] = []  # each row's cells joined, one character per cell
     with read_table(path) as (header, data):
@@ -258,6 +261,7 @@ def read_feature_csv(path: Path) -> FeatureMatrix:
             cells.append(row)
     buf = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8)
     values = buf.reshape(len(pids), width) - np.uint8(ord("0"))
+    values.setflags(write=False)
     columns: list[tuple[str, int | None]] = []
     layout = AGGREGATE
     for label in header[1:]:

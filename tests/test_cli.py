@@ -517,9 +517,71 @@ def test_stale_assignments_fail_every_consumer(pipeline, tmp_path, capsys):
 def test_duplicate_assignment_rows_refused(tmp_path):
     """A patient listed twice is refused at the repeat's line, not resolved to one cluster."""
     (tmp_path / "assignments.csv").write_text("# meta\npatient_id,cluster\nP1,0\nP2,1\nP2,0\n")
-    ctx = cli.Context(cfg=DEFAULT_CONFIG, out=tmp_path, meta=cli.ArtifactMeta("test", 0, "0" * 12))
+    ctx = cli.Context(
+        cfg=DEFAULT_CONFIG, out=tmp_path, meta=cli.ArtifactMeta("test", 0, "0" * 12), parsed={}
+    )
     with pytest.raises(ValueError, match=r"assignments.csv: line 5: duplicate patient_id 'P2'"):
         ctx.cluster_labels("assignments.csv", ["P1", "P2"])
+
+
+def _counting(monkeypatch, name, counts):
+    """Replace cli.<name> with a wrapper that counts its calls by file name."""
+    reader = getattr(cli, name)
+
+    def counted(path):
+        key = (name, Path(path).name)
+        counts[key] = counts.get(key, 0) + 1
+        return reader(path)
+
+    monkeypatch.setattr(cli, name, counted)
+
+
+def test_all_parses_each_artifact_while_the_next_stage_reads_it(pipeline, tmp_path, monkeypatch):
+    counts = {}
+    for name in ("load_cohort", "read_feature_csv", "read_assignments"):
+        _counting(monkeypatch, name, counts)
+    cached = {}  # the parses held as each stage starts
+
+    def entering(stage, run):
+        def recorded(ctx):
+            cached[stage] = set(ctx.parsed)
+            run(ctx)
+
+        return recorded
+
+    for stage in STAGES:
+        monkeypatch.setitem(cli.STAGE_FUNCS, stage, entering(stage, cli.STAGE_FUNCS[stage]))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(pipeline["config_path"]), "--out", str(out)]) == 0
+    assert _snapshot(out) == _snapshot(pipeline["out1"])
+    # cohort.json: once for features, once for stats, mlr, drugs and report
+    assert counts == {
+        ("load_cohort", "cohort.json"): 2,
+        ("read_feature_csv", "features_temporal.csv"): 2,  # elbow, then cluster; report
+        ("read_feature_csv", "features_aggregate.csv"): 2,  # cluster; report
+        ("read_assignments", "assignments.csv"): 1,
+        ("read_assignments", "assignments_aggregate.csv"): 1,
+    }
+    for stage in PIPELINE:
+        assert cached[stage.name] <= set(stage.reads), stage.name
+    assert cached["cluster"] == {"features_temporal.csv"}  # no cohort.json at cluster's peak
+    assert cached["report"] == {"cohort.json", "assignments.csv"}
+
+
+def test_write_drops_the_cached_parse(tmp_path):
+    ctx = cli.Context(
+        cfg=DEFAULT_CONFIG, out=tmp_path, meta=cli.ArtifactMeta("test", 0, "0" * 12), parsed={}
+    )
+    header = ["patient_id", "cluster"]
+    ctx.write(cli.Artifact("assignments.csv", header, [["P1", 0], ["P2", 1]]))
+    assert ctx.cluster_labels("assignments.csv", ["P1", "P2"]) == [0, 1]
+    assert ctx.parsed == {"assignments.csv": {"P1": 0, "P2": 1}}
+    ctx.write(cli.Artifact("assignments.csv", header, [["P1", 1], ["P2", 1]]))
+    assert ctx.parsed == {}
+    assert ctx.cluster_labels("assignments.csv", ["P1", "P2"]) == [1, 1]
+    # the cached parse still gets the per-call cohort check
+    with pytest.raises(ValueError, match="1 patients missing cluster assignments"):
+        ctx.cluster_labels("assignments.csv", ["P1", "P2", "P3"])
 
 
 def test_cluster_uses_elbow_choice_when_k_unset(pipeline, tmp_path):

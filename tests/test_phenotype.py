@@ -280,6 +280,9 @@ def test_feature_csv_round_trip(build_cohort, tiny_vocab, tmp_path):
         assert back.columns == fm.columns
         assert back.slot_count == fm.slot_count
         assert np.array_equal(back.values, fm.values)
+        # one parse may serve several stages, so none of them may write into it
+        with pytest.raises(ValueError, match="read-only"):
+            back.values[0, 0] = 1
 
 
 @pytest.mark.parametrize(

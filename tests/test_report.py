@@ -228,7 +228,7 @@ def test_demographic_breakdown_variable_order_and_render():
 
 def test_demographic_breakdown_missing_assignment(tmp_path):
     write_csv(tmp_path / "assignments.csv", ["patient_id", "cluster"], [["A", 0], ["B", 0]])
-    ctx = Context({}, tmp_path, META)
+    ctx = Context({}, tmp_path, META, parsed={})
     with pytest.raises(ValueError, match="1 patients missing cluster assignments"):
         ctx.cluster_labels("assignments.csv", _mini_cohort().patient_ids())
 
@@ -253,7 +253,7 @@ def test_crosstab_identity_is_diagonal():
 def test_crosstab_mismatched_patients(tmp_path):
     rows = [["A", 0], ["B", 1], ["C", 1], ["STALE", 0]]
     write_csv(tmp_path / "assignments_aggregate.csv", ["patient_id", "cluster"], rows)
-    ctx = Context({}, tmp_path, META)
+    ctx = Context({}, tmp_path, META, parsed={})
     with pytest.raises(ValueError, match="1 assigned patients not in the cohort"):
         ctx.cluster_labels("assignments_aggregate.csv", _mini_cohort().patient_ids())
 
