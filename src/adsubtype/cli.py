@@ -91,7 +91,7 @@ from .stats import (
     pairwise_test_grid,
 )
 from .synth import generate_cohort, load_profiles, demo_profiles
-from .table import read_table, write_json, write_text
+from .table import int_field, read_table, write_json, write_text
 
 log = logging.getLogger("adsubtype")
 
@@ -301,14 +301,18 @@ def validate_config(cfg: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+ASSIGNMENT_COLUMNS = ["patient_id", "cluster"]
+ELBOW_COLUMNS = ["k", "sse", "chosen"]
+
+
 def read_assignments(path: Path) -> dict[str, int]:
     """Each patient's cluster in an assignments file; a patient listed twice is refused."""
     assignments: dict[str, int] = {}
-    with read_table(path) as (_, rows):
-        for lineno, (pid, cluster) in rows:
+    with read_table(path, ASSIGNMENT_COLUMNS) as (_, rows):
+        for lineno, (pid, cluster, *_) in rows:
             if pid in assignments:
                 raise ValueError(f"{path}: line {lineno}: duplicate patient_id {pid!r}")
-            assignments[pid] = int(cluster)
+            assignments[pid] = int_field(path, lineno, "cluster", cluster)
     return assignments
 
 
@@ -470,7 +474,7 @@ def stage_elbow(ctx: Context) -> None:
     chosen = detect_elbow(curve)
     artifact = Artifact(
         "elbow.csv",
-        ["k", "sse", "chosen"],
+        ELBOW_COLUMNS,
         [[k, f"{sse:.6f}", 1 if k == chosen else 0] for k, sse in curve],
     )
     ctx.write(artifact)
@@ -478,10 +482,10 @@ def stage_elbow(ctx: Context) -> None:
 
 def _read_chosen_k(ctx: Context) -> int:
     path = ctx.need("elbow.csv")
-    with read_table(path) as (_, rows):
-        for _, (k, _sse, chosen) in rows:
+    with read_table(path, ELBOW_COLUMNS) as (_, rows):
+        for lineno, (k, _sse, chosen, *_) in rows:
             if chosen == "1":
-                return int(k)
+                return int_field(path, lineno, "k", k)
     raise ValueError(f"{path} marks no chosen k")
 
 
@@ -497,7 +501,7 @@ def _cluster_layout(ctx: Context, config: SpectralConfig, layout: str, name: str
     del ctx.parsed[f"features_{layout}.csv"]
     labels = spectral_cluster(fm.values, config).labels
     rows = [[pid, int(lab)] for pid, lab in zip(fm.patient_ids, labels)]
-    ctx.write(Artifact(name, ["patient_id", "cluster"], rows))
+    ctx.write(Artifact(name, ASSIGNMENT_COLUMNS, rows))
     clusters, counts = np.unique(labels, return_counts=True)
     return [[layout, int(c), int(n)] for c, n in zip(clusters, counts)]
 

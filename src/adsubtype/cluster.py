@@ -355,30 +355,18 @@ def _assigned_residuals(X: np.ndarray, centers: np.ndarray, labels: np.ndarray) 
     return residuals
 
 
-def _nonzero_rows(Xs: sp.csr_matrix | None) -> np.ndarray | None:
-    """The row of each of Xs's stored nonzeros, in storage order; None without Xs."""
-    if Xs is None:
-        return None
-    return np.repeat(np.arange(Xs.shape[0]), np.diff(Xs.indptr))
-
-
 def _lloyd(
-    X: np.ndarray,
-    Xs: sp.csr_matrix | None,
-    x2: np.ndarray,
-    centers: np.ndarray,
-    nz_rows: np.ndarray | None,
+    X: np.ndarray, Xs: sp.csr_matrix | None, x2: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Lloyd iterations; returns (labels, centers, sse, per-iteration sse).
 
-    Xs is the CSR copy of a 0/1 X, or None, and nz_rows its _nonzero_rows.
-    With it, every per-iteration product reads only the nonzeros, and each
-    centroid sum counts a cluster's ones per column, exact in any order.
-    Without it, centroids are per-cluster sums over the rows sorted by
-    label. The objective is recorded after each assignment step from the
-    assignment distances, and the final entry is the exact SSE; it is
-    non-increasing up to rounding. An empty cluster is re-seeded at the
-    point farthest from its assigned center.
+    Xs is the CSR copy of a 0/1 X, or None. With it, every per-iteration
+    product reads only the nonzeros, and each centroid sum counts a cluster's
+    ones per column, exact in any order. Without it, centroids are
+    per-cluster sums over the rows sorted by label. The objective is recorded
+    after each assignment step from the assignment distances, and the final
+    entry is the exact SSE; it is non-increasing up to rounding. An empty
+    cluster is re-seeded at the point farthest from its assigned center.
     """
     (n, p), k = X.shape, centers.shape[0]
     rows = np.arange(n)
@@ -396,7 +384,7 @@ def _lloyd(
             order = np.argsort(labels, kind="stable")
             sums = np.add.reduceat(X[order], starts[present], axis=0)
         else:
-            cells = (labels * p)[nz_rows]
+            cells = np.repeat(labels * p, np.diff(Xs.indptr))
             cells += Xs.indices
             sums = np.bincount(cells, minlength=k * p).reshape(k, p)[present]
         new_centers = centers.copy()
@@ -456,11 +444,10 @@ def kmeans(
     x2 = np.einsum("ij,ij->i", X, X)
     Xs = _binary_csr(X)
     P = X if Xs is None else Xs
-    nz_rows = _nonzero_rows(Xs)
 
     def restart(r: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
         centers = _kmeanspp_centers(X, P, x2, k, np.random.default_rng([seed, r]))
-        return _lloyd(X, Xs, x2, centers, nz_rows)
+        return _lloyd(X, Xs, x2, centers)
 
     workers = min(threads, restarts, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

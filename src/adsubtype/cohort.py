@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from .table import read_table, write_text
+from .table import RejectedRow, read_table, write_text
 
 if TYPE_CHECKING:
     from .phenotype import PhecodeMap, PhenotypeVocabulary
@@ -139,13 +139,6 @@ class CohortConfig:
         return frozenset(normalize_code(c) for c in self.ad_code_set)
 
 
-@dataclass(frozen=True)
-class RejectedRow:
-    file: str
-    line: int
-    reason: str
-
-
 @dataclass
 class RawTables:
     patients: list[PatientRecord]
@@ -220,33 +213,23 @@ def _parse_date(value: str) -> date:
     return date.fromisoformat(value.strip())
 
 
-def _read_rows(
-    path: Path,
-    columns: list[str],
-    file: str,
-    parse: Callable[..., Any],
-    rejects: list[RejectedRow],
-) -> list:
-    """Parse each data row of one input table with parse(*stripped_fields).
+def _read_rows(path: Path, columns: list[str], parse: Callable[..., Any], rejects: list) -> list:
+    """Parse each data row of one input table with parse(*its columns' fields, stripped).
 
-    A ValueError from a row (wrong field count, empty patient_id, or raised
-    by parse) becomes a reject carrying the row's file line number; a
-    missing file, an empty file or an unexpected header is fatal.
+    A ragged row, an empty patient_id or a ValueError raised by parse
+    becomes a reject carrying the file's name and the row's line number;
+    a missing file, an empty file or an unexpected header is fatal.
     """
     parsed = []
-    with read_table(path) as (header, rows):
-        if [h.strip() for h in header] != columns:
-            raise ValueError(f"{path}: bad header {header!r}, expected {columns}")
+    with read_table(path, columns, rejects) as (_, rows):
         for lineno, row in rows:
+            fields = [f.strip() for f in row[: len(columns)]]
             try:
-                if len(row) != len(columns):
-                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-                fields = [f.strip() for f in row]
                 if not fields[0]:
                     raise ValueError("empty patient_id")
                 parsed.append(parse(*fields))
             except ValueError as exc:
-                rejects.append(RejectedRow(file, lineno, str(exc)))
+                rejects.append(RejectedRow(Path(path).name, lineno, str(exc)))
     return parsed
 
 
@@ -285,14 +268,10 @@ def parse_tables(paths: TablePaths) -> RawTables:
         dead_ids.add(pid)
         return row
 
-    patients = _read_rows(
-        paths.demographics, DEMOGRAPHICS_COLUMNS, "demographics", patient, rejects
-    )
-    diagnoses = _read_rows(paths.diagnoses, DIAGNOSES_COLUMNS, "diagnoses", diagnosis, rejects)
-    prescriptions = _read_rows(
-        paths.prescriptions, PRESCRIPTIONS_COLUMNS, "prescriptions", prescription, rejects
-    )
-    deaths = dict(_read_rows(paths.deaths, DEATHS_COLUMNS, "deaths", death, rejects))
+    patients = _read_rows(paths.demographics, DEMOGRAPHICS_COLUMNS, patient, rejects)
+    diagnoses = _read_rows(paths.diagnoses, DIAGNOSES_COLUMNS, diagnosis, rejects)
+    prescriptions = _read_rows(paths.prescriptions, PRESCRIPTIONS_COLUMNS, prescription, rejects)
+    deaths = dict(_read_rows(paths.deaths, DEATHS_COLUMNS, death, rejects))
 
     if rejects:
         first = rejects[0]

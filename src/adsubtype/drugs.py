@@ -22,6 +22,7 @@ from .table import read_table
 log = logging.getLogger(__name__)
 
 ATC3_PATTERN = re.compile(r"^[A-Z]\d{2}[A-Z]$")
+ATC_MAP_COLUMNS = ["rxcui", "atc3", "atc3_name"]
 
 
 @dataclass(frozen=True)
@@ -46,18 +47,12 @@ def load_atc_map(path: str | Path) -> AtcMap:
 
     Rows with an empty rxcui, or whose atc3 does not match
     letter-digit-digit-letter, are skipped with one warning each naming the
-    line (not fatal); a missing file or missing columns is fatal.
+    line (not fatal); a missing file or a table read_table refuses is fatal.
     """
     sets: dict[str, set[tuple[str, str]]] = {}
-    with read_table(path) as (header, rows):
-        required = {"rxcui", "atc3", "atc3_name"}
-        if not required.issubset(header):
-            raise ValueError(f"{path}: expected columns {sorted(required)}, got {header}")
-        for lineno, fields in rows:
-            row = dict(zip(header, fields))
-            rxcui = row.get("rxcui", "").strip()
-            atc3 = row.get("atc3", "").strip().upper()
-            name = row.get("atc3_name", "").strip()
+    with read_table(path, ATC_MAP_COLUMNS) as (_, rows):
+        for lineno, (rxcui, atc3, name, *_) in rows:
+            rxcui, atc3, name = rxcui.strip(), atc3.strip().upper(), name.strip()
             if not rxcui:
                 log.warning("load_atc_map: rejected line %d: empty rxcui", lineno)
                 continue

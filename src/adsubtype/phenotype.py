@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .cohort import Cohort, CodeSystem, normalize_code
-from .table import read_table, write_table
+from .table import int_field, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -52,10 +52,13 @@ class PhecodeMap:
 
 
 _SYSTEM_FLAGS = {"9": CodeSystem.ICD9, "10": CodeSystem.ICD10CM}
+PHECODE_MAP_COLUMNS = ["icd_code", "system_flag", "phecode", "phenotype"]
+# the vocabulary's leading columns; the written file adds patient_count
+VOCABULARY_COLUMNS = ["rank", "phecode", "phenotype"]
 
 
 def load_phecode_map(path: Path) -> PhecodeMap:
-    """Load a phecode map CSV with columns icd_code,system_flag,phecode,phenotype.
+    """Load a phecode map CSV whose columns begin PHECODE_MAP_COLUMNS.
 
     system_flag is 9 or 10. Duplicate (code, system) rows mapping to
     conflicting phecodes are fatal; the error lists the offending rows.
@@ -63,18 +66,13 @@ def load_phecode_map(path: Path) -> PhecodeMap:
     entries: dict[tuple[str, CodeSystem], tuple[str, str]] = {}
     first_row: dict[tuple[str, CodeSystem], int] = {}
     conflicts: list[str] = []
-    with read_table(path) as (header, rows):
-        required = {"icd_code", "system_flag", "phecode", "phenotype"}
-        if not required.issubset(header):
-            raise ValueError(f"{path}: header must contain {sorted(required)}, got {header}")
-        for lineno, fields in rows:
-            row = dict(zip(header, fields))
-            flag = row.get("system_flag", "").strip()
+    with read_table(path, PHECODE_MAP_COLUMNS) as (_, rows):
+        for lineno, (icd, flag, phecode, name, *_) in rows:
+            icd, flag = icd.strip(), flag.strip()
             if flag not in _SYSTEM_FLAGS:
                 raise ValueError(f"{path}:{lineno}: system_flag must be 9 or 10, got {flag!r}")
-            icd = row.get("icd_code", "").strip()
             key = (normalize_code(icd), _SYSTEM_FLAGS[flag])
-            value = (row.get("phecode", "").strip(), row.get("phenotype", "").strip())
+            value = (phecode.strip(), name.strip())
             if key in entries:
                 if entries[key][0] != value[0]:
                     conflicts.append(
@@ -240,19 +238,15 @@ def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str) -> None:
 
 
 def read_feature_csv(path: Path) -> FeatureMatrix:
-    """Read a features CSV; a row whose field count differs from the
-    header's, or with a cell other than "0" or "1", is a ValueError.
+    """Read a features CSV; a cell other than "0" or "1" is a ValueError.
 
     The values are read-only: one parse may serve several stages.
     """
     pids: list[str] = []
     cells: list[str] = []  # each row's cells joined, one character per cell
-    with read_table(path) as (header, data):
+    with read_table(path, ["patient_id"]) as (header, data):
         width = len(header) - 1
         for lineno, fields in data:
-            if len(fields) != len(header):
-                problem = f"{len(fields)} fields, header has {len(header)}"
-                raise ValueError(f"{path}: line {lineno}: {problem}")
             row = "".join(fields[1:])
             # width characters, all 0 or 1, over width non-empty cells: one each
             if len(row) != width or row.strip("01") or "" in fields[1:]:
@@ -286,16 +280,15 @@ def write_vocabulary_csv(
         [rank, code, name, counts.get(code, "") if counts else ""]
         for rank, (code, name) in enumerate(vocabulary.phecodes, start=1)
     ]
-    write_table(path, ["rank", "phecode", "phenotype", "patient_count"], rows, meta)
+    write_table(path, [*VOCABULARY_COLUMNS, "patient_count"], rows, meta)
 
 
 def load_vocabulary_csv(path: Path) -> PhenotypeVocabulary:
-    with read_table(path) as (header, data):
-        required = {"rank", "phecode", "phenotype"}
-        if not required.issubset(header):
-            raise ValueError(f"{path}: header must contain {sorted(required)}")
-        rows = [dict(zip(header, fields)) for _, fields in data]
-    rows.sort(key=lambda r: int(r["rank"]))
-    return PhenotypeVocabulary(
-        tuple((r["phecode"].strip(), r["phenotype"].strip()) for r in rows)
-    )
+    """Read a vocabulary CSV, ordered by rank; a non-integer rank is a ValueError."""
+    with read_table(path, VOCABULARY_COLUMNS) as (_, data):
+        rows = [
+            (int_field(path, lineno, "rank", rank), code.strip(), name.strip())
+            for lineno, (rank, code, name, *_) in data
+        ]
+    rows.sort(key=lambda r: r[0])
+    return PhenotypeVocabulary(tuple((code, name) for _, code, name in rows))

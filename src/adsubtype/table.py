@@ -1,12 +1,13 @@
-"""CSV tables: the one place artifacts and input extracts are framed.
+"""CSV tables: the one place artifacts and input extracts are read and written.
 
 A table is any number of '#' comment lines, one header row, then data rows.
-Writers emit a single '# meta' line, the header and the rows, each ending in
-'\\n', in UTF-8. Every artifact write replaces its target atomically: the
-bytes go to '<name>.tmp' in the same directory, a suffix the manifest never
-lists, and are renamed over the target only once complete, so a write that
-fails part-way leaves the previous file in place. JSON artifacts are
-written through write_json, with the same atomic replace.
+read_table alone checks a table: its stripped header must begin with the
+columns the reader declares (more may follow), and every data row must have
+the header's field count. Fields are returned unstripped. Writers emit one
+'# meta' line, the header and the rows as LF-terminated UTF-8, and replace
+the target atomically through '<name>.tmp' (a suffix the manifest never
+lists), so a write that fails part-way leaves the previous file in place;
+write_json does the same for JSON artifacts.
 """
 
 from __future__ import annotations
@@ -16,21 +17,33 @@ import io
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 Rows = Iterator[tuple[int, list[str]]]
 
 
-@contextmanager
-def read_table(path: str | Path) -> Iterator[tuple[list[str], Rows]]:
-    """Open a table and yield (header, rows); rows yields (line number, fields).
+@dataclass(frozen=True)
+class RejectedRow:
+    """A data row refused with its reason; file is the table file's name."""
 
-    '#' lines are skipped wherever they occur and blank lines yield no row.
-    Line numbers are the file's own, 1-based (a quoted record spanning
-    several lines gets its last), so a reject can point at its row. Rows
-    are read lazily, one at a time. A file with no header row is
-    a ValueError; a missing file is a FileNotFoundError.
+    file: str
+    line: int
+    reason: str
+
+
+@contextmanager
+def read_table(
+    path: str | Path, columns: Sequence[str], rejects: list[RejectedRow] | None = None
+) -> Iterator[tuple[list[str], Rows]]:
+    """Open a table and yield (header, rows); rows yields (line number, fields) lazily.
+
+    A missing header row, or one not beginning with columns, is a ValueError.
+    A row whose field count differs from the header's is a ValueError naming
+    the file and line or, given rejects, is appended there and skipped. '#'
+    and blank lines yield no row; line numbers are the file's own, 1-based (a
+    quoted record spanning several lines gets its last).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lineno = 0
@@ -45,7 +58,30 @@ def read_table(path: str | Path) -> Iterator[tuple[list[str], Rows]]:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header row")
-        yield header, ((lineno, fields) for fields in reader if fields)
+        header = [h.strip() for h in header]
+        if header[: len(columns)] != list(columns):
+            raise ValueError(f"{path}: bad header {header}, expected it to begin {list(columns)}")
+        width = len(header)
+
+        def rows() -> Rows:
+            for fields in reader:
+                if len(fields) == width:
+                    yield lineno, fields
+                elif fields:
+                    problem = f"{len(fields)} fields, header has {width}"
+                    if rejects is None:
+                        raise ValueError(f"{path}: line {lineno}: {problem}")
+                    rejects.append(RejectedRow(Path(path).name, lineno, problem))
+
+        yield header, rows()
+
+
+def int_field(path: str | Path, lineno: int, column: str, text: str) -> int:
+    """int(text), or a ValueError naming the file, line and column."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: {column} {text!r} is not an integer") from None
 
 
 def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]], meta: str) -> str:

@@ -524,6 +524,25 @@ def test_duplicate_assignment_rows_refused(tmp_path):
         ctx.cluster_labels("assignments.csv", ["P1", "P2"])
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        pytest.param("foo,bar\nP1,0\n", "bad header ['foo', 'bar'], expected it to begin "
+                     "['patient_id', 'cluster']", id="bad-header"),
+        pytest.param("patient_id,cluster\nP1,0,9\n", "line 3: 3 fields, header has 2",
+                     id="three-fields"),
+        pytest.param("patient_id,cluster\nP1,x\n", "line 3: cluster 'x' is not an integer",
+                     id="non-integer-cluster"),
+    ],
+)
+def test_read_assignments_locates_malformed_files(tmp_path, text, problem):
+    path = tmp_path / "assignments.csv"
+    path.write_text("# meta\n" + text)
+    with pytest.raises(ValueError) as exc:
+        cli.read_assignments(path)
+    assert str(exc.value) == f"{path}: {problem}"
+
+
 def _counting(monkeypatch, name, counts):
     """Replace cli.<name> with a wrapper that counts its calls by file name."""
     reader = getattr(cli, name)

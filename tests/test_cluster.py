@@ -441,7 +441,7 @@ def test_lloyd_matches_reference_loop():
         x2 = np.einsum("ij,ij->i", X, X)
         Xs = cluster._binary_csr(X)
         assert (Xs is not None) == bool(trial % 2)  # binary trials take the 0/1 path
-        labels, _, sse, history = cluster._lloyd(X, Xs, x2, centers, cluster._nonzero_rows(Xs))
+        labels, _, sse, history = cluster._lloyd(X, Xs, x2, centers)
         ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
         assert np.array_equal(labels, ref_labels), trial
         assert abs(sse - ref_sse) <= 1e-9, trial
@@ -511,9 +511,8 @@ def test_lloyd_binary_path_reseeds_empty_clusters():
         centers = rng.uniform(-4.0, 4.0, size=(k, X.shape[1]))
         first_labels = cluster._point_center_sqdist(X, x2, centers).argmin(axis=1)
         reseeded += int((np.bincount(first_labels, minlength=k) == 0).any())
-        Xs = cluster._binary_csr(X)
-        fast = cluster._lloyd(X, Xs, x2, centers, cluster._nonzero_rows(Xs))
-        dense = cluster._lloyd(X, None, x2, centers, None)
+        fast = cluster._lloyd(X, cluster._binary_csr(X), x2, centers)
+        dense = cluster._lloyd(X, None, x2, centers)
         assert np.array_equal(fast[0], dense[0]), trial
         assert fast[2] == dense[2], trial
         assert len(fast[3]) == len(dense[3]), trial

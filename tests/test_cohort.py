@@ -84,11 +84,12 @@ def test_parse_tables_rejects_malformed_rows(table_writer):
     by_file = {}
     for r in tables.rejects:
         by_file.setdefault(r.file, []).append(r)
-    assert len(by_file["demographics"]) == 4
-    assert len(by_file["diagnoses"]) == 3
+    assert len(by_file["patients.csv"]) == 4
+    assert len(by_file["diagnoses.csv"]) == 3
     # line numbers point at the physical rows (header is line 1)
-    assert [r.line for r in by_file["demographics"]] == [3, 4, 5, 6]
-    assert any("duplicate" in r.reason for r in by_file["demographics"])
+    assert [r.line for r in by_file["patients.csv"]] == [3, 4, 5, 6]
+    assert any("duplicate" in r.reason for r in by_file["patients.csv"])
+    assert by_file["diagnoses.csv"][-1].reason == "3 fields, header has 4"
 
 
 def test_parse_tables_rejects_duplicate_death_rows(table_writer, caplog):
@@ -100,13 +101,13 @@ def test_parse_tables_rejects_duplicate_death_rows(table_writer, caplog):
         tables = parse_tables(paths)
     assert any(
         r.getMessage() == "parse_tables: 2 malformed rows rejected, "
-        "the first at deaths line 3: duplicate patient_id 'P1'"
+        "the first at deaths.csv line 3: duplicate patient_id 'P1'"
         for r in caplog.records
     )
     assert tables.deaths == {"P1": date(2016, 1, 1)}
     assert [(r.file, r.line, r.reason) for r in tables.rejects] == [
-        ("deaths", 3, "duplicate patient_id 'P1'"),
-        ("deaths", 4, "duplicate patient_id 'P1'"),
+        ("deaths.csv", 3, "duplicate patient_id 'P1'"),
+        ("deaths.csv", 4, "duplicate patient_id 'P1'"),
     ]
 
 

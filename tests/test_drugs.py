@@ -70,10 +70,19 @@ def test_load_atc_map_rejects_bad_rows(tmp_path, caplog):
     ]
 
 
+def test_load_atc_map_refuses_unquoted_comma_in_name(tmp_path):
+    """An unquoted comma splits the class name into an extra field: refused, not truncated."""
+    path = tmp_path / "atc.csv"
+    path.write_text("rxcui,atc3,atc3_name\n197361,C09A,ACE inhibitors, plain\n")
+    with pytest.raises(ValueError) as exc:
+        load_atc_map(path)
+    assert str(exc.value) == f"{path}: line 2: 4 fields, header has 3"
+
+
 def test_load_atc_map_fatal_errors(tmp_path, caplog):
     missing_col = tmp_path / "bad.csv"
     _write_csv(missing_col, ["rxcui", "atc3"], [["1", "N02B"]])
-    with pytest.raises(ValueError, match="expected columns"):
+    with pytest.raises(ValueError, match="bad header"):
         load_atc_map(missing_col)
     with pytest.raises(FileNotFoundError):
         load_atc_map(tmp_path / "nope.csv")
@@ -137,8 +146,9 @@ def test_stage_drugs_writes_na_for_zero_denominator(tmp_path):
     save_cohort(Cohort(patients, [("patients_total", 2)], CohortConfig()), tmp_path / "cohort.json")
     _write_csv(tmp_path / "assignments.csv", ["patient_id", "cluster"], [["A", 0], ["B", 1]])
     assert main(["drugs", "--out", str(tmp_path)]) == 0
-    with read_table(tmp_path / "drug_usage.csv") as (header, rows):
-        assert header == ["cluster", "atc3", "atc3_name", "numerator", "denominator", "pct"]
+    columns = ["cluster", "atc3", "atc3_name", "numerator", "denominator", "pct"]
+    with read_table(tmp_path / "drug_usage.csv", columns) as (header, rows):
+        assert header == columns
         assert [fields for _, fields in rows] == [
             ["0", "N02B", "Other analgesics and antipyretics", "1", "1", "100.0000"],
             ["1", "N02B", "Other analgesics and antipyretics", "0", "0", "NA"],

@@ -88,8 +88,17 @@ def test_load_phecode_map_bad_flag(tmp_path):
 def test_load_phecode_map_missing_column(tmp_path):
     path = tmp_path / "map.csv"
     write_csv(path, ["icd_code", "phecode"], [["401.9", "401.1"]])
-    with pytest.raises(ValueError, match="header must contain"):
+    with pytest.raises(ValueError, match="bad header"):
         load_phecode_map(path)
+
+
+def test_load_phecode_map_refuses_unquoted_comma_in_name(tmp_path):
+    """An unquoted comma splits the phenotype into an extra field: refused, not truncated."""
+    path = tmp_path / "map.csv"
+    path.write_text(",".join(MAP_HEADER) + "\n401.9,9,401.1,Hypertension, essential\n")
+    with pytest.raises(ValueError) as exc:
+        load_phecode_map(path)
+    assert str(exc.value) == f"{path}: line 2: 5 fields, header has 4"
 
 
 def test_load_phecode_map_missing_file(tmp_path):
@@ -335,3 +344,19 @@ def test_load_vocabulary_csv_errors(tmp_path):
     write_csv(path, ["phecode"], [["401.1"]])
     with pytest.raises(ValueError, match="header"):
         load_vocabulary_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        pytest.param("1,401.1", "line 3: 2 fields, header has 3", id="short-row"),
+        pytest.param("one,401.1,Essential hypertension", "line 3: rank 'one' is not an integer",
+                     id="non-integer-rank"),
+    ],
+)
+def test_load_vocabulary_csv_locates_malformed_rows(tmp_path, row, problem):
+    path = tmp_path / "vocab.csv"
+    path.write_text(f"# m\nrank,phecode,phenotype\n{row}\n")
+    with pytest.raises(ValueError) as exc:
+        load_vocabulary_csv(path)
+    assert str(exc.value) == f"{path}: {problem}"
