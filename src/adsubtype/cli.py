@@ -47,7 +47,6 @@ from .cohort import (
     DEMOGRAPHICS,
     Cohort,
     CohortConfig,
-    TablePaths,
     load_cohort,
     parse_tables,
     restrict_to_vocabulary,
@@ -415,13 +414,9 @@ def stage_ingest(ctx: Context) -> None:
         fname = "patients.csv" if name == "demographics" else f"{name}.csv"
         return ctx.need(fname)
 
-    paths = TablePaths(
-        demographics=table("demographics"),
-        diagnoses=table("diagnoses"),
-        prescriptions=table("prescriptions"),
-        deaths=table("deaths"),
+    tables = parse_tables(
+        table("demographics"), table("diagnoses"), table("prescriptions"), table("deaths")
     )
-    tables = parse_tables(paths)
     pmap = ctx.phecode_map()
     cohort = select_cohort(tables, ctx.cohort_config(), pmap)
     counts = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -145,7 +145,7 @@ class RawTables:
     diagnoses: list[DiagnosisEvent]
     prescriptions: list[PrescriptionEvent]
     deaths: dict[str, date]
-    rejects: list[RejectedRow] = field(default_factory=list)
+    rejects: list[RejectedRow]
 
 
 @dataclass(frozen=True)
@@ -200,14 +200,6 @@ PRESCRIPTIONS_COLUMNS = ["patient_id", "rxcui", "date"]
 DEATHS_COLUMNS = ["patient_id", "death_date"]
 
 
-@dataclass(frozen=True)
-class TablePaths:
-    demographics: Path
-    diagnoses: Path
-    prescriptions: Path
-    deaths: Path
-
-
 def _parse_date(value: str) -> date:
     # date.fromisoformat accepts only valid YYYY-MM-DD calendar dates
     return date.fromisoformat(value.strip())
@@ -233,8 +225,10 @@ def _read_rows(path: Path, columns: list[str], parse: Callable[..., Any], reject
     return parsed
 
 
-def parse_tables(paths: TablePaths) -> RawTables:
-    """Parse the four input tables into typed rows.
+def parse_tables(
+    demographics: Path, diagnoses: Path, prescriptions: Path, deaths: Path
+) -> RawTables:
+    """Parse the four input tables into typed rows; the one place events are built.
 
     Malformed rows are collected into the rejects list with file and line
     number; a missing file or an unexpected header is fatal.
@@ -268,18 +262,20 @@ def parse_tables(paths: TablePaths) -> RawTables:
         dead_ids.add(pid)
         return row
 
-    patients = _read_rows(paths.demographics, DEMOGRAPHICS_COLUMNS, patient, rejects)
-    diagnoses = _read_rows(paths.diagnoses, DIAGNOSES_COLUMNS, diagnosis, rejects)
-    prescriptions = _read_rows(paths.prescriptions, PRESCRIPTIONS_COLUMNS, prescription, rejects)
-    deaths = dict(_read_rows(paths.deaths, DEATHS_COLUMNS, death, rejects))
-
+    tables = RawTables(
+        _read_rows(demographics, DEMOGRAPHICS_COLUMNS, patient, rejects),
+        _read_rows(diagnoses, DIAGNOSES_COLUMNS, diagnosis, rejects),
+        _read_rows(prescriptions, PRESCRIPTIONS_COLUMNS, prescription, rejects),
+        dict(_read_rows(deaths, DEATHS_COLUMNS, death, rejects)),
+        rejects,
+    )
     if rejects:
         first = rejects[0]
         log.warning(
             "parse_tables: %d malformed rows rejected, the first at %s line %d: %s",
             len(rejects), first.file, first.line, first.reason,
         )
-    return RawTables(patients, diagnoses, prescriptions, deaths, rejects)
+    return tables
 
 
 # ---------------------------------------------------------------------------

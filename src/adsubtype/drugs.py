@@ -47,17 +47,18 @@ def load_atc_map(path: str | Path) -> AtcMap:
 
     Rows with an empty rxcui, or whose atc3 does not match
     letter-digit-digit-letter, are skipped with one warning each naming the
-    line (not fatal); a missing file or a table read_table refuses is fatal.
+    file and line (not fatal); a missing file or a table read_table refuses
+    is fatal.
     """
     sets: dict[str, set[tuple[str, str]]] = {}
     with read_table(path, ATC_MAP_COLUMNS) as (_, rows):
         for lineno, (rxcui, atc3, name, *_) in rows:
             rxcui, atc3, name = rxcui.strip(), atc3.strip().upper(), name.strip()
             if not rxcui:
-                log.warning("load_atc_map: rejected line %d: empty rxcui", lineno)
+                log.warning("%s: line %d: empty rxcui", path, lineno)
                 continue
             if not ATC3_PATTERN.match(atc3):
-                log.warning("load_atc_map: rejected line %d: invalid ATC3 code %r", lineno, atc3)
+                log.warning("%s: line %d: invalid ATC3 code %r", path, lineno, atc3)
                 continue
             sets.setdefault(rxcui, set()).add((atc3, name))
     if not sets:

@@ -70,7 +70,9 @@ def load_phecode_map(path: Path) -> PhecodeMap:
         for lineno, (icd, flag, phecode, name, *_) in rows:
             icd, flag = icd.strip(), flag.strip()
             if flag not in _SYSTEM_FLAGS:
-                raise ValueError(f"{path}:{lineno}: system_flag must be 9 or 10, got {flag!r}")
+                raise ValueError(
+                    f"{path}: line {lineno}: system_flag must be 9 or 10, got {flag!r}"
+                )
             key = (normalize_code(icd), _SYSTEM_FLAGS[flag])
             value = (phecode.strip(), name.strip())
             if key in entries:

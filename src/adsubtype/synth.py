@@ -2,8 +2,10 @@
 
 Each patient draws a subtype profile, demographics, an index diagnosis
 date, per-(phenotype, slot) condition flags, mortality, and post-index
-prescriptions. Output tables use the same CSV schemas the ingestion stage
-reads, plus a ground-truth label table for recovery scoring.
+prescriptions. Diagnoses and prescriptions are kept as the CSV rows the
+ingestion stage reads, strings exactly as written, and a ground-truth label
+table is written beside them for recovery scoring. The in-memory tables are
+ingest's own parse of those CSVs, so the two routes cannot differ.
 
 Patient i draws from its own substream [seed, i] of the master seed, so
 generation is deterministic regardless of patient count or parallel order.
@@ -18,11 +20,12 @@ from __future__ import annotations
 
 import json
 import logging
+import tempfile
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -34,12 +37,11 @@ from .cohort import (
     AgeGroup,
     CodeSystem,
     CohortConfig,
-    DiagnosisEvent,
     PatientRecord,
-    PrescriptionEvent,
     Race,
     RawTables,
     Sex,
+    parse_tables,
 )
 from .drugs import AtcMap
 from .phenotype import PhecodeMap
@@ -57,11 +59,13 @@ _AGE_RANGES = {
 }
 
 
-def _check_dist(name: str, dist: Mapping[str, float]) -> None:
+def _check_dist(name: str, dist: Mapping[str, float], keys: Collection[str]) -> None:
     if not dist:
         raise ValueError(f"{name} must be non-empty")
     total = 0.0
     for key, p in dist.items():
+        if key not in keys:
+            raise ValueError(f"{name}: unknown key {key!r}, expected one of {sorted(keys)}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name}[{key!r}] = {p} outside [0,1]")
         total += p
@@ -90,12 +94,9 @@ class SubtypeProfile:
                 raise ValueError(f"condition_slot_prob[{code},{slot}] = {p} outside [0,1]")
             if slot < 1:
                 raise ValueError(f"slot {slot} must be >= 1")
-        _check_dist(f"{self.name}.sex_dist", self.sex_dist)
-        _check_dist(f"{self.name}.race_dist", self.race_dist)
-        _check_dist(f"{self.name}.age_dist", self.age_dist)
-        for group in self.age_dist:
-            if group not in _AGE_RANGES:
-                raise ValueError(f"unknown age group {group!r}")
+        _check_dist(f"{self.name}.sex_dist", self.sex_dist, {s.value for s in Sex})
+        _check_dist(f"{self.name}.race_dist", self.race_dist, {r.value for r in Race})
+        _check_dist(f"{self.name}.age_dist", self.age_dist, _AGE_RANGES)
         if not 0.0 <= self.mortality_prob <= 1.0:
             raise ValueError(f"mortality_prob {self.mortality_prob} outside [0,1]")
         for atc3, p in self.drug_class_probs.items():
@@ -157,27 +158,28 @@ def load_profiles(path: str | Path) -> list[SubtypeProfile]:
 
 @dataclass
 class SyntheticData:
-    """Generated tables plus ground truth, ready for CSV or in-memory use."""
+    """Generated tables plus ground truth.
+
+    diagnoses and prescriptions hold the data rows of diagnoses.csv and
+    prescriptions.csv, each a list of strings exactly as write_tables writes
+    it; to_raw_tables is ingest's parse of the written tables.
+    """
 
     patients: list[PatientRecord]
-    diagnoses: list[DiagnosisEvent]
-    prescriptions: list[PrescriptionEvent]
+    diagnoses: list[list[str]]
+    prescriptions: list[list[str]]
     truth: dict[str, int]
     profile_names: list[str]
 
     def to_raw_tables(self) -> RawTables:
-        # mirror the CSV route: deaths ride in their own table, patient rows
-        # carry no death flags until cohort selection merges them back
-        return RawTables(
-            patients=[replace(p, died=False, death_date=None) for p in self.patients],
-            diagnoses=list(self.diagnoses),
-            prescriptions=list(self.prescriptions),
-            deaths={
-                p.patient_id: p.death_date
-                for p in self.patients
-                if p.died and p.death_date is not None
-            },
-        )
+        """parse_tables of the four input tables write_tables writes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            self.write_tables(tmp, "to_raw_tables")
+            out = Path(tmp)
+            return parse_tables(
+                out / "patients.csv", out / "diagnoses.csv",
+                out / "prescriptions.csv", out / "deaths.csv",
+            )
 
     def write_tables(self, out_dir: str | Path, meta: str) -> list[str]:
         """Write the four input tables plus truth_labels.csv; returns names."""
@@ -192,17 +194,8 @@ class SyntheticData:
                     for p in self.patients
                 ),
             ),
-            "diagnoses.csv": (
-                DIAGNOSES_COLUMNS,
-                (
-                    [d.patient_id, d.code, d.system.value, d.date.isoformat()]
-                    for d in self.diagnoses
-                ),
-            ),
-            "prescriptions.csv": (
-                PRESCRIPTIONS_COLUMNS,
-                ([r.patient_id, r.rxcui, r.date.isoformat()] for r in self.prescriptions),
-            ),
+            "diagnoses.csv": (DIAGNOSES_COLUMNS, self.diagnoses),
+            "prescriptions.csv": (PRESCRIPTIONS_COLUMNS, self.prescriptions),
             "deaths.csv": (
                 DEATHS_COLUMNS,
                 (
@@ -279,7 +272,8 @@ def generate_cohort(
         phecode_map = phecode_map or default_phecode_map()
         atc_map = atc_map or default_atc_map()
 
-    code_pool: dict[str, list[tuple[str, CodeSystem]]] = {}
+    # pools hold each pick as rendered in its CSV row: (icd, system) or rxcui
+    code_pool: dict[str, list[tuple[str, str]]] = {}
     for profile in profiles:
         for code, slot in profile.condition_slot_prob:
             if slot > config.slot_count:
@@ -288,7 +282,7 @@ def generate_cohort(
                 pool = phecode_map.codes_for_phecode(code)
                 if not pool:
                     raise ValueError(f"no ICD codes map to phecode {code!r}")
-                code_pool[code] = pool
+                code_pool[code] = [(icd, system.value) for icd, system in pool]
     rx_pool: dict[str, list[str]] = {}
     for profile in profiles:
         for atc3 in profile.drug_class_probs:
@@ -303,7 +297,8 @@ def generate_cohort(
                 rx_pool[atc3] = pool
 
     weights = np.cumsum([p.mixture_weight for p in profiles]).tolist()
-    window_days = (config.window_end - config.window_start).days
+    window_start = config.window_start.toordinal()
+    window_days = config.window_end.toordinal() - window_start
     ad_codes = sorted(config.ad_code_set)
     slot_days = config.slot_days
 
@@ -321,8 +316,8 @@ def generate_cohort(
                       _categorical(profile.age_dist), _plan(rows), n_cells))
 
     patients: list[PatientRecord] = []
-    diagnoses: list[DiagnosisEvent] = []
-    prescriptions: list[PrescriptionEvent] = []
+    diagnoses: list[list[str]] = []
+    prescriptions: list[list[str]] = []
     truth: dict[str, int] = {}
     width = len(str(n_patients - 1))
 
@@ -340,27 +335,27 @@ def generate_cohort(
         lo, hi = _AGE_RANGES[draw_age_group(rng)]
         age = int(rng.integers(lo, hi + 1))
 
-        index_date = config.window_start + timedelta(days=int(rng.integers(0, window_days + 1)))
+        index_ordinal = window_start + int(rng.integers(0, window_days + 1))
+        index_date = date.fromordinal(index_ordinal)
         birth_date = _anniversary(index_date, age)
 
         ad_code = ad_codes[int(rng.integers(0, len(ad_codes)))]
         ad_system = CodeSystem.ICD9 if ad_code.replace(".", "").isdigit() else CodeSystem.ICD10CM
-        diagnoses.append(DiagnosisEvent(pid, ad_code, ad_system, index_date))
+        diagnoses.append([pid, ad_code, ad_system.value, index_date.isoformat()])
 
         died = rng.random() < profile.mortality_prob
         death_date = None
         if died:
-            death_date = index_date + timedelta(days=int(rng.integers(30, 1096)))
+            death_date = date.fromordinal(index_ordinal + int(rng.integers(30, 1096)))
 
         hit = (rng.random(probs.size) < probs).nonzero()[0]
         days, picks = rng.integers(lows[:, hit], highs[:, hit]).tolist()
         for j, day, pick in zip(hit.tolist(), days, picks):
-            when = index_date + timedelta(days=day)
+            when = date.fromordinal(index_ordinal + day).isoformat()
             if j < n_cells:
-                icd, system = pools[j][pick]
-                diagnoses.append(DiagnosisEvent(pid, icd, system, when))
+                diagnoses.append([pid, *pools[j][pick], when])
             else:
-                prescriptions.append(PrescriptionEvent(pid, pools[j][pick], when))
+                prescriptions.append([pid, pools[j][pick], when])
 
         patients.append(
             PatientRecord(

@@ -16,7 +16,7 @@ for _var in (
 
 import pytest
 
-from adsubtype.cohort import CodeSystem, CohortConfig, TablePaths, parse_tables, select_cohort
+from adsubtype.cohort import CodeSystem, CohortConfig, parse_tables, select_cohort
 from adsubtype.phenotype import PhecodeMap, PhenotypeVocabulary
 
 I9 = CodeSystem.ICD9
@@ -82,19 +82,15 @@ def tiny_vocab():
 
 @pytest.fixture
 def table_writer(tmp_path):
-    """Write the four raw input tables from row tuples; returns TablePaths."""
+    """Write the four raw input tables from row tuples; returns parse_tables' arguments."""
 
     def write(patients=(), diagnoses=(), prescriptions=(), deaths=()):
         write_csv(tmp_path / "patients.csv", ["patient_id", "sex", "race", "birth_date"], patients)
         write_csv(tmp_path / "diagnoses.csv", ["patient_id", "code", "system", "date"], diagnoses)
         write_csv(tmp_path / "prescriptions.csv", ["patient_id", "rxcui", "date"], prescriptions)
         write_csv(tmp_path / "deaths.csv", ["patient_id", "death_date"], deaths)
-        return TablePaths(
-            demographics=tmp_path / "patients.csv",
-            diagnoses=tmp_path / "diagnoses.csv",
-            prescriptions=tmp_path / "prescriptions.csv",
-            deaths=tmp_path / "deaths.csv",
-        )
+        names = ("patients", "diagnoses", "prescriptions", "deaths")
+        return [tmp_path / f"{name}.csv" for name in names]
 
     return write
 
@@ -104,7 +100,7 @@ def build_cohort(tiny_pmap, table_writer):
     """End-to-end cohort from raw rows with the tiny phecode map."""
 
     def build(patients, diagnoses, prescriptions=(), deaths=(), config=None, vocabulary=None):
-        tables = parse_tables(table_writer(patients, diagnoses, prescriptions, deaths))
+        tables = parse_tables(*table_writer(patients, diagnoses, prescriptions, deaths))
         return select_cohort(tables, config or CohortConfig(), tiny_pmap, vocabulary=vocabulary)
 
     return build

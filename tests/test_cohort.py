@@ -13,7 +13,6 @@ from adsubtype.cohort import (
     DiagnosisEvent,
     Race,
     Sex,
-    TablePaths,
     assign_timeslot,
     bin_age,
     completed_years,
@@ -51,7 +50,7 @@ def test_parse_tables_happy_path(table_writer):
         prescriptions=[["P1", "860975", "2015-07-01"]],
         deaths=[["P2", "2018-05-05"]],
     )
-    tables = parse_tables(paths)
+    tables = parse_tables(*paths)
     assert tables.rejects == []
     assert [p.patient_id for p in tables.patients] == ["P1", "P2"]
     assert tables.patients[0].sex is Sex.FEMALE
@@ -78,7 +77,7 @@ def test_parse_tables_rejects_malformed_rows(table_writer):
             ["P1", "401.9", "ICD9"],  # short row
         ],
     )
-    tables = parse_tables(paths)
+    tables = parse_tables(*paths)
     assert [p.patient_id for p in tables.patients] == ["P1"]
     assert len(tables.diagnoses) == 1
     by_file = {}
@@ -98,7 +97,7 @@ def test_parse_tables_rejects_duplicate_death_rows(table_writer, caplog):
         deaths=[["P1", "2016-01-01"], ["P1", "2019-09-09"], ["P1", "bad-date"]],
     )
     with caplog.at_level("WARNING"):
-        tables = parse_tables(paths)
+        tables = parse_tables(*paths)
     assert any(
         r.getMessage() == "parse_tables: 2 malformed rows rejected, "
         "the first at deaths.csv line 3: duplicate patient_id 'P1'"
@@ -115,33 +114,27 @@ def test_parse_tables_bad_header_fatal(table_writer, tmp_path):
     paths = table_writer(patients=[["P1", "F", "05", "1950-03-02"]])
     (tmp_path / "patients.csv").write_text("id,sex,race,dob\nP1,F,05,1950-03-02\n")
     with pytest.raises(ValueError, match="bad header"):
-        parse_tables(paths)
+        parse_tables(*paths)
 
 
 def test_parse_tables_missing_file_fatal(table_writer, tmp_path):
     paths = table_writer()
-    missing = TablePaths(
-        demographics=tmp_path / "nope.csv",
-        diagnoses=paths.diagnoses,
-        prescriptions=paths.prescriptions,
-        deaths=paths.deaths,
-    )
     with pytest.raises(FileNotFoundError):
-        parse_tables(missing)
+        parse_tables(tmp_path / "nope.csv", *paths[1:])
 
 
 def test_parse_tables_empty_file_fatal(table_writer, tmp_path):
     paths = table_writer()
     (tmp_path / "patients.csv").write_text("")
     with pytest.raises(ValueError, match="empty file"):
-        parse_tables(paths)
+        parse_tables(*paths)
 
 
 def test_parse_tables_skips_leading_comments(table_writer, tmp_path):
     paths = table_writer(patients=[["P1", "F", "05", "1950-03-02"]])
     original = (tmp_path / "patients.csv").read_text()
     (tmp_path / "patients.csv").write_text("# tool=x seed=1\n" + original + "P2,F,05,bad-date\n")
-    tables = parse_tables(paths)
+    tables = parse_tables(*paths)
     assert [p.patient_id for p in tables.patients] == ["P1"]
     # comment line shifts data rows down by one
     assert tables.rejects[0].line == 4

@@ -63,10 +63,10 @@ def test_load_atc_map_rejects_bad_rows(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         amap = load_atc_map(path)
     assert sorted(amap.entries) == ["11"]
-    assert [r.getMessage() for r in caplog.records if "rejected" in r.getMessage()] == [
-        "load_atc_map: rejected line 3: invalid ATC3 code 'N02'",
-        "load_atc_map: rejected line 4: empty rxcui",
-        "load_atc_map: rejected line 5: invalid ATC3 code 'N02BA'",
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"{path}: line 3: invalid ATC3 code 'N02'",
+        f"{path}: line 4: empty rxcui",
+        f"{path}: line 5: invalid ATC3 code 'N02BA'",
     ]
 
 

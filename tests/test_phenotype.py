@@ -81,8 +81,9 @@ def test_load_phecode_map_consistent_duplicate_ok(tmp_path):
 def test_load_phecode_map_bad_flag(tmp_path):
     path = tmp_path / "map.csv"
     write_csv(path, MAP_HEADER, [["401.9", "11", "401.1", "x"]])
-    with pytest.raises(ValueError, match="system_flag"):
+    with pytest.raises(ValueError) as exc:
         load_phecode_map(path)
+    assert str(exc.value) == f"{path}: line 2: system_flag must be 9 or 10, got '11'"
 
 
 def test_load_phecode_map_missing_column(tmp_path):

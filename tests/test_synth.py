@@ -1,17 +1,22 @@
 """Synthetic cohort generator: profiles, determinism, and planted structure."""
 
+import ast
 import math
 from datetime import date
+from pathlib import Path
 
 import pytest
 
 from adsubtype.cohort import (
+    DIAGNOSES_COLUMNS,
+    PRESCRIPTIONS_COLUMNS,
     CohortConfig,
     assign_timeslot,
     parse_tables,
     select_cohort,
 )
 from adsubtype.drugs import AtcMap
+from adsubtype.table import read_table
 from adsubtype.synth import (
     SubtypeProfile,
     _anniversary,
@@ -27,6 +32,8 @@ from adsubtype.synth import (
 import numpy as np
 
 from conftest import profile_dict, write_profiles
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsubtype"
 
 SEX = {"F": 0.6, "M": 0.4}
 RACE = {"05": 0.7, "03": 0.3}
@@ -62,8 +69,15 @@ def test_profile_validation_errors():
         _profile("x", 1.0, {("401.1", 1): 1.5})
     with pytest.raises(ValueError, match="slot"):
         _profile("x", 1.0, {("401.1", 0): 0.5})
-    with pytest.raises(ValueError, match="unknown age group"):
+    with pytest.raises(ValueError, match=r"^x\.age_dist: unknown key 'young'"):
         SubtypeProfile("x", 1.0, {}, SEX, RACE, {"young": 1.0}, 0.1, {})
+    with pytest.raises(ValueError, match=r"^x\.sex_dist: unknown key 'Female'"):
+        SubtypeProfile("x", 1.0, {}, {"Female": 1.0}, RACE, AGE, 0.1, {})
+    # a profiles JSON naming races by label, not by code, fails on load
+    data = profile_dict(_profile("x", 1.0, {}))
+    data["race_dist"] = {"White": 0.7, "03": 0.3}
+    with pytest.raises(ValueError, match=r"^x\.race_dist: unknown key 'White'"):
+        profile_from_dict(data)
     with pytest.raises(ValueError, match="sums to"):
         SubtypeProfile("x", 1.0, {}, {"F": 0.5, "M": 0.4}, RACE, AGE, 0.1, {})
     with pytest.raises(ValueError, match="mortality_prob"):
@@ -154,13 +168,14 @@ def test_generate_events_land_in_planted_slot(tiny_pmap):
     profiles = [_profile("only", 1.0, {("401.1", 3): 1.0})]
     config = CohortConfig()
     data = generate_cohort(profiles, 60, seed=3, config=config, phecode_map=tiny_pmap)
+    diagnoses = data.to_raw_tables().diagnoses
     index_of = {}
     ad_norm = config.normalized_ad_codes
-    for d in data.diagnoses:
+    for d in diagnoses:
         if d.code.upper().replace(".", "") in ad_norm:
             index_of[d.patient_id] = d.date
     assert len(index_of) == 60
-    condition_events = [d for d in data.diagnoses if d.patient_id in index_of and d.code in ("4019", "I10")]
+    condition_events = [d for d in diagnoses if d.patient_id in index_of and d.code in ("4019", "I10")]
     assert len(condition_events) == 60  # probability 1 cell fires for everyone
     for d in condition_events:
         slot = assign_timeslot(d.date, index_of[d.patient_id], config.slot_days, config.slot_count)
@@ -196,7 +211,8 @@ def test_generate_cell_prevalence_matches_probability(tiny_pmap):
     profiles = [_profile("only", 1.0, {("401.1", 2): 0.8})]
     n = 1500
     data = generate_cohort(profiles, n, seed=13, phecode_map=tiny_pmap)
-    with_condition = {d.patient_id for d in data.diagnoses if d.code in ("4019", "I10")}
+    diagnoses = data.to_raw_tables().diagnoses
+    with_condition = {d.patient_id for d in diagnoses if d.code in ("4019", "I10")}
     sigma = math.sqrt(n * 0.8 * 0.2)
     assert abs(len(with_condition) - n * 0.8) <= 3 * sigma
 
@@ -205,18 +221,19 @@ def test_generate_death_and_rx_date_ranges(tiny_pmap):
     profiles = [_profile("only", 1.0, {("401.1", 1): 1.0}, mortality=1.0, drugs={"N02B": 1.0})]
     config = CohortConfig()
     data = generate_cohort(profiles, 80, seed=5, config=config, phecode_map=tiny_pmap, atc_map=_atc_map())
+    raw = data.to_raw_tables()
     ad_norm = config.normalized_ad_codes
     index_of = {
         d.patient_id: d.date
-        for d in data.diagnoses
+        for d in raw.diagnoses
         if d.code.upper().replace(".", "") in ad_norm
     }
-    assert all(p.died and p.death_date is not None for p in data.patients)
-    for p in data.patients:
-        offset = (p.death_date - index_of[p.patient_id]).days
+    assert set(raw.deaths) == {p.patient_id for p in raw.patients}
+    for pid, death_date in raw.deaths.items():
+        offset = (death_date - index_of[pid]).days
         assert 30 <= offset <= 1095
-    assert len(data.prescriptions) == 80
-    for rx in data.prescriptions:
+    assert len(raw.prescriptions) == 80
+    for rx in raw.prescriptions:
         assert rx.rxcui == "11"
         offset = (rx.date - index_of[rx.patient_id]).days
         assert 0 <= offset <= 365
@@ -224,15 +241,16 @@ def test_generate_death_and_rx_date_ranges(tiny_pmap):
 
 def test_generate_ages_stay_inside_drawn_group(tiny_pmap):
     profiles = [_profile("only", 1.0, {("401.1", 1): 1.0})]
-    data = generate_cohort(profiles, 50, seed=7, phecode_map=tiny_pmap)
+    raw = generate_cohort(profiles, 50, seed=7, phecode_map=tiny_pmap).to_raw_tables()
     config = CohortConfig()
     ad_norm = config.normalized_ad_codes
     index_of = {
         d.patient_id: d.date
-        for d in data.diagnoses
+        for d in raw.diagnoses
         if d.code.upper().replace(".", "") in ad_norm
     }
-    for p in data.patients:
+    assert len(raw.patients) == 50
+    for p in raw.patients:
         idx = index_of[p.patient_id]
         years = idx.year - p.birth_date.year
         if (idx.month, idx.day) < (p.birth_date.month, p.birth_date.day):
@@ -272,8 +290,10 @@ def test_patient_draws_do_not_depend_on_patient_count(tiny_pmap):
     large = generate_cohort(profiles, 90, seed=4, phecode_map=tiny_pmap, atc_map=_atc_map())
     first = {p.patient_id for p in small.patients}  # P00..P29 at both sizes
     assert small.patients == large.patients[:30]
-    assert small.diagnoses == [d for d in large.diagnoses if d.patient_id in first]
-    assert small.prescriptions == [r for r in large.prescriptions if r.patient_id in first]
+    small_raw, large_raw = small.to_raw_tables(), large.to_raw_tables()
+    assert small_raw.diagnoses == [d for d in large_raw.diagnoses if d.patient_id in first]
+    assert small_raw.prescriptions == [r for r in large_raw.prescriptions if r.patient_id in first]
+    assert small_raw.deaths == {pid: d for pid, d in large_raw.deaths.items() if pid in first}
     assert small.truth == {pid: k for pid, k in large.truth.items() if pid in first}
 
 
@@ -295,9 +315,10 @@ def test_vector_draws_stay_inside_their_bounds(tiny_pmap):
         [_profile("only", 1.0, cells, mortality=0.5, drugs=drugs)],
         n, seed=17, config=config, phecode_map=tiny_pmap, atc_map=atc_map,
     )
+    raw = data.to_raw_tables()
     ad_norm = config.normalized_ad_codes
     index_of = {
-        d.patient_id: d.date for d in data.diagnoses if d.code.upper().replace(".", "") in ad_norm
+        d.patient_id: d.date for d in raw.diagnoses if d.code.upper().replace(".", "") in ad_norm
     }
     assert len(index_of) == n
     phecode_of = {
@@ -311,7 +332,7 @@ def test_vector_draws_stay_inside_their_bounds(tiny_pmap):
 
     offsets: dict[tuple[str, int], list[int]] = {cell: [] for cell in cells}
     codes: dict[str, set[str]] = {phecode: set() for phecode, _ in cells}
-    for d in data.diagnoses:
+    for d in raw.diagnoses:
         if d.code not in phecode_of:
             continue
         offset = (index_of[d.patient_id] - d.date).days
@@ -327,17 +348,16 @@ def test_vector_draws_stay_inside_their_bounds(tiny_pmap):
 
     by_class = {"N02B": {"11", "12", "13"}, "B01A": {"22", "23"}}
     for atc3, pool in by_class.items():
-        rows = [r for r in data.prescriptions if r.rxcui in pool]
+        rows = [r for r in raw.prescriptions if r.rxcui in pool]
         assert within_3_sigma(len(rows), drugs[atc3])
         assert {r.rxcui for r in rows} == pool
         assert len({r.patient_id for r in rows}) == len(rows)  # one draw per class
-    for r in data.prescriptions:
+    for r in raw.prescriptions:
         assert 0 <= (r.date - index_of[r.patient_id]).days <= 365
 
-    dead = [p for p in data.patients if p.died]
-    assert within_3_sigma(len(dead), 0.5)
-    for p in dead:
-        assert 30 <= (p.death_date - index_of[p.patient_id]).days <= 1095
+    assert within_3_sigma(len(raw.deaths), 0.5)
+    for pid, death_date in raw.deaths.items():
+        assert 30 <= (death_date - index_of[pid]).days <= 1095
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +380,29 @@ def _round_trip_setup(tiny_pmap, tmp_path, n=40, seed=21):
 
 
 def test_written_tables_parse_cleanly(tiny_pmap, tmp_path):
-    from adsubtype.cohort import TablePaths
-
+    """Ingest accepts every written row, and the event CSVs are synth's rows verbatim."""
     data, _ = _round_trip_setup(tiny_pmap, tmp_path)
-    tables = parse_tables(
-        TablePaths(
-            demographics=tmp_path / "patients.csv",
-            diagnoses=tmp_path / "diagnoses.csv",
-            prescriptions=tmp_path / "prescriptions.csv",
-            deaths=tmp_path / "deaths.csv",
-        )
-    )
-    assert tables.rejects == []
-    raw = data.to_raw_tables()
-    assert tables.patients == raw.patients
-    assert tables.diagnoses == raw.diagnoses
-    assert tables.prescriptions == raw.prescriptions
-    assert tables.deaths == raw.deaths
+    names = ["patients.csv", "diagnoses.csv", "prescriptions.csv", "deaths.csv"]
+    assert parse_tables(*(tmp_path / name for name in names)).rejects == []
+    for name, columns, rows in [
+        ("diagnoses.csv", DIAGNOSES_COLUMNS, data.diagnoses),
+        ("prescriptions.csv", PRESCRIPTIONS_COLUMNS, data.prescriptions),
+    ]:
+        with read_table(tmp_path / name, columns) as (_, written):
+            assert rows and [fields for _, fields in written] == rows
+
+
+def test_only_the_cohort_module_builds_events():
+    """Events and RawTables come from parse_tables alone; synth hands over CSV rows."""
+    builders = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            callee = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)
+            )
+            if callee in ("DiagnosisEvent", "PrescriptionEvent", "RawTables"):
+                builders.add(path.relative_to(PACKAGE).as_posix())
+    assert builders == {"cohort.py"}
 
 
 def test_generated_cohort_fully_retained(tiny_pmap, tiny_vocab):
