@@ -1,5 +1,6 @@
 """Command line behavior: config handling, stage wiring, and determinism."""
 
+import gc
 import inspect
 import json
 import shutil
@@ -10,7 +11,7 @@ import pytest
 from adsubtype import cli
 from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
 from adsubtype.cluster import kmeans
-from adsubtype.cohort import CohortConfig
+from adsubtype.cohort import CohortConfig, load_cohort
 from adsubtype.synth import SubtypeProfile
 
 from conftest import write_profiles
@@ -560,11 +561,14 @@ def test_all_parses_each_artifact_while_the_next_stage_reads_it(pipeline, tmp_pa
     for name in ("load_cohort", "read_feature_csv", "read_assignments"):
         _counting(monkeypatch, name, counts)
     cached = {}  # the parses held as each stage starts
+    cohort_loads = {}  # load_cohort calls made by each stage
 
     def entering(stage, run):
         def recorded(ctx):
             cached[stage] = set(ctx.parsed)
+            before = counts.get(("load_cohort", "cohort.json"), 0)
             run(ctx)
+            cohort_loads[stage] = counts.get(("load_cohort", "cohort.json"), 0) - before
 
         return recorded
 
@@ -573,9 +577,9 @@ def test_all_parses_each_artifact_while_the_next_stage_reads_it(pipeline, tmp_pa
     out = tmp_path / "out"
     assert main(["all", "--config", str(pipeline["config_path"]), "--out", str(out)]) == 0
     assert _snapshot(out) == _snapshot(pipeline["out1"])
-    # cohort.json: once for features, once for stats, mlr, drugs and report
+    # cohort.json: once for stats, mlr, drugs and report; features gets ingest's cohort
     assert counts == {
-        ("load_cohort", "cohort.json"): 2,
+        ("load_cohort", "cohort.json"): 1,
         ("read_feature_csv", "features_temporal.csv"): 2,  # elbow, then cluster; report
         ("read_feature_csv", "features_aggregate.csv"): 2,  # cluster; report
         ("read_assignments", "assignments.csv"): 1,
@@ -585,6 +589,69 @@ def test_all_parses_each_artifact_while_the_next_stage_reads_it(pipeline, tmp_pa
         assert cached[stage.name] <= set(stage.reads), stage.name
     assert cached["cluster"] == {"features_temporal.csv"}  # no cohort.json at cluster's peak
     assert cached["report"] == {"cohort.json", "assignments.csv"}
+    assert cached["features"] == {"cohort.json"}
+    assert cohort_loads == {stage: 1 if stage == "stats" else 0 for stage in STAGES}
+
+
+def test_ingest_hands_features_the_cohort_it_saved(tmp_path):
+    """For the default config, ingest's in-memory cohort equals load_cohort of cohort.json."""
+    ctx = cli.Context(
+        cfg=DEFAULT_CONFIG, out=tmp_path, meta=cli.ArtifactMeta("test", 0, "0" * 12), parsed={}
+    )
+    cli.stage_synth(ctx)
+    cli.stage_ingest(ctx)
+    cohort = ctx.parsed["cohort.json"]
+    assert len(cohort.patients) > 1000
+    assert load_cohort(tmp_path / "cohort.json") == cohort
+
+
+def test_all_appends_one_run_log_line_per_stage(pipeline):
+    for out in (pipeline["out2"], pipeline["out5"]):  # all; each stage on its own
+        lines = (out / cli.RUN_LOG).read_text().splitlines()
+        costs = [json.loads(line) for line in lines]
+        assert [cost["stage"] for cost in costs] == STAGES
+        for cost in costs:
+            assert set(cost) == {"stage", "wall_s", "cpu_s", "maxrss_mb"}
+            assert cost["wall_s"] >= 0 and cost["cpu_s"] >= 0 and cost["maxrss_mb"] > 0
+    manifest = json.loads((pipeline["out2"] / "manifest.json").read_text())
+    assert cli.RUN_LOG not in manifest["artifacts"]
+
+
+def test_stages_run_with_the_collector_paused(pipeline, tmp_path, monkeypatch):
+    states = {}
+
+    def entering(stage, run):
+        def recorded(ctx):
+            states[stage] = (gc.isenabled(), gc.get_freeze_count() > 0)
+            run(ctx)
+
+        return recorded
+
+    for stage in STAGES:
+        monkeypatch.setitem(cli.STAGE_FUNCS, stage, entering(stage, cli.STAGE_FUNCS[stage]))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(pipeline["config_path"]), "--out", str(out)]) == 0
+    assert states == {stage: (False, True) for stage in STAGES}
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    assert _snapshot(out) == _snapshot(pipeline["out1"])
+
+
+def test_main_restores_the_collector(tmp_path, monkeypatch):
+    def failing(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.STAGE_FUNCS, "synth", failing)
+    assert main(["synth", "--out", str(tmp_path)]) == 1
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    # a caller that paused the collector gets it back paused
+    monkeypatch.setitem(cli.STAGE_FUNCS, "synth", lambda ctx: None)
+    gc.disable()
+    try:
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        assert not gc.isenabled() and gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
 
 
 def test_write_drops_the_cached_parse(tmp_path):
