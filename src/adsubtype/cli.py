@@ -38,7 +38,6 @@ import resource
 import sys
 import time
 from dataclasses import dataclass, replace
-from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -56,6 +55,7 @@ from .cohort import (
     Cohort,
     CohortConfig,
     load_cohort,
+    parse_date,
     parse_tables,
     restrict_to_vocabulary,
     save_cohort,
@@ -130,9 +130,11 @@ def _is_str_list(v: Any) -> bool:
 
 
 def _is_iso_date(v: Any) -> bool:
+    if not isinstance(v, str):
+        return False
     try:
-        date.fromisoformat(v)
-    except (TypeError, ValueError):
+        parse_date(v)
+    except ValueError:
         return False
     return True
 
@@ -221,7 +223,7 @@ CONFIG_KEYS = (
 
 
 def _dates_ascending(start: str, end: str) -> bool:
-    return date.fromisoformat(start) < date.fromisoformat(end)
+    return parse_date(start) < parse_date(end)
 
 
 # (first key, second key, holds(first, second), problem); a rule is checked
@@ -315,11 +317,11 @@ ELBOW_COLUMNS = ["k", "sse", "chosen"]
 def read_assignments(path: Path) -> dict[str, int]:
     """Each patient's cluster in an assignments file; a patient listed twice is refused."""
     assignments: dict[str, int] = {}
-    with read_table(path, ASSIGNMENT_COLUMNS) as (_, rows):
-        for lineno, (pid, cluster, *_) in rows:
-            if pid in assignments:
-                raise ValueError(f"{path}: line {lineno}: duplicate patient_id {pid!r}")
-            assignments[pid] = int_field(path, lineno, "cluster", cluster)
+    table = read_table(path, ASSIGNMENT_COLUMNS)
+    for lineno, (pid, cluster, *_) in zip(table.lines, table.rows):
+        if pid in assignments:
+            raise ValueError(f"{path}: line {lineno}: duplicate patient_id {pid!r}")
+        assignments[pid] = int_field(path, lineno, "cluster", cluster)
     return assignments
 
 
@@ -358,8 +360,8 @@ class Context:
         co = self.cfg["cohort"]
         kwargs: dict[str, Any] = dict(
             min_age_years=co["min_age_years"],
-            window_start=date.fromisoformat(co["window_start"]),
-            window_end=date.fromisoformat(co["window_end"]),
+            window_start=parse_date(co["window_start"]),
+            window_end=parse_date(co["window_end"]),
             slot_count=co["slot_count"],
             slot_days=co["slot_days"],
         )
@@ -464,6 +466,9 @@ def stage_features(ctx: Context) -> None:
     temporal = build_temporal_matrix(cohort, vocabulary)
     for fm in (temporal, aggregate_from_temporal(temporal)):
         write_feature_csv(fm, ctx.path(f"features_{fm.layout}.csv"), meta=ctx.meta.line())
+    # equals read_feature_csv of the file just written, so elbow need not parse it
+    temporal.values.setflags(write=False)
+    ctx.parsed["features_temporal.csv"] = temporal
 
 
 def stage_elbow(ctx: Context) -> None:
@@ -487,10 +492,10 @@ def stage_elbow(ctx: Context) -> None:
 
 def _read_chosen_k(ctx: Context) -> int:
     path = ctx.need("elbow.csv")
-    with read_table(path, ELBOW_COLUMNS) as (_, rows):
-        for lineno, (k, _sse, chosen, *_) in rows:
-            if chosen == "1":
-                return int_field(path, lineno, "k", k)
+    table = read_table(path, ELBOW_COLUMNS)
+    for lineno, (k, _sse, chosen, *_) in zip(table.lines, table.rows):
+        if chosen == "1":
+            return int_field(path, lineno, "k", k)
     raise ValueError(f"{path} marks no chosen k")
 
 
@@ -795,7 +800,7 @@ def _run_stages(ctx: Context, stages: Sequence[Stage]) -> int:
         # would add its size to the peak RSS of the stages in between.
         reads = stages[i + 1].reads if i + 1 < len(stages) else ()
         ctx.parsed = {name: obj for name, obj in ctx.parsed.items() if name in reads}
-        # The stages build acyclic objects (events, patients, tuples), which
+        # The stages build acyclic objects (patients, values, tuples), which
         # reference counting frees, so with the collector paused this one
         # collection per stage is enough: peak RSS stays within run-to-run
         # spread of its value with the collector running (about 249 MB at

@@ -6,6 +6,13 @@ applies the inclusion criteria, and reduces each selected patient to one
 record: demographics, mortality, the (timeslot, phecode) cells of the
 pre-index diagnoses, with timeslots counted backward from the index date,
 and the post-index RxCUIs.
+
+Ingest works on columns. parse_tables reads each table in one read_table
+pass and interns each column: every distinct field is stripped and checked
+once, and a row that fails a check is checked again alone for its reject
+reason. Dates are YYYY-MM-DD only (parse_date), in the tables and in the
+config. select_cohort applies the criteria with array operations over
+integer patient, code and datetime64 columns.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .table import RejectedRow, read_table, write_text
 
@@ -103,21 +112,6 @@ class PatientRecord:
 
 
 @dataclass(frozen=True)
-class DiagnosisEvent:
-    patient_id: str
-    code: str
-    system: CodeSystem
-    date: date
-
-
-@dataclass(frozen=True)
-class PrescriptionEvent:
-    patient_id: str
-    rxcui: str
-    date: date
-
-
-@dataclass(frozen=True)
 class CohortConfig:
     ad_code_set: frozenset[str] = DEFAULT_AD_CODES
     min_age_years: int = 20
@@ -139,11 +133,39 @@ class CohortConfig:
         return frozenset(normalize_code(c) for c in self.ad_code_set)
 
 
+@dataclass(frozen=True, eq=False)
+class Interned:
+    """A column with each distinct value stored once: row i holds values[index[i]]."""
+
+    values: list
+    index: np.ndarray
+
+    def rows(self) -> list:
+        """The column's value in each row."""
+        return list(map(self.values.__getitem__, self.index.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class Events:
+    """The accepted rows of diagnoses.csv or prescriptions.csv as columns, in file order.
+
+    item holds a diagnosis's (code, CodeSystem) pair or a prescription's
+    RxCUI; day holds each row's date as datetime64[D].
+    """
+
+    patient_id: Interned
+    item: Interned
+    day: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+
 @dataclass
 class RawTables:
     patients: list[PatientRecord]
-    diagnoses: list[DiagnosisEvent]
-    prescriptions: list[PrescriptionEvent]
+    diagnoses: Events
+    prescriptions: Events
     deaths: dict[str, date]
     rejects: list[RejectedRow]
 
@@ -199,74 +221,198 @@ DIAGNOSES_COLUMNS = ["patient_id", "code", "system", "date"]
 PRESCRIPTIONS_COLUMNS = ["patient_id", "rxcui", "date"]
 DEATHS_COLUMNS = ["patient_id", "death_date"]
 
+def parse_date(text: str) -> date:
+    """The calendar date text writes as YYYY-MM-DD; any other form is a ValueError.
 
-def _parse_date(value: str) -> date:
-    # date.fromisoformat accepts only valid YYYY-MM-DD calendar dates
-    return date.fromisoformat(value.strip())
-
-
-def _read_rows(path: Path, columns: list[str], parse: Callable[..., Any], rejects: list) -> list:
-    """Parse each data row of one input table with parse(*its columns' fields, stripped).
-
-    A ragged row, an empty patient_id or a ValueError raised by parse
-    becomes a reject carrying the file's name and the row's line number;
-    a missing file, an empty file or an unexpected header is fatal.
+    date.fromisoformat alone also takes 20190523 and week dates such as
+    2019-W01-1 from Python 3.11 on, so those are refused first.
     """
-    parsed = []
-    with read_table(path, columns, rejects) as (_, rows):
-        for lineno, row in rows:
-            fields = [f.strip() for f in row[: len(columns)]]
+    digits = text[:4] + text[5:7] + text[8:]
+    if not (len(text) == 10 and text[4] == text[7] == "-" and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return date.fromisoformat(text)
+
+
+def _nonempty(column: str) -> Callable[[str], str]:
+    def check(text: str) -> str:
+        if not text:
+            raise ValueError(f"empty {column}")
+        return text
+
+    return check
+
+
+def _intern(column: Sequence[str]) -> Interned:
+    """The column's stripped texts, each distinct one stored once, first seen first."""
+    position: dict[str, int] = {}
+    of_text = {
+        text: position.setdefault(text.strip(), len(position)) for text in dict.fromkeys(column)
+    }
+    index = np.fromiter(map(of_text.__getitem__, column), np.intp, len(column))
+    return Interned(list(position), index)
+
+
+def _read_columns(
+    path: Path,
+    columns: list[str],
+    rules: Sequence[Callable[[str], Any]],
+    rejects: list[RejectedRow],
+    unique: bool,
+) -> list[Any]:
+    """One input table's accepted rows as columns, in file order.
+
+    A date column is a datetime64[D] array; any other is Interned, its values
+    converted by its rule. _convert_columns says which rows are accepted.
+    """
+    return _release(_convert_columns(path, columns, rules, rejects, unique), rules)
+
+
+def _convert_columns(
+    path: Path,
+    columns: list[str],
+    rules: Sequence[Callable[[str], Any]],
+    rejects: list[RejectedRow],
+    unique: bool,
+) -> list[Interned]:
+    """One input table's accepted rows as columns of converted values, in file order.
+
+    rules[j] converts a stripped field of column j, or raises ValueError with
+    the reject reason; it runs once per distinct field. A row is accepted when
+    each of its fields converts and, with unique, no accepted row before it has
+    its patient_id. A refused row is checked again alone, field by field in
+    column order with the duplicate check right after the patient_id, for its
+    reason. Its reject and read_table's of a ragged row go to rejects in line
+    order; a missing file, an empty file or an unexpected header is fatal.
+    """
+    file_rejects: list[RejectedRow] = []
+    table = read_table(path, columns, file_rejects)
+    accepted = np.ones(len(table.rows), dtype=bool)
+    converted = []
+    for j, rule in enumerate(rules):
+        column = _intern([row[j] for row in table.rows])
+        values, failed = [], []
+        for text in column.values:
             try:
-                if not fields[0]:
-                    raise ValueError("empty patient_id")
-                parsed.append(parse(*fields))
-            except ValueError as exc:
-                rejects.append(RejectedRow(Path(path).name, lineno, str(exc)))
-    return parsed
+                values.append(rule(text))
+                failed.append(False)
+            except ValueError:
+                values.append(None)
+                failed.append(True)
+        accepted &= ~np.array(failed, dtype=bool)[column.index]
+        converted.append(Interned(values, column.index))
+    pids = converted[0].index
+    first_row: dict[int, int] = {}  # a unique table's first accepted row of each patient_id
+    if unique:
+        ok = np.flatnonzero(accepted)
+        ids, first = np.unique(pids[ok], return_index=True)
+        first_row = dict(zip(ids.tolist(), ok[first].tolist()))
+        accepted[:] = False
+        accepted[ok[first]] = True
+    for i in np.flatnonzero(~accepted).tolist():
+        seen = first_row.get(int(pids[i]), i) < i
+        reason = _refusal(table.rows[i], rules, seen)
+        file_rejects.append(RejectedRow(Path(path).name, table.lines[i], reason))
+    rejects.extend(sorted(file_rejects, key=lambda r: r.line))
+    return [_compact(column.values, column.index[accepted]) for column in converted]
+
+
+def _refusal(fields: list[str], rules: Sequence[Callable[[str], Any]], seen: bool) -> str:
+    """Why a refused row was refused: the first rule its fields fail, in column order.
+
+    seen (its patient_id was accepted on an earlier row) is checked right
+    after the patient_id rule.
+    """
+    pid = fields[0].strip()
+    try:
+        rules[0](pid)
+        if seen:
+            return f"duplicate patient_id {pid!r}"
+        for rule, text in zip(rules[1:], fields[1:]):
+            rule(text.strip())
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"row {fields} passes every rule")
+
+
+def _compact(values: list, index: np.ndarray) -> Interned:
+    """Interned(values, index) without the values no row holds, in the same order."""
+    held = np.zeros(len(values), dtype=bool)
+    held[index] = True
+    position = np.cumsum(held) - 1
+    return Interned([v for v, h in zip(values, held.tolist()) if h], position[index])
+
+
+def _release(columns: list[Interned], rules: Sequence[Callable[[str], Any]]) -> list[Any]:
+    """columns with their str values copied, and their dates as datetime64[D] rows.
+
+    Each value was cut from one of a table's per-row strings, and one kept
+    alive keeps the allocator from returning the memory around it. So each
+    column's strings are packed into one, and columns is emptied, which
+    frees them, before the strings are cut out again.
+    """
+    kept: list[Any] = []
+    for rule, column in zip(rules, columns):
+        if rule is parse_date:
+            kept.append(np.array(column.values, dtype="datetime64[D]")[column.index])
+        elif all(type(v) is str for v in column.values):
+            lengths = [len(v) for v in column.values]
+            kept.append(("".join(column.values), lengths, column.index))
+        else:  # enum members live as long as their class
+            kept.append(column)
+    columns.clear()
+    for i, column in enumerate(kept):
+        if isinstance(column, tuple):
+            text, lengths, index = column
+            values, at = [], 0
+            for n in lengths:
+                values.append(text[at : at + n])
+                at += n
+            kept[i] = Interned(values, index)
+    return kept
+
+
+def _pairs(code: Interned, system: Interned) -> Interned:
+    """The (code, system) column, each distinct pair stored once."""
+    width = max(len(system.values), 1)
+    distinct, index = np.unique(code.index * width + system.index, return_inverse=True)
+    pairs = [(code.values[k // width], system.values[k % width]) for k in distinct.tolist()]
+    return Interned(pairs, index.reshape(-1))
 
 
 def parse_tables(
     demographics: Path, diagnoses: Path, prescriptions: Path, deaths: Path
 ) -> RawTables:
-    """Parse the four input tables into typed rows; the one place events are built.
+    """Parse the four input tables into patient records and event columns.
 
     Malformed rows are collected into the rejects list with file and line
-    number; a missing file or an unexpected header is fatal.
+    number, in file order; a missing file or an unexpected header is fatal.
     """
     rejects: list[RejectedRow] = []
-    seen_ids: set[str] = set()
-
-    def patient(pid: str, sex: str, race: str, birth: str) -> PatientRecord:
-        if pid in seen_ids:
-            raise ValueError(f"duplicate patient_id {pid!r}")
-        record = PatientRecord(pid, Sex(sex), Race(race), _parse_date(birth))
-        seen_ids.add(pid)
-        return record
-
-    def diagnosis(pid: str, code: str, system: str, when: str) -> DiagnosisEvent:
-        if not code:
-            raise ValueError("empty code")
-        return DiagnosisEvent(pid, code, CodeSystem(system), _parse_date(when))
-
-    def prescription(pid: str, rxcui: str, when: str) -> PrescriptionEvent:
-        if not rxcui:
-            raise ValueError("empty rxcui")
-        return PrescriptionEvent(pid, rxcui, _parse_date(when))
-
-    dead_ids: set[str] = set()
-
-    def death(pid: str, when: str) -> tuple[str, date]:
-        if pid in dead_ids:
-            raise ValueError(f"duplicate patient_id {pid!r}")
-        row = pid, _parse_date(when)
-        dead_ids.add(pid)
-        return row
-
+    pid = _nonempty("patient_id")
+    pids, sexes, races, births = _read_columns(
+        demographics, DEMOGRAPHICS_COLUMNS, (pid, Sex, Race, parse_date), rejects, unique=True
+    )
+    dx_pid, code, system, dx_day = _read_columns(
+        diagnoses, DIAGNOSES_COLUMNS, (pid, _nonempty("code"), CodeSystem, parse_date),
+        rejects, unique=False,
+    )
+    rx_pid, rxcui, rx_day = _read_columns(
+        prescriptions, PRESCRIPTIONS_COLUMNS, (pid, _nonempty("rxcui"), parse_date),
+        rejects, unique=False,
+    )
+    dead_pid, death_day = _read_columns(
+        deaths, DEATHS_COLUMNS, (pid, parse_date), rejects, unique=True
+    )
     tables = RawTables(
-        _read_rows(demographics, DEMOGRAPHICS_COLUMNS, patient, rejects),
-        _read_rows(diagnoses, DIAGNOSES_COLUMNS, diagnosis, rejects),
-        _read_rows(prescriptions, PRESCRIPTIONS_COLUMNS, prescription, rejects),
-        dict(_read_rows(deaths, DEATHS_COLUMNS, death, rejects)),
+        [
+            PatientRecord(patient_id, sex, race, birth_date)
+            for patient_id, sex, race, birth_date in zip(
+                pids.rows(), sexes.rows(), races.rows(), births.tolist()
+            )
+        ],
+        Events(dx_pid, _pairs(code, system), dx_day),
+        Events(rx_pid, rxcui, rx_day),
+        dict(zip(dead_pid.rows(), death_day.tolist())),
         rejects,
     )
     if rejects:
@@ -283,17 +429,17 @@ def parse_tables(
 # ---------------------------------------------------------------------------
 
 
-def find_first_ad_date(
-    diagnoses: Iterable[DiagnosisEvent], ad_code_set: Iterable[str]
-) -> dict[str, date]:
-    """Earliest AD-coded diagnosis date per patient (absent if none)."""
-    ad_norm = {normalize_code(c) for c in ad_code_set}
-    first: dict[str, date] = {}
-    for ev in diagnoses:
-        if normalize_code(ev.code) in ad_norm:
-            prev = first.get(ev.patient_id)
-            if prev is None or ev.date < prev:
-                first[ev.patient_id] = ev.date
+def _ad_rows(diagnoses: Events, ad_norm: frozenset[str]) -> np.ndarray:
+    """Which diagnosis rows carry one of the normalized AD codes ad_norm."""
+    is_ad = [normalize_code(code) in ad_norm for code, _ in diagnoses.item.values]
+    return np.array(is_ad, dtype=bool)[diagnoses.item.index]
+
+
+def first_ad_dates(diagnoses: Events, ad_code_set: Iterable[str]) -> np.ndarray:
+    """Earliest AD-coded diagnosis date of each diagnoses.patient_id value, NaT if none."""
+    first = np.full(len(diagnoses.patient_id.values), np.datetime64("NaT"), "datetime64[D]")
+    ad = _ad_rows(diagnoses, frozenset(normalize_code(c) for c in ad_code_set))
+    np.fmin.at(first, diagnoses.patient_id.index[ad], diagnoses.day[ad])
     return first
 
 
@@ -302,15 +448,22 @@ def assign_timeslot(
 ) -> int | None:
     """Timeslot index (1-based, slot 1 adjacent to the index date) or None.
 
+    The rule of timeslots for one event.
+    """
+    slot = int(timeslots(np.int64((index_date - event_date).days), slot_days, slot_count))
+    return slot or None
+
+
+def timeslots(days_before: np.ndarray, slot_days: int, slot_count: int) -> np.ndarray:
+    """Each event's timeslot from its whole days before the index date; 0 for none.
+
     An event d whole days before the index date lands in slot
     floor(d / slot_days) + 1 when 0 <= d <= slot_count * slot_days - 1.
     Events on the index date itself (d = 0) land in slot 1; later events and
-    events beyond the lookback horizon return None.
+    events beyond the lookback horizon get 0.
     """
-    d = (index_date - event_date).days
-    if d < 0 or d > slot_count * slot_days - 1:
-        return None
-    return d // slot_days + 1
+    slot = days_before // slot_days + 1
+    return np.where((days_before >= 0) & (slot <= slot_count), slot, 0)
 
 
 def bin_age(age: int) -> AgeGroup:
@@ -324,12 +477,21 @@ def bin_age(age: int) -> AgeGroup:
     return AgeGroup.OVER_85
 
 
-def completed_years(birth_date: date, index_date: date) -> int:
-    """Whole years from birth_date to index_date; negative if born after it."""
-    age = index_date.year - birth_date.year
-    if (index_date.month, index_date.day) < (birth_date.month, birth_date.day):
-        age -= 1
-    return age
+def completed_years(birth_date: Any, index_date: Any) -> Any:
+    """Whole years from birth_date to index_date; negative if born after it.
+
+    Takes dates, or datetime64[D] arrays elementwise.
+    """
+    return (_yyyymmdd(index_date) - _yyyymmdd(birth_date)) // 10000
+
+
+def _yyyymmdd(day: Any) -> Any:
+    """A date, or a datetime64[D] array, as the integer YYYYMMDD."""
+    day = np.asarray(day, dtype="datetime64[D]")
+    year, month = day.astype("datetime64[Y]"), day.astype("datetime64[M]")
+    month_of_year = (month - year).astype(np.int64) + 1
+    day_of_month = (day - month).astype(np.int64) + 1
+    return (year.astype(np.int64) + 1970) * 10000 + month_of_year * 100 + day_of_month
 
 
 # ---------------------------------------------------------------------------
@@ -351,69 +513,92 @@ def select_cohort(
     Each pre-index, non-AD diagnosis with a mapped phecode becomes a
     (slot, phecode) cell of its patient; prescriptions on or after the
     index date are kept as RxCUIs. The funnel records the count remaining
-    after each criterion.
+    after each criterion. Each step works on whole columns; AD matching and
+    the phecode lookup run once per distinct (code, system) pair.
     """
-    funnel: list[tuple[str, int]] = [("patients_total", len(tables.patients))]
+    patients, dx, rx = tables.patients, tables.diagnoses, tables.prescriptions
+    n = len(patients)
+    funnel: list[tuple[str, int]] = [("patients_total", n)]
 
-    first_ad = find_first_ad_date(tables.diagnoses, config.ad_code_set)
-    with_ad = [p for p in tables.patients if p.patient_id in first_ad]
-    funnel.append(("first_ad_diagnosis", len(with_ad)))
+    # Row n stands for every event patient missing from the demographics
+    # table; its index date stays NaT, so no criterion selects it.
+    row_of = {p.patient_id: i for i, p in enumerate(patients)}
+    dx_rows = _rows_of(dx.patient_id.values, row_of)  # per distinct patient_id
+    dx_row = dx_rows[dx.patient_id.index]
+    rx_row = _rows_of(rx.patient_id.values, row_of)[rx.patient_id.index]
+    ad_codes = config.normalized_ad_codes
+    index_date = np.full(n + 1, np.datetime64("NaT"), dtype="datetime64[D]")
+    index_date[dx_rows] = first_ad_dates(dx, ad_codes)
+    index_date[n] = np.datetime64("NaT")
+    funnel.append(("first_ad_diagnosis", int((~np.isnat(index_date)).sum())))
 
-    in_window = [
-        p
-        for p in with_ad
-        if config.window_start <= first_ad[p.patient_id] <= config.window_end
-    ]
-    funnel.append(("ad_date_in_window", len(in_window)))
+    # comparisons with NaT are false
+    start, end = np.datetime64(config.window_start), np.datetime64(config.window_end)
+    window = (start <= index_date) & (index_date <= end)
+    funnel.append(("ad_date_in_window", int(window.sum())))
 
-    age_at_index: dict[str, int] = {}
-    of_age: list[PatientRecord] = []
-    for p in in_window:
-        idx = first_ad[p.patient_id]
-        age = completed_years(p.birth_date, idx)
-        if age >= config.min_age_years:
-            of_age.append(p)
-            age_at_index[p.patient_id] = age
-    funnel.append((f"age_at_index_ge_{config.min_age_years}", len(of_age)))
+    birth = np.array([p.birth_date for p in patients] + [None], dtype="datetime64[D]")
+    age = np.zeros(n + 1, dtype=np.int64)
+    age[window] = completed_years(birth[window], index_date[window])
+    selected = window & (age >= config.min_age_years)
+    funnel.append((f"age_at_index_ge_{config.min_age_years}", int(selected.sum())))
 
-    # A set per patient: binary features make repeated diagnoses irrelevant.
-    ad_norm = config.normalized_ad_codes
-    cells: dict[str, set[tuple[int, str]]] = {p.patient_id: set() for p in of_age}
-    for ev in tables.diagnoses:
-        patient_cells = cells.get(ev.patient_id)
-        if patient_cells is None or normalize_code(ev.code) in ad_norm:
-            continue
-        slot = assign_timeslot(
-            ev.date, first_ad[ev.patient_id], config.slot_days, config.slot_count
-        )
-        if slot is None:
-            continue
-        phecode = phecode_map.lookup(ev.code, ev.system)
-        if phecode is not None:
-            patient_cells.add((slot, phecode))
+    # Cells: the timeslots of the selected patients' non-AD, phecode-mapped
+    # diagnoses. Each (row, slot, phecode) is one integer key whose phecode
+    # part is its rank in string order, so np.unique keeps one per cell
+    # (binary features make repeated diagnoses irrelevant) and sorts each
+    # patient's cells by (slot, phecode).
+    phecodes = [phecode_map.lookup(code, system) for code, system in dx.item.values]
+    names = sorted(set(phecodes) - {None})
+    rank_of = {name: r for r, name in enumerate(names)}
+    rank = np.array([rank_of.get(pc, -1) for pc in phecodes], dtype=np.int64)[dx.item.index]
+    rows = np.flatnonzero(selected[dx_row] & (rank >= 0) & ~_ad_rows(dx, ad_codes))
+    days_before = (index_date[dx_row[rows]] - dx.day[rows]).astype(np.int64)
+    slot = timeslots(days_before, config.slot_days, config.slot_count)
+    rows, slot = rows[slot > 0], slot[slot > 0]
+    slots, width = config.slot_count + 1, max(len(names), 1)
+    key = np.unique((dx_row[rows] * slots + slot) * width + rank[rows])
+    cell = list(zip((key // width % slots).tolist(), [names[r] for r in (key % width).tolist()]))
+    cells = _by_row(key // (slots * width), cell, n)
 
-    rxcuis: dict[str, list[str]] = {p.patient_id: [] for p in of_age}
-    for rx in tables.prescriptions:
-        patient_rx = rxcuis.get(rx.patient_id)
-        if patient_rx is not None and rx.date >= first_ad[rx.patient_id]:
-            patient_rx.append(rx.rxcui)
+    # RxCUIs on or after the index date, sorted the same way with repeats kept
+    codes = sorted(rx.item.values)
+    rank_of = {code: r for r, code in enumerate(codes)}
+    rx_rank = np.array([rank_of[code] for code in rx.item.values], dtype=np.int64)[rx.item.index]
+    rows = np.flatnonzero(selected[rx_row])
+    rows = rows[rx.day[rows] >= index_date[rx_row[rows]]]
+    width = max(len(codes), 1)
+    key = np.sort(rx_row[rows] * width + rx_rank[rows])
+    rxcuis = _by_row(key // width, [codes[r] for r in (key % width).tolist()], n)
 
-    patients = [
+    ages = age.tolist()
+    cohort_patients = [
         CohortPatient(
-            patient_id=p.patient_id,
-            sex=p.sex,
-            race=p.race,
-            age_at_index=age_at_index[p.patient_id],
-            died=p.patient_id in tables.deaths,
-            cells=tuple(sorted(cells[p.patient_id])),
-            rxcuis=tuple(sorted(rxcuis[p.patient_id])),
+            patient_id=patients[i].patient_id,
+            sex=patients[i].sex,
+            race=patients[i].race,
+            age_at_index=ages[i],
+            died=patients[i].patient_id in tables.deaths,
+            cells=cells[i],
+            rxcuis=rxcuis[i],
         )
-        for p in of_age
+        for i in np.flatnonzero(selected).tolist()
     ]
-    if not patients:
+    if not cohort_patients:
         log.warning("select_cohort: no patients satisfy the inclusion criteria")
-    cohort = Cohort(patients=patients, funnel=funnel, config=config)
+    cohort = Cohort(patients=cohort_patients, funnel=funnel, config=config)
     return cohort if vocabulary is None else restrict_to_vocabulary(cohort, vocabulary)
+
+
+def _rows_of(patient_ids: list[str], row_of: Mapping[str, int]) -> np.ndarray:
+    """Each patient_id's row in row_of; len(row_of) for one not there."""
+    return np.array([row_of.get(pid, len(row_of)) for pid in patient_ids], dtype=np.intp)
+
+
+def _by_row(row: np.ndarray, items: list, n: int) -> list[tuple]:
+    """items, whose patient rows ascend in row, as one tuple per row 0..n-1."""
+    bounds = np.searchsorted(row, np.arange(n + 1)).tolist()
+    return [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def restrict_to_vocabulary(cohort: Cohort, vocabulary: "PhenotypeVocabulary") -> Cohort:
@@ -465,8 +650,8 @@ def cohort_from_json(doc: Mapping) -> Cohort:
     config = CohortConfig(
         ad_code_set=frozenset(cfg["ad_code_set"]),
         min_age_years=cfg["min_age_years"],
-        window_start=date.fromisoformat(cfg["window_start"]),
-        window_end=date.fromisoformat(cfg["window_end"]),
+        window_start=parse_date(cfg["window_start"]),
+        window_end=parse_date(cfg["window_end"]),
         slot_count=cfg["slot_count"],
         slot_days=cfg["slot_days"],
     )

@@ -51,16 +51,16 @@ def load_atc_map(path: str | Path) -> AtcMap:
     is fatal.
     """
     sets: dict[str, set[tuple[str, str]]] = {}
-    with read_table(path, ATC_MAP_COLUMNS) as (_, rows):
-        for lineno, (rxcui, atc3, name, *_) in rows:
-            rxcui, atc3, name = rxcui.strip(), atc3.strip().upper(), name.strip()
-            if not rxcui:
-                log.warning("%s: line %d: empty rxcui", path, lineno)
-                continue
-            if not ATC3_PATTERN.match(atc3):
-                log.warning("%s: line %d: invalid ATC3 code %r", path, lineno, atc3)
-                continue
-            sets.setdefault(rxcui, set()).add((atc3, name))
+    table = read_table(path, ATC_MAP_COLUMNS)
+    for lineno, (rxcui, atc3, name, *_) in zip(table.lines, table.rows):
+        rxcui, atc3, name = rxcui.strip(), atc3.strip().upper(), name.strip()
+        if not rxcui:
+            log.warning("%s: line %d: empty rxcui", path, lineno)
+            continue
+        if not ATC3_PATTERN.match(atc3):
+            log.warning("%s: line %d: invalid ATC3 code %r", path, lineno, atc3)
+            continue
+        sets.setdefault(rxcui, set()).add((atc3, name))
     if not sets:
         log.warning("load_atc_map: %s yielded an empty map", path)
     entries = {k: frozenset(v) for k, v in sets.items()}

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .cohort import Cohort, CodeSystem, normalize_code
-from .table import int_field, read_table, write_table
+from .table import int_field, read_binary_table, read_table, write_binary_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -66,24 +66,24 @@ def load_phecode_map(path: Path) -> PhecodeMap:
     entries: dict[tuple[str, CodeSystem], tuple[str, str]] = {}
     first_row: dict[tuple[str, CodeSystem], int] = {}
     conflicts: list[str] = []
-    with read_table(path, PHECODE_MAP_COLUMNS) as (_, rows):
-        for lineno, (icd, flag, phecode, name, *_) in rows:
-            icd, flag = icd.strip(), flag.strip()
-            if flag not in _SYSTEM_FLAGS:
-                raise ValueError(
-                    f"{path}: line {lineno}: system_flag must be 9 or 10, got {flag!r}"
+    table = read_table(path, PHECODE_MAP_COLUMNS)
+    for lineno, (icd, flag, phecode, name, *_) in zip(table.lines, table.rows):
+        icd, flag = icd.strip(), flag.strip()
+        if flag not in _SYSTEM_FLAGS:
+            raise ValueError(
+                f"{path}: line {lineno}: system_flag must be 9 or 10, got {flag!r}"
+            )
+        key = (normalize_code(icd), _SYSTEM_FLAGS[flag])
+        value = (phecode.strip(), name.strip())
+        if key in entries:
+            if entries[key][0] != value[0]:
+                conflicts.append(
+                    f"({icd}, ICD{flag}) -> {entries[key][0]} at row "
+                    f"{first_row[key]} vs {value[0]} at row {lineno}"
                 )
-            key = (normalize_code(icd), _SYSTEM_FLAGS[flag])
-            value = (phecode.strip(), name.strip())
-            if key in entries:
-                if entries[key][0] != value[0]:
-                    conflicts.append(
-                        f"({icd}, ICD{flag}) -> {entries[key][0]} at row "
-                        f"{first_row[key]} vs {value[0]} at row {lineno}"
-                    )
-                continue
-            entries[key] = value
-            first_row[key] = lineno
+            continue
+        entries[key] = value
+        first_row[key] = lineno
     if conflicts:
         raise ValueError(f"{path}: conflicting phecode mappings: " + "; ".join(conflicts))
     if not entries:
@@ -235,8 +235,7 @@ def _assert_rows_nonzero(values: np.ndarray, pids: list[str]) -> None:
 
 
 def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str) -> None:
-    rows = ([pid, *row.tolist()] for pid, row in zip(fm.patient_ids, fm.values))
-    write_table(path, ["patient_id"] + fm.column_labels(), rows, meta)
+    write_binary_table(path, ["patient_id"] + fm.column_labels(), fm.patient_ids, fm.values, meta)
 
 
 def read_feature_csv(path: Path) -> FeatureMatrix:
@@ -244,20 +243,7 @@ def read_feature_csv(path: Path) -> FeatureMatrix:
 
     The values are read-only: one parse may serve several stages.
     """
-    pids: list[str] = []
-    cells: list[str] = []  # each row's cells joined, one character per cell
-    with read_table(path, ["patient_id"]) as (header, data):
-        width = len(header) - 1
-        for lineno, fields in data:
-            row = "".join(fields[1:])
-            # width characters, all 0 or 1, over width non-empty cells: one each
-            if len(row) != width or row.strip("01") or "" in fields[1:]:
-                raise ValueError(f"{path}: line {lineno}: feature cells must be 0 or 1")
-            pids.append(fields[0])
-            cells.append(row)
-    buf = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8)
-    values = buf.reshape(len(pids), width) - np.uint8(ord("0"))
-    values.setflags(write=False)
+    header, pids, values = read_binary_table(path, "patient_id")
     columns: list[tuple[str, int | None]] = []
     layout = AGGREGATE
     for label in header[1:]:
@@ -287,10 +273,10 @@ def write_vocabulary_csv(
 
 def load_vocabulary_csv(path: Path) -> PhenotypeVocabulary:
     """Read a vocabulary CSV, ordered by rank; a non-integer rank is a ValueError."""
-    with read_table(path, VOCABULARY_COLUMNS) as (_, data):
-        rows = [
-            (int_field(path, lineno, "rank", rank), code.strip(), name.strip())
-            for lineno, (rank, code, name, *_) in data
-        ]
+    table = read_table(path, VOCABULARY_COLUMNS)
+    rows = [
+        (int_field(path, lineno, "rank", rank), code.strip(), name.strip())
+        for lineno, (rank, code, name, *_) in zip(table.lines, table.rows)
+    ]
     rows.sort(key=lambda r: r[0])
     return PhenotypeVocabulary(tuple((code, name) for _, code, name in rows))

@@ -1,13 +1,18 @@
 """CSV tables: the one place artifacts and input extracts are read and written.
 
 A table is any number of '#' comment lines, one header row, then data rows.
-read_table alone checks a table: its stripped header must begin with the
-columns the reader declares (more may follow), and every data row must have
-the header's field count. Fields are returned unstripped. Writers emit one
-'# meta' line, the header and the rows as LF-terminated UTF-8, and replace
-the target atomically through '<name>.tmp' (a suffix the manifest never
-lists), so a write that fails part-way leaves the previous file in place;
-write_json does the same for JSON artifacts.
+Every reader checks a table through _open and read_table: its stripped header
+must begin with the columns the reader declares (more may follow), and every
+data row must have the header's field count. read_table reads a whole table
+in one pass: csv.reader runs over the file's non-comment lines, and a row's
+line number is looked up by the reader's position, so no per-row layer sits
+between them. Fields are returned unstripped. A 0/1 feature table is checked
+as one block of cells (read_binary_table) and written from one rendered block
+(write_binary_table). Writers emit one '# meta' line, the header and the rows
+as LF-terminated UTF-8, and replace the target atomically through
+'<name>.tmp' (a suffix the manifest never lists), so a write that fails
+part-way leaves the previous file in place; write_json does the same for
+JSON artifacts.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ import csv
 import io
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-Rows = Iterator[tuple[int, list[str]]]
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,47 +37,65 @@ class RejectedRow:
     reason: str
 
 
-@contextmanager
-def read_table(
-    path: str | Path, columns: Sequence[str], rejects: list[RejectedRow] | None = None
-) -> Iterator[tuple[list[str], Rows]]:
-    """Open a table and yield (header, rows); rows yields (line number, fields) lazily.
+@dataclass(frozen=True)
+class Table:
+    """A table's stripped header and its data rows, each with the header's field count.
 
-    A missing header row, or one not beginning with columns, is a ValueError.
-    A row whose field count differs from the header's is a ValueError naming
-    the file and line or, given rejects, is appended there and skipped. '#'
-    and blank lines yield no row; line numbers are the file's own, 1-based (a
-    quoted record spanning several lines gets its last).
+    lines[i] is the file's own 1-based number of rows[i]'s line (a quoted
+    record spanning several lines gets its last).
+    """
+
+    header: list[str]
+    rows: list[list[str]]
+    lines: list[int]
+
+
+def _open(path: str | Path, columns: Sequence[str]) -> tuple[list[str], Any, list[str], list[int]]:
+    """(header, reader, data lines, their line numbers) of the table at path.
+
+    The data lines are the file's lines that do not start with '#'; reader
+    is a csv reader over them positioned after the header, and
+    numbers[reader.line_num - 1] is the file line it last read. A missing
+    header row, or one not beginning with columns, is a ValueError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        lineno = 0
+        every = fh.readlines()
+    numbers = [i for i, line in enumerate(every, start=1) if not line.startswith("#")]
+    data = [every[i - 1] for i in numbers]
+    reader = csv.reader(data)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file, no header row")
+    header = [h.strip() for h in header]
+    if header[: len(columns)] != list(columns):
+        raise ValueError(f"{path}: bad header {header}, expected it to begin {list(columns)}")
+    return header, reader, data, numbers
 
-        def data_lines() -> Iterator[str]:
-            nonlocal lineno
-            for lineno, line in enumerate(fh, start=1):
-                if not line.startswith("#"):
-                    yield line
 
-        reader = csv.reader(data_lines())
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, no header row")
-        header = [h.strip() for h in header]
-        if header[: len(columns)] != list(columns):
-            raise ValueError(f"{path}: bad header {header}, expected it to begin {list(columns)}")
-        width = len(header)
+def read_table(
+    path: str | Path, columns: Sequence[str], rejects: list[RejectedRow] | None = None
+) -> Table:
+    """Read a whole table whose header begins with columns.
 
-        def rows() -> Rows:
-            for fields in reader:
-                if len(fields) == width:
-                    yield lineno, fields
-                elif fields:
-                    problem = f"{len(fields)} fields, header has {width}"
-                    if rejects is None:
-                        raise ValueError(f"{path}: line {lineno}: {problem}")
-                    rejects.append(RejectedRow(Path(path).name, lineno, problem))
-
-        yield header, rows()
+    A row whose field count differs from the header's is a ValueError naming
+    the file and line or, given rejects, is appended there and skipped. '#'
+    and blank lines give no row.
+    """
+    header, reader, _, numbers = _open(path, columns)
+    width = len(header)
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    for fields in reader:
+        if len(fields) == width:
+            rows.append(fields)
+            lines.append(numbers[reader.line_num - 1])
+        elif fields:
+            lineno = numbers[reader.line_num - 1]
+            problem = f"{len(fields)} fields, header has {width}"
+            if rejects is None:
+                raise ValueError(f"{path}: line {lineno}: {problem}")
+            rejects.append(RejectedRow(Path(path).name, lineno, problem))
+    return Table(header, rows, lines)
 
 
 def int_field(path: str | Path, lineno: int, column: str, text: str) -> int:
@@ -82,6 +104,74 @@ def int_field(path: str | Path, lineno: int, column: str, text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{path}: line {lineno}: {column} {text!r} is not an integer") from None
+
+
+# A binary table row is its key, then ",0" or ",1" per cell, then LF.
+_COMMA, _ZERO, _LF, _HASH = b",0\n#"
+# A key or header holding one of these may be quoted, or may not be one csv
+# field; such a table is read row by row through read_table.
+_UNSAFE = frozenset('",\0')
+
+
+def read_binary_table(path: str | Path, key: str) -> tuple[list[str], list[str], np.ndarray]:
+    """(header, keys, values) of a 0/1 feature table whose first column is key.
+
+    values is a read-only uint8 matrix with one row per key. The file's bytes
+    are checked as one block: after any '#' lines and a plain header, each
+    line is a plain key, then ",0" or ",1" per cell, then LF. A table that
+    fails that check is read again row by row through read_table, which
+    takes any quoting and names the first bad line: a row with the wrong
+    field count, or a cell other than "0" or "1", is a ValueError.
+    """
+    raw = Path(path).read_bytes()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _LF)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first = 0  # the header's line
+    while first < len(ends) and buf[starts[first]] == _HASH:
+        first += 1
+    try:
+        header = raw[starts[first] : ends[first]].decode("utf-8").split(",")
+        starts, ends = starts[first + 1 :], ends[first + 1 :]
+        key_ends = ends - 2 * (len(header) - 1)
+        keys = [raw[a:b].decode("utf-8") for a, b in zip(starts.tolist(), key_ends.tolist())]
+    except (IndexError, UnicodeDecodeError):  # no header line, or not UTF-8
+        return _read_binary_rows(path, key)
+    if (
+        raw.endswith(b"\n")
+        and b"\r" not in raw  # the row reader also ends a line at CR
+        and _UNSAFE.isdisjoint("".join(header + keys))
+        and header[0].strip() == key
+        and (key_ends >= starts).all()
+        and (ends > starts).all()  # no blank line
+        and (buf[starts] != _HASH).all()  # no comment line among the rows
+    ):
+        # the bytes from each key's end to its LF: one row of cells each
+        edges = np.zeros(len(buf) + 1, dtype=np.int8)
+        edges[key_ends] += 1
+        edges[ends] -= 1
+        cells = buf[np.cumsum(edges[:-1], dtype=np.int8).astype(bool)]
+        cells = cells.reshape(len(keys), len(header) - 1, 2)
+        values = cells[:, :, 1] - np.uint8(_ZERO)  # a byte below "0" wraps above 1
+        if (cells[:, :, 0] == _COMMA).all() and (values <= 1).all():
+            values.setflags(write=False)
+            return [cell.strip() for cell in header], keys, values
+    return _read_binary_rows(path, key)
+
+
+def _read_binary_rows(path: str | Path, key: str) -> tuple[list[str], list[str], np.ndarray]:
+    """read_binary_table, checked row by row."""
+    table = read_table(path, [key])
+    width = len(table.header) - 1
+    for lineno, fields in zip(table.lines, table.rows):
+        row = "".join(fields[1:])
+        # width characters, all 0 or 1, over width non-empty cells: one each
+        if len(row) != width or row.strip("01") or "" in fields[1:]:
+            raise ValueError(f"{path}: line {lineno}: feature cells must be 0 or 1")
+    cells = "".join("".join(fields[1:]) for fields in table.rows).encode("ascii")
+    values = np.frombuffer(cells, dtype=np.uint8).reshape(len(table.rows), width) - np.uint8(_ZERO)
+    values.setflags(write=False)
+    return table.header, [fields[0] for fields in table.rows], values
 
 
 def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]], meta: str) -> str:
@@ -104,8 +194,46 @@ def write_table(
     write_text(path, render_table(header, rows, meta))
 
 
+def write_binary_table(
+    path: str | Path, header: Sequence[str], keys: Sequence[str], values: np.ndarray, meta: str
+) -> None:
+    """Atomically replace path with a 0/1 feature table: one row per key, then its values.
+
+    The bytes equal write_table's of the rows [key, *values[i]]: each key is
+    rendered by csv.writer, and the cells are one buffer of commas and
+    digits. A value other than 0 or 1 is a ValueError.
+    """
+    values = np.asarray(values)
+    if not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{path}: feature values must be 0 or 1")
+    n, width = values.shape
+    cells = np.empty((n, width, 2), dtype=np.uint8)
+    cells[:, :, 0] = _COMMA
+    cells[:, :, 1] = values + np.uint8(_ZERO)
+    block, step = memoryview(cells.reshape(-1)), 2 * width
+    keys_buf = io.StringIO()
+    writer = csv.writer(keys_buf, lineterminator="\n")
+    # each key as csv.writer renders it among several fields: the row (key, "") less ",\n"
+    lengths = [writer.writerow((k, "")) for k in keys]
+    rendered, at = keys_buf.getvalue(), 0
+    out = bytearray(render_table(header, [], meta).encode("utf-8"))
+    for i, length in enumerate(lengths):
+        out += rendered[at : at + length - 2].encode("utf-8")
+        out += block[i * step : (i + 1) * step]
+        out += b"\n"
+        at += length
+    # bytes as they are: a str copy for write_text, and its encoding, would be
+    # two more table-sized buffers (6 MB more peak RSS at n=12,000)
+    _replace(path, lambda tmp: tmp.write_bytes(out))
+
+
 def write_text(path: str | Path, text: str) -> None:
-    """Atomically replace path with text, UTF-8 encoded.
+    """Atomically replace path with text, UTF-8 encoded."""
+    _replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline=""))
+
+
+def _replace(path: str | Path, write: Callable[[Path], Any]) -> None:
+    """Atomically replace path with the file write(tmp) writes.
 
     An OSError becomes RuntimeError("failed writing artifact ..."); on any
     failure the temp file is removed and the previous file is untouched.
@@ -113,8 +241,7 @@ def write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except OSError as exc:
         raise RuntimeError(f"failed writing artifact {path}: {exc}") from exc

@@ -30,6 +30,11 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def event_rows(events):
+    """An Events table's rows as (patient_id, item, date) tuples, in file order."""
+    return list(zip(events.patient_id.rows(), events.item.rows(), events.day.tolist()))
+
+
 def profile_dict(profile):
     """A SubtypeProfile in the profile JSON schema that load_profiles reads."""
     nested = {}

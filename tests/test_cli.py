@@ -1,17 +1,20 @@
 """Command line behavior: config handling, stage wiring, and determinism."""
 
+import dataclasses
 import gc
 import inspect
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adsubtype import cli
 from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
 from adsubtype.cluster import kmeans
 from adsubtype.cohort import CohortConfig, load_cohort
+from adsubtype.phenotype import read_feature_csv
 from adsubtype.synth import SubtypeProfile
 
 from conftest import write_profiles
@@ -203,6 +206,12 @@ def test_removed_plan_keys_rejected(tmp_path, capsys):
             "cohort.window_end",
             id="window-reversed",
         ),
+        # only YYYY-MM-DD is a date, whatever date.fromisoformat takes on this Python
+        pytest.param(
+            {"cohort": {"window_start": "20120101"}}, "cohort.window_start", id="date-basic"
+        ),
+        pytest.param({"cohort": {"window_end": "2021-W04-7"}}, "cohort.window_end", id="date-week"),
+        pytest.param({"cohort": {"window_end": ["2021-01-31"]}}, "cohort.window_end", id="date-list"),
         pytest.param({"out_dir": 5}, "out_dir", id="out-dir-int"),
         pytest.param({"synth": {"profiles": 5}}, "synth.profiles", id="profiles-int"),
         pytest.param(
@@ -263,9 +272,11 @@ def test_cross_key_rules_wait_for_their_keys():
 
 def test_window_dates_compare_as_dates():
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
-    # as strings "20120201" sorts after "2012-03-01"; as dates it comes first
+    # "20120201" is no YYYY-MM-DD date, so it is refused before any comparison
     cfg["cohort"]["window_start"] = "20120201"
     cfg["cohort"]["window_end"] = "2012-03-01"
+    assert cli.validate_config(cfg) == ["cohort.window_start must be an ISO date string"]
+    cfg["cohort"]["window_start"] = "2012-02-01"
     assert cli.validate_config(cfg) == []
     cfg["cohort"]["window_end"] = "2012-02-01"
     assert cli.validate_config(cfg) == ["cohort.window_end must be after cohort.window_start"]
@@ -580,7 +591,8 @@ def test_all_parses_each_artifact_while_the_next_stage_reads_it(pipeline, tmp_pa
     # cohort.json: once for stats, mlr, drugs and report; features gets ingest's cohort
     assert counts == {
         ("load_cohort", "cohort.json"): 1,
-        ("read_feature_csv", "features_temporal.csv"): 2,  # elbow, then cluster; report
+        # elbow and cluster get the matrix features wrote; report reads the file
+        ("read_feature_csv", "features_temporal.csv"): 1,
         ("read_feature_csv", "features_aggregate.csv"): 2,  # cluster; report
         ("read_assignments", "assignments.csv"): 1,
         ("read_assignments", "assignments_aggregate.csv"): 1,
@@ -590,6 +602,7 @@ def test_all_parses_each_artifact_while_the_next_stage_reads_it(pipeline, tmp_pa
     assert cached["cluster"] == {"features_temporal.csv"}  # no cohort.json at cluster's peak
     assert cached["report"] == {"cohort.json", "assignments.csv"}
     assert cached["features"] == {"cohort.json"}
+    assert cached["elbow"] == {"features_temporal.csv"}
     assert cohort_loads == {stage: 1 if stage == "stats" else 0 for stage in STAGES}
 
 
@@ -603,6 +616,25 @@ def test_ingest_hands_features_the_cohort_it_saved(tmp_path):
     cohort = ctx.parsed["cohort.json"]
     assert len(cohort.patients) > 1000
     assert load_cohort(tmp_path / "cohort.json") == cohort
+
+
+def test_features_hands_elbow_the_temporal_matrix_it_wrote(tmp_path):
+    """For the default config, features' temporal matrix equals read_feature_csv of its file."""
+    ctx = cli.Context(
+        cfg=DEFAULT_CONFIG, out=tmp_path, meta=cli.ArtifactMeta("test", 0, "0" * 12), parsed={}
+    )
+    for stage in (cli.stage_synth, cli.stage_ingest, cli.stage_features):
+        stage(ctx)
+    handed = ctx.parsed["features_temporal.csv"]
+    read = read_feature_csv(tmp_path / "features_temporal.csv")
+    for field in dataclasses.fields(read):
+        mine, theirs = getattr(handed, field.name), getattr(read, field.name)
+        if field.name == "values":
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            assert not mine.flags.writeable
+        else:
+            assert mine == theirs, field.name
+    assert len(handed.patient_ids) > 1000
 
 
 def test_all_appends_one_run_log_line_per_stage(pipeline):

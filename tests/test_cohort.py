@@ -10,18 +10,18 @@ from adsubtype.cohort import (
     CodeSystem,
     CohortConfig,
     CohortPatient,
-    DiagnosisEvent,
     Race,
     Sex,
     assign_timeslot,
     bin_age,
     completed_years,
-    find_first_ad_date,
+    first_ad_dates,
     load_cohort,
     normalize_code,
     parse_tables,
     save_cohort,
 )
+from conftest import event_rows
 
 
 def test_normalize_code():
@@ -56,8 +56,8 @@ def test_parse_tables_happy_path(table_writer):
     assert tables.patients[0].sex is Sex.FEMALE
     assert tables.patients[0].birth_date == date(1950, 3, 2)
     assert len(tables.diagnoses) == 3
-    assert tables.diagnoses[2].system is CodeSystem.ICD10CM
-    assert tables.prescriptions[0].rxcui == "860975"
+    assert event_rows(tables.diagnoses)[2][1][1] is CodeSystem.ICD10CM
+    assert event_rows(tables.prescriptions)[0][1] == "860975"
     assert tables.deaths == {"P2": date(2018, 5, 5)}
 
 
@@ -107,6 +107,33 @@ def test_parse_tables_rejects_duplicate_death_rows(table_writer, caplog):
     assert [(r.file, r.line, r.reason) for r in tables.rejects] == [
         ("deaths.csv", 3, "duplicate patient_id 'P1'"),
         ("deaths.csv", 4, "duplicate patient_id 'P1'"),
+    ]
+
+
+def test_parse_tables_accepts_only_yyyy_mm_dd_dates(table_writer):
+    """date.fromisoformat also takes basic and week dates from Python 3.11 on; ingest does not."""
+    paths = table_writer(
+        patients=[["P1", "F", "05", "1950-03-02"], ["P2", "F", "05", "19500302"]],
+        diagnoses=[
+            ["P1", "331.0", "ICD9", " 2015-06-01 "],  # padding is stripped
+            ["P1", "401.9", "ICD9", "20150523"],
+            ["P1", "401.9", "ICD9", "2015-W01-1"],
+            ["P1", "401.9", "ICD9", "2015-6-1"],
+        ],
+        prescriptions=[["P1", "100", "2015-06-01T00:00"]],
+        deaths=[["P1", "2015-366"]],
+    )
+    tables = parse_tables(*paths)
+    assert [p.patient_id for p in tables.patients] == ["P1"]
+    assert event_rows(tables.diagnoses) == [("P1", ("331.0", CodeSystem.ICD9), date(2015, 6, 1))]
+    assert len(tables.prescriptions) == 0 and tables.deaths == {}
+    assert [(r.file, r.line, r.reason) for r in tables.rejects] == [
+        ("patients.csv", 3, "date '19500302' is not YYYY-MM-DD"),
+        ("diagnoses.csv", 3, "date '20150523' is not YYYY-MM-DD"),
+        ("diagnoses.csv", 4, "date '2015-W01-1' is not YYYY-MM-DD"),
+        ("diagnoses.csv", 5, "date '2015-6-1' is not YYYY-MM-DD"),
+        ("prescriptions.csv", 2, "date '2015-06-01T00:00' is not YYYY-MM-DD"),
+        ("deaths.csv", 2, "date '2015-366' is not YYYY-MM-DD"),
     ]
 
 
@@ -183,14 +210,19 @@ def test_completed_years():
     assert completed_years(date(1943, 6, 1), idx) == 75
 
 
-def test_find_first_ad_date_earliest_and_normalized():
-    events = [
-        DiagnosisEvent("P1", "G30.9", CodeSystem.ICD10CM, date(2016, 3, 1)),
-        DiagnosisEvent("P1", "G309", CodeSystem.ICD10CM, date(2015, 1, 1)),
-        DiagnosisEvent("P1", "401.9", CodeSystem.ICD9, date(2010, 1, 1)),
-        DiagnosisEvent("P2", "331.0", CodeSystem.ICD9, date(2017, 8, 8)),
-    ]
-    first = find_first_ad_date(events, ["G30.9", "3310"])
+def test_find_first_ad_date_earliest_and_normalized(table_writer):
+    tables = parse_tables(
+        *table_writer(
+            diagnoses=[
+                ["P1", "G30.9", "ICD10CM", "2016-03-01"],
+                ["P1", "G309", "ICD10CM", "2015-01-01"],
+                ["P1", "401.9", "ICD9", "2010-01-01"],
+                ["P2", "331.0", "ICD9", "2017-08-08"],
+            ]
+        )
+    )
+    dates = first_ad_dates(tables.diagnoses, ["G30.9", "3310"])
+    first = dict(zip(tables.diagnoses.patient_id.values, dates.tolist()))
     assert first == {"P1": date(2015, 1, 1), "P2": date(2017, 8, 8)}
 
 

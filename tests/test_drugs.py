@@ -147,12 +147,12 @@ def test_stage_drugs_writes_na_for_zero_denominator(tmp_path):
     _write_csv(tmp_path / "assignments.csv", ["patient_id", "cluster"], [["A", 0], ["B", 1]])
     assert main(["drugs", "--out", str(tmp_path)]) == 0
     columns = ["cluster", "atc3", "atc3_name", "numerator", "denominator", "pct"]
-    with read_table(tmp_path / "drug_usage.csv", columns) as (header, rows):
-        assert header == columns
-        assert [fields for _, fields in rows] == [
-            ["0", "N02B", "Other analgesics and antipyretics", "1", "1", "100.0000"],
-            ["1", "N02B", "Other analgesics and antipyretics", "0", "0", "NA"],
-        ]
+    table = read_table(tmp_path / "drug_usage.csv", columns)
+    assert table.header == columns
+    assert table.rows == [
+        ["0", "N02B", "Other analgesics and antipyretics", "1", "1", "100.0000"],
+        ["1", "N02B", "Other analgesics and antipyretics", "0", "0", "NA"],
+    ]
 
 
 def test_prevalence_rows_cluster_major_selected_order():

@@ -1,11 +1,9 @@
 """Phecode map loading, vocabulary ranking, and feature matrix construction."""
 
-from datetime import date
-
 import numpy as np
 import pytest
 
-from adsubtype.cohort import CodeSystem, DiagnosisEvent
+from adsubtype.cohort import CodeSystem, parse_tables
 from adsubtype.phenotype import (
     AGGREGATE,
     TEMPORAL,
@@ -116,9 +114,11 @@ def test_load_phecode_map_empty_warns(tmp_path, caplog):
     assert any("empty" in r.message for r in caplog.records)
 
 
-def test_map_diagnosis(tiny_pmap):
-    ev = DiagnosisEvent("P1", "E78.5", CodeSystem.ICD10CM, date(2015, 1, 1))
-    assert tiny_pmap.lookup(ev.code, ev.system) == "272.1"
+def test_map_diagnosis(tiny_pmap, table_writer):
+    tables = parse_tables(*table_writer(diagnoses=[["P1", "E78.5", "ICD10CM", "2015-01-01"]]))
+    [(code, system)] = tables.diagnoses.item.values
+    assert system is CodeSystem.ICD10CM
+    assert tiny_pmap.lookup(code, system) == "272.1"
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from adsubtype.synth import (
 
 import numpy as np
 
-from conftest import profile_dict, write_profiles
+from conftest import event_rows, profile_dict, write_profiles
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsubtype"
 
@@ -168,17 +168,20 @@ def test_generate_events_land_in_planted_slot(tiny_pmap):
     profiles = [_profile("only", 1.0, {("401.1", 3): 1.0})]
     config = CohortConfig()
     data = generate_cohort(profiles, 60, seed=3, config=config, phecode_map=tiny_pmap)
-    diagnoses = data.to_raw_tables().diagnoses
+    diagnoses = event_rows(data.to_raw_tables().diagnoses)
     index_of = {}
     ad_norm = config.normalized_ad_codes
-    for d in diagnoses:
-        if d.code.upper().replace(".", "") in ad_norm:
-            index_of[d.patient_id] = d.date
+    for pid, (code, _), when in diagnoses:
+        if code.upper().replace(".", "") in ad_norm:
+            index_of[pid] = when
     assert len(index_of) == 60
-    condition_events = [d for d in diagnoses if d.patient_id in index_of and d.code in ("4019", "I10")]
+    condition_events = [
+        (pid, when) for pid, (code, _), when in diagnoses
+        if pid in index_of and code in ("4019", "I10")
+    ]
     assert len(condition_events) == 60  # probability 1 cell fires for everyone
-    for d in condition_events:
-        slot = assign_timeslot(d.date, index_of[d.patient_id], config.slot_days, config.slot_count)
+    for pid, when in condition_events:
+        slot = assign_timeslot(when, index_of[pid], config.slot_days, config.slot_count)
         assert slot == 3
 
 
@@ -211,8 +214,8 @@ def test_generate_cell_prevalence_matches_probability(tiny_pmap):
     profiles = [_profile("only", 1.0, {("401.1", 2): 0.8})]
     n = 1500
     data = generate_cohort(profiles, n, seed=13, phecode_map=tiny_pmap)
-    diagnoses = data.to_raw_tables().diagnoses
-    with_condition = {d.patient_id for d in diagnoses if d.code in ("4019", "I10")}
+    diagnoses = event_rows(data.to_raw_tables().diagnoses)
+    with_condition = {pid for pid, (code, _), _ in diagnoses if code in ("4019", "I10")}
     sigma = math.sqrt(n * 0.8 * 0.2)
     assert abs(len(with_condition) - n * 0.8) <= 3 * sigma
 
@@ -224,18 +227,18 @@ def test_generate_death_and_rx_date_ranges(tiny_pmap):
     raw = data.to_raw_tables()
     ad_norm = config.normalized_ad_codes
     index_of = {
-        d.patient_id: d.date
-        for d in raw.diagnoses
-        if d.code.upper().replace(".", "") in ad_norm
+        pid: when
+        for pid, (code, _), when in event_rows(raw.diagnoses)
+        if code.upper().replace(".", "") in ad_norm
     }
     assert set(raw.deaths) == {p.patient_id for p in raw.patients}
     for pid, death_date in raw.deaths.items():
         offset = (death_date - index_of[pid]).days
         assert 30 <= offset <= 1095
     assert len(raw.prescriptions) == 80
-    for rx in raw.prescriptions:
-        assert rx.rxcui == "11"
-        offset = (rx.date - index_of[rx.patient_id]).days
+    for pid, rxcui, when in event_rows(raw.prescriptions):
+        assert rxcui == "11"
+        offset = (when - index_of[pid]).days
         assert 0 <= offset <= 365
 
 
@@ -245,9 +248,9 @@ def test_generate_ages_stay_inside_drawn_group(tiny_pmap):
     config = CohortConfig()
     ad_norm = config.normalized_ad_codes
     index_of = {
-        d.patient_id: d.date
-        for d in raw.diagnoses
-        if d.code.upper().replace(".", "") in ad_norm
+        pid: when
+        for pid, (code, _), when in event_rows(raw.diagnoses)
+        if code.upper().replace(".", "") in ad_norm
     }
     assert len(raw.patients) == 50
     for p in raw.patients:
@@ -291,8 +294,9 @@ def test_patient_draws_do_not_depend_on_patient_count(tiny_pmap):
     first = {p.patient_id for p in small.patients}  # P00..P29 at both sizes
     assert small.patients == large.patients[:30]
     small_raw, large_raw = small.to_raw_tables(), large.to_raw_tables()
-    assert small_raw.diagnoses == [d for d in large_raw.diagnoses if d.patient_id in first]
-    assert small_raw.prescriptions == [r for r in large_raw.prescriptions if r.patient_id in first]
+    for table in ("diagnoses", "prescriptions"):
+        small_rows = event_rows(getattr(small_raw, table))
+        assert small_rows == [r for r in event_rows(getattr(large_raw, table)) if r[0] in first]
     assert small_raw.deaths == {pid: d for pid, d in large_raw.deaths.items() if pid in first}
     assert small.truth == {pid: k for pid, k in large.truth.items() if pid in first}
 
@@ -317,8 +321,9 @@ def test_vector_draws_stay_inside_their_bounds(tiny_pmap):
     )
     raw = data.to_raw_tables()
     ad_norm = config.normalized_ad_codes
+    diagnoses, prescriptions = event_rows(raw.diagnoses), event_rows(raw.prescriptions)
     index_of = {
-        d.patient_id: d.date for d in raw.diagnoses if d.code.upper().replace(".", "") in ad_norm
+        pid: when for pid, (code, _), when in diagnoses if code.upper().replace(".", "") in ad_norm
     }
     assert len(index_of) == n
     phecode_of = {
@@ -332,13 +337,13 @@ def test_vector_draws_stay_inside_their_bounds(tiny_pmap):
 
     offsets: dict[tuple[str, int], list[int]] = {cell: [] for cell in cells}
     codes: dict[str, set[str]] = {phecode: set() for phecode, _ in cells}
-    for d in raw.diagnoses:
-        if d.code not in phecode_of:
+    for pid, (code, _), when in diagnoses:
+        if code not in phecode_of:
             continue
-        offset = (index_of[d.patient_id] - d.date).days
+        offset = (index_of[pid] - when).days
         slot = offset // config.slot_days + 1
-        offsets[(phecode_of[d.code], slot)].append(offset)
-        codes[phecode_of[d.code]].add(d.code)
+        offsets[(phecode_of[code], slot)].append(offset)
+        codes[phecode_of[code]].add(code)
     for (phecode, slot), days in offsets.items():
         assert within_3_sigma(len(days), cells[(phecode, slot)])
         first = (slot - 1) * config.slot_days
@@ -348,12 +353,12 @@ def test_vector_draws_stay_inside_their_bounds(tiny_pmap):
 
     by_class = {"N02B": {"11", "12", "13"}, "B01A": {"22", "23"}}
     for atc3, pool in by_class.items():
-        rows = [r for r in raw.prescriptions if r.rxcui in pool]
+        rows = [(pid, rxcui) for pid, rxcui, _ in prescriptions if rxcui in pool]
         assert within_3_sigma(len(rows), drugs[atc3])
-        assert {r.rxcui for r in rows} == pool
-        assert len({r.patient_id for r in rows}) == len(rows)  # one draw per class
-    for r in raw.prescriptions:
-        assert 0 <= (r.date - index_of[r.patient_id]).days <= 365
+        assert {rxcui for _, rxcui in rows} == pool
+        assert len({pid for pid, _ in rows}) == len(rows)  # one draw per class
+    for pid, _, when in prescriptions:
+        assert 0 <= (when - index_of[pid]).days <= 365
 
     assert within_3_sigma(len(raw.deaths), 0.5)
     for pid, death_date in raw.deaths.items():
@@ -388,19 +393,18 @@ def test_written_tables_parse_cleanly(tiny_pmap, tmp_path):
         ("diagnoses.csv", DIAGNOSES_COLUMNS, data.diagnoses),
         ("prescriptions.csv", PRESCRIPTIONS_COLUMNS, data.prescriptions),
     ]:
-        with read_table(tmp_path / name, columns) as (_, written):
-            assert rows and [fields for _, fields in written] == rows
+        assert rows and read_table(tmp_path / name, columns).rows == rows
 
 
 def test_only_the_cohort_module_builds_events():
-    """Events and RawTables come from parse_tables alone; synth hands over CSV rows."""
+    """Event columns and RawTables come from parse_tables alone; synth hands over CSV rows."""
     builders = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             callee = isinstance(node, ast.Call) and getattr(
                 node.func, "id", getattr(node.func, "attr", None)
             )
-            if callee in ("DiagnosisEvent", "PrescriptionEvent", "RawTables"):
+            if callee in ("Interned", "Events", "RawTables"):
                 builders.add(path.relative_to(PACKAGE).as_posix())
     assert builders == {"cohort.py"}
 

@@ -1,11 +1,21 @@
-"""Table layer: the one reader's header and field-count contract, and the atomic writer."""
+"""Table layer: the one reader's header and field-count contract, the 0/1 block
+reader and writer, and the atomic writer."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adsubtype.table import RejectedRow, read_table, write_table, write_text
+from adsubtype import table
+from adsubtype.table import (
+    RejectedRow,
+    read_binary_table,
+    read_table,
+    write_binary_table,
+    write_table,
+    write_text,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsubtype"
 
@@ -13,9 +23,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsubtype"
 def test_read_table_keeps_file_line_numbers(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# meta\na,b\n1,2\n\n# note\n3,4\n")
-    with read_table(path, ["a", "b"]) as (header, rows):
-        assert header == ["a", "b"]
-        assert list(rows) == [(3, ["1", "2"]), (6, ["3", "4"])]
+    table = read_table(path, ["a", "b"])
+    assert table.header == ["a", "b"]
+    assert list(zip(table.lines, table.rows)) == [(3, ["1", "2"]), (6, ["3", "4"])]
 
 
 @pytest.mark.parametrize(
@@ -42,6 +52,18 @@ def test_read_table_keeps_file_line_numbers(tmp_path):
              RejectedRow("t.csv", 5, "3 fields, header has 2")],
             id="rejects-collected",
         ),
+        pytest.param('a,b\n"1,5",2\n', False, [(2, ["1,5", "2"])], [], id="quoted-comma"),
+        pytest.param(
+            'a,b\n"x\ny",2\n3,4\n', False, [(3, ["x\ny", "2"]), (4, ["3", "4"])], [],
+            id="record-spans-two-lines",
+        ),
+        pytest.param(
+            "a,b\r\n1,2\r\n3,4\r\n", False, [(2, ["1", "2"]), (3, ["3", "4"])], [], id="crlf",
+        ),
+        pytest.param(
+            'a,b\n"p\nq",1\n# c\n2,3\n', False, [(3, ["p\nq", "1"]), (5, ["2", "3"])], [],
+            id="comment-after-quoted-record",
+        ),
     ],
 )
 def test_read_table_contract(tmp_path, text, collect, outcome, rejected):
@@ -51,16 +73,15 @@ def test_read_table_contract(tmp_path, text, collect, outcome, rejected):
     and line, or with a rejects list the row is collected there instead.
     """
     path = tmp_path / "t.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8"))
     rejects = [] if collect else None
     if isinstance(outcome, str):
         with pytest.raises(ValueError) as exc:
-            with read_table(path, ["a", "b"], rejects) as (_, rows):
-                list(rows)
+            read_table(path, ["a", "b"], rejects)
         assert str(exc.value) == f"{path}: {outcome}"
     else:
-        with read_table(path, ["a", "b"], rejects) as (_, rows):
-            assert list(rows) == outcome
+        table = read_table(path, ["a", "b"], rejects)
+        assert list(zip(table.lines, table.rows)) == outcome
         assert (rejects or []) == rejected
 
 
@@ -97,3 +118,65 @@ def test_failed_write_leaves_previous_file(tmp_path):
         write_text(path, "k,sse\n" * 1000 + "\ud800\n")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["elbow.csv"]
+
+
+BINARY_KEYS = ["P1", "a,b", 'q"x', "x\ny", "", " sp ", "été", "P,2"]
+
+
+def test_binary_table_bytes_equal_write_table_and_read_back(tmp_path):
+    """The block writer renders what csv.writer would; the reader gives back what it wrote."""
+    rng = np.random.default_rng(0)
+    for keys in (BINARY_KEYS, [f"P{i:03d}" for i in range(50)]):
+        values = rng.integers(0, 2, size=(len(keys), 5), dtype=np.uint8)
+        header = ["patient_id", "a", "b_s1", "c,d", "e", "f"]
+        write_binary_table(tmp_path / "block.csv", header, keys, values, meta="m")
+        rows = [[key, *row.tolist()] for key, row in zip(keys, values)]
+        write_table(tmp_path / "rows.csv", header, rows, meta="m")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        got_header, got_keys, got_values = read_binary_table(tmp_path / "block.csv", "patient_id")
+        assert (got_header, got_keys) == (header, keys)
+        assert got_values.dtype == np.uint8 and np.array_equal(got_values, values)
+        assert not got_values.flags.writeable
+    for bad in (2, -1, 0.5):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            write_binary_table(tmp_path / "bad.csv", header, ["P"], np.full((1, 5), bad), meta="m")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("# m\nk,a,b\nP1,0,1\nP2,1,1\n", id="plain"),
+        pytest.param("k,a,b\r\nP1,0,1\r\nP2,1,1\r\n", id="crlf"),
+        pytest.param("# m\rk,a\nk,1\nP1,0\n", id="cr-in-comment"),
+        pytest.param("# m\nk,a,b\nP1,0,1\n\nP2,1,1\n", id="blank-line"),
+        pytest.param("# m\nk,a,b\nP1,0,1\n# note\nP2,1,1\n", id="comment-mid-file"),
+        pytest.param('k,a,b\nP1,"0",1\n"P,2",1,1\n', id="quoted"),
+        pytest.param(" k , a ,b\nP1,0,1\nP2,1,1", id="padded-header-no-final-lf"),
+        pytest.param("k,a,b\né,0,1\n,1,0\n", id="non-ascii-and-empty-key"),
+        pytest.param("k\nP1\nP2\n", id="keys-only"),
+        pytest.param("k,a\n", id="no-rows"),
+    ],
+)
+def test_binary_table_reads_what_the_row_reader_reads(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    table = read_table(path, ["k"])
+    header, keys, values = read_binary_table(path, "k")
+    assert header == table.header
+    assert keys == [fields[0] for fields in table.rows]
+    assert values.tolist() == [[int(cell) for cell in fields[1:]] for fields in table.rows]
+    assert values.shape == (len(table.rows), len(table.header) - 1)
+
+
+def test_plain_binary_table_is_read_without_the_row_reader(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    keys = [f"P{i}" for i in range(20)] + ["été", ""]
+    write_binary_table(path, ["k", "a", "b"], keys, np.eye(22, 2, dtype=np.uint8), meta="m")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr(table, "read_table", refuse)
+    header, got, values = read_binary_table(path, "k")
+    assert (header, got) == (["k", "a", "b"], keys)
+    assert np.array_equal(values, np.eye(22, 2))
