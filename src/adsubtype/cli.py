@@ -729,7 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", dest="out_dir", help="override output directory")
-        p.add_argument("--threads", type=int, help="worker threads for the k-means restarts")
+        p.add_argument(
+            "--threads",
+            type=int,
+            help="worker threads for the k-means restarts and the kNN distance blocks",
+        )
         p.add_argument(
             "--dry-run", action="store_true", help="print the plan without writing"
         )

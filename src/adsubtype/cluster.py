@@ -33,7 +33,9 @@ class SpectralConfig:
     seed: int
     gamma: float | None = None  # None -> 1 / feature_count
     knn_sparsify: int | None = None
-    threads: int = 1  # k-means restart workers; never changes the result
+    # workers for the kNN distance blocks and the k-means restarts; never
+    # changes the result
+    threads: int = 1
 
     def __post_init__(self):
         if self.k < 1:
@@ -120,11 +122,28 @@ def laplacian_kernel_affinity(D: np.ndarray, gamma: float) -> AffinityMatrix:
     return AffinityMatrix(np.exp(A, out=A))
 
 
-# rows per distance block in knn_sparsified_affinity
+# Rows per distance block in knn_sparsified_affinity. The block's rows are
+# split across the workers, so the live distance buffers hold KNN_BLOCK rows
+# whatever the worker count.
 KNN_BLOCK = 1024
 
 
-def knn_sparsified_affinity(X: np.ndarray, gamma: float, neighbors: int) -> AffinityMatrix:
+def _workers(threads: int, tasks: int) -> int:
+    """Pool size for `tasks` independent tasks: at most threads, tasks and usable CPUs.
+
+    Usable CPUs are those this process may run on, which can be fewer than
+    the host has.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, tasks, cpus)
+
+
+def knn_sparsified_affinity(
+    X: np.ndarray, gamma: float, neighbors: int, threads: int = 1
+) -> AffinityMatrix:
     """Sparse affinity keeping the `neighbors` largest entries per row.
 
     Distances are computed in blocks of KNN_BLOCK rows so the full N x N
@@ -132,6 +151,13 @@ def knn_sparsified_affinity(X: np.ndarray, gamma: float, neighbors: int) -> Affi
     elementwise max (union of directed kNN edges). The diagonal is always
     kept. The block matmul and the distances run in float32, which is exact
     for 0/1 rows with fewer than 2^24 columns.
+
+    Each block's rows are cut into one contiguous slice per worker, at most
+    `threads`. A row's kept neighbours depend on that row's distances alone,
+    which are exact integers, so the split never changes a byte. The
+    distances must stay float32: which of several neighbours tied at the
+    boundary are kept follows numpy's selection kernel, and it can pick
+    differently for another dtype (int16 does).
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
@@ -141,13 +167,21 @@ def knn_sparsified_affinity(X: np.ndarray, gamma: float, neighbors: int) -> Affi
     counts = Xf.sum(axis=1)
     cols = np.empty((n, m), dtype=np.intp)
     vals = np.empty((n, m))
-    for start in range(0, n, KNN_BLOCK):
-        stop = min(start + KNN_BLOCK, n)
-        Db = _hamming_rows(Xf, counts, slice(start, stop))
+
+    def fill(rows: slice) -> None:
+        Db = _hamming_rows(Xf, counts, rows)
         idx = np.sort(np.argpartition(Db, m - 1, axis=1)[:, :m], axis=1)
-        cols[start:stop] = idx
+        cols[rows] = idx
         selected = np.take_along_axis(Db, idx, axis=1).astype(np.float64)
-        vals[start:stop] = np.exp(-gamma * selected)
+        vals[rows] = np.exp(-gamma * selected)
+
+    workers = _workers(threads, min(n, KNN_BLOCK))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, n, KNN_BLOCK):
+            size = min(KNN_BLOCK, n - start)
+            cuts = [start + size * w // workers for w in range(workers + 1)]
+            slices = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+            list(pool.map(fill, slices))  # re-raises a worker's error
     # every row keeps exactly m sorted columns
     A = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n))
     A = A.maximum(A.T)
@@ -449,8 +483,7 @@ def kmeans(
         centers = _kmeanspp_centers(X, P, x2, k, np.random.default_rng([seed, r]))
         return _lloyd(X, Xs, x2, centers)
 
-    workers = min(threads, restarts, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_workers(threads, restarts)) as pool:
         runs = list(pool.map(restart, range(restarts)))
     best = min(range(restarts), key=lambda r: runs[r][2])  # min keeps the earliest tie
     labels, _, sse, history = runs[best]
@@ -467,7 +500,7 @@ def spectral_cluster(X: np.ndarray, config: SpectralConfig) -> ClusterAssignment
     gamma = config.gamma if config.gamma is not None else 1.0 / X.shape[1]
 
     if config.knn_sparsify is not None:
-        affinity = knn_sparsified_affinity(X, gamma, config.knn_sparsify)
+        affinity = knn_sparsified_affinity(X, gamma, config.knn_sparsify, config.threads)
     else:
         affinity = binomial_kernel_operator(X, gamma)
 

@@ -1,11 +1,13 @@
 """CSV tables: the one place artifacts and input extracts are read and written.
 
-A table is any number of '#' comment lines, one header row, then data rows.
-Every reader checks a table through _open and read_table: its stripped header
-must begin with the columns the reader declares (more may follow), and every
-data row must have the header's field count. read_table reads a whole table
-in one pass: csv.reader runs over the file's non-comment lines, and a row's
-line number is looked up by the reader's position, so no per-row layer sits
+A table is any number of '#' comment lines, one header row, then data rows;
+after the header every line is data, so a row whose first field starts with
+'#' is a row like any other. Every reader checks a table through _open and
+read_table: its stripped header must begin with the columns the reader
+declares (more may follow), and every data row must have the header's field
+count. read_table reads a whole table in one pass: csv.reader runs over the
+file's lines from the header on, and a row's line number is the reader's
+position plus the comment lines before the header, so no per-row layer sits
 between them. Fields are returned unstripped. A 0/1 feature table is checked
 as one block of cells (read_binary_table) and written from one rendered block
 (write_binary_table). Writers emit one '# meta' line, the header and the rows
@@ -22,6 +24,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -50,26 +53,28 @@ class Table:
     lines: list[int]
 
 
-def _open(path: str | Path, columns: Sequence[str]) -> tuple[list[str], Any, list[str], list[int]]:
-    """(header, reader, data lines, their line numbers) of the table at path.
+def _open(path: str | Path, columns: Sequence[str]) -> tuple[list[str], Any, int]:
+    """(header, reader, comment line count) of the table at path.
 
-    The data lines are the file's lines that do not start with '#'; reader
-    is a csv reader over them positioned after the header, and
-    numbers[reader.line_num - 1] is the file line it last read. A missing
-    header row, or one not beginning with columns, is a ValueError.
+    The comment lines are the lines before the header that start with '#';
+    reader is a csv reader over the lines after them, positioned after the
+    header, so the file line it last read is the count plus
+    reader.line_num. A missing header row, or one not beginning with
+    columns, is a ValueError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        every = fh.readlines()
-    numbers = [i for i, line in enumerate(every, start=1) if not line.startswith("#")]
-    data = [every[i - 1] for i in numbers]
-    reader = csv.reader(data)
+        lines = fh.readlines()
+    comments = 0
+    while comments < len(lines) and lines[comments].startswith("#"):
+        comments += 1
+    reader = csv.reader(islice(lines, comments, None))
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file, no header row")
     header = [h.strip() for h in header]
     if header[: len(columns)] != list(columns):
         raise ValueError(f"{path}: bad header {header}, expected it to begin {list(columns)}")
-    return header, reader, data, numbers
+    return header, reader, comments
 
 
 def read_table(
@@ -78,19 +83,19 @@ def read_table(
     """Read a whole table whose header begins with columns.
 
     A row whose field count differs from the header's is a ValueError naming
-    the file and line or, given rejects, is appended there and skipped. '#'
-    and blank lines give no row.
+    the file and line or, given rejects, is appended there and skipped.
+    Blank lines give no row.
     """
-    header, reader, _, numbers = _open(path, columns)
+    header, reader, comments = _open(path, columns)
     width = len(header)
     rows: list[list[str]] = []
     lines: list[int] = []
     for fields in reader:
         if len(fields) == width:
             rows.append(fields)
-            lines.append(numbers[reader.line_num - 1])
+            lines.append(comments + reader.line_num)
         elif fields:
-            lineno = numbers[reader.line_num - 1]
+            lineno = comments + reader.line_num
             problem = f"{len(fields)} fields, header has {width}"
             if rejects is None:
                 raise ValueError(f"{path}: line {lineno}: {problem}")
@@ -118,10 +123,11 @@ def read_binary_table(path: str | Path, key: str) -> tuple[list[str], list[str],
 
     values is a read-only uint8 matrix with one row per key. The file's bytes
     are checked as one block: after any '#' lines and a plain header, each
-    line is a plain key, then ",0" or ",1" per cell, then LF. A table that
-    fails that check is read again row by row through read_table, which
-    takes any quoting and names the first bad line: a row with the wrong
-    field count, or a cell other than "0" or "1", is a ValueError.
+    line is a plain key (it may start with '#'), then ",0" or ",1" per cell,
+    then LF. A table that fails that check is read again row by row through
+    read_table, which takes any quoting and names the first bad line: a row
+    with the wrong field count, or a cell other than "0" or "1", is a
+    ValueError.
     """
     raw = Path(path).read_bytes()
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -144,7 +150,6 @@ def read_binary_table(path: str | Path, key: str) -> tuple[list[str], list[str],
         and header[0].strip() == key
         and (key_ends >= starts).all()
         and (ends > starts).all()  # no blank line
-        and (buf[starts] != _HASH).all()  # no comment line among the rows
     ):
         # the bytes from each key's end to its LF: one row of cells each
         edges = np.zeros(len(buf) + 1, dtype=np.int8)

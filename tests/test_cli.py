@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adsubtype import cli
+from adsubtype import cli, cluster
 from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
 from adsubtype.cluster import kmeans
 from adsubtype.cohort import CohortConfig, load_cohort
@@ -477,6 +477,20 @@ def test_reruns_are_byte_identical(pipeline):
 
 def test_threads_never_change_bytes(pipeline):
     assert _snapshot(pipeline["out1"]) == _snapshot(pipeline["out3"])
+
+
+def test_threads_never_change_knn_bytes(pipeline, tmp_path, monkeypatch):
+    """The kNN route splits each distance block across the workers; no byte moves."""
+    monkeypatch.setattr(cluster.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 3)  # 3 workers on any machine
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(pipeline["config"], cluster={"k": 3, "knn_sparsify": 10})))
+    snapshots = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"threads-{threads}"
+        assert main(["all", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        snapshots.append(_snapshot(out))
+    assert snapshots[0] == snapshots[1]
 
 
 def test_stage_sequence_matches_all_command(pipeline):

@@ -38,6 +38,12 @@ def _planted_blocks(n_per, n_blocks, n_cols, seed=0, p_sig=0.9, p_noise=0.05):
     return X, truth
 
 
+def _pretend_cpus(monkeypatch, count):
+    """Make the cluster layer see `count` usable CPUs, with or without affinity masks."""
+    monkeypatch.setattr(cluster.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(cluster.os, "cpu_count", lambda: count)
+
+
 # ---------------------------------------------------------------------------
 # distances and affinity
 # ---------------------------------------------------------------------------
@@ -127,6 +133,23 @@ def test_knn_affinity_matches_row_loop(monkeypatch):
     assert np.array_equal(A.toarray(), expected)
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(A, part), getattr(ref, part)), part
+
+
+def test_knn_affinity_independent_of_threads(monkeypatch):
+    """Splitting each block's rows across workers keeps every byte of the CSR."""
+    _pretend_cpus(monkeypatch, 3)  # more workers than cores
+    # 30 rows in blocks of 7: the last block has 2 rows, fewer than 3 workers
+    monkeypatch.setattr(cluster, "KNN_BLOCK", 7)
+    X, _ = _planted_blocks(10, 3, 12, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [knn_sparsified_affinity(X, 0.2, neighbors=3, threads=t).values for t in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for other in runs[1:]:
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(other, part), getattr(runs[0], part)), part
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +473,7 @@ def test_lloyd_matches_reference_loop():
 
 @pytest.mark.parametrize("binary", [False, True])
 def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
-    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 8)  # more workers than cores
+    _pretend_cpus(monkeypatch, 8)  # more workers than cores
     rng = np.random.default_rng(5)
     X = (rng.random((120, 10)) < 0.3).astype(float) if binary else rng.normal(size=(120, 4))
     taken = _record_lloyd_paths(monkeypatch)
@@ -542,13 +565,21 @@ def test_kmeans_workers_capped(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(cluster, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 64)
     X = np.random.default_rng(2).random((30, 3))
+    _pretend_cpus(monkeypatch, 64)
     kmeans(X, k=2, restarts=3, seed=0, threads=10_000)
-    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 2)
+    _pretend_cpus(monkeypatch, 2)
     kmeans(X, k=2, restarts=3, seed=0, threads=10_000)
     kmeans(X, k=2, restarts=3, seed=0)
-    assert started == [3, 2, 1]
+    # a process pinned to 2 of the host's 64 CPUs counts 2
+    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 64)
+    kmeans(X, k=2, restarts=3, seed=0, threads=10_000)
+    # without affinity masks, every CPU of the host counts
+    monkeypatch.delattr(cluster.os, "sched_getaffinity")
+    monkeypatch.setattr(cluster.os, "cpu_count", lambda: 2)
+    kmeans(X, k=2, restarts=3, seed=0, threads=10_000)
+    knn_sparsified_affinity(X > 0.5, 1.0, neighbors=3, threads=10_000)
+    assert started == [3, 2, 1, 2, 2, 2]
 
 
 def test_kmeans_canonical_ids():

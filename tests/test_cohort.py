@@ -167,6 +167,20 @@ def test_parse_tables_skips_leading_comments(table_writer, tmp_path):
     assert tables.rejects[0].line == 4
 
 
+def test_parse_tables_keeps_a_hash_patient_id(table_writer):
+    """After the header a line starting with '#' is a data row, not a comment."""
+    paths = table_writer(
+        patients=[["P1", "F", "05", "1950-03-02"], ["#P2", "M", "03", "1944-11-30"]],
+        diagnoses=[["#P2", "G30.9", "ICD10CM", "2016-02-20"]],
+        deaths=[["#P2", "2018-05-05"]],
+    )
+    tables = parse_tables(*paths)
+    assert tables.rejects == []
+    assert [p.patient_id for p in tables.patients] == ["P1", "#P2"]
+    assert event_rows(tables.diagnoses)[0][0] == "#P2"
+    assert tables.deaths == {"#P2": date(2018, 5, 5)}
+
+
 # ---------------------------------------------------------------------------
 # timeslots and age
 # ---------------------------------------------------------------------------

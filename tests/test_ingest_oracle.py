@@ -51,14 +51,19 @@ class Prescription(NamedTuple):
 
 
 def _reference_rows(path, columns, rejects):
-    """(line number, fields) of each data row, read lazily; a ragged row is a reject."""
+    """(line number, fields) of each data row, read lazily; a ragged row is a reject.
+
+    '#' lines are comments only before the header.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         lineno = 0
 
         def data_lines():
             nonlocal lineno
+            header_seen = False
             for lineno, line in enumerate(fh, start=1):
-                if not line.startswith("#"):
+                header_seen = header_seen or not line.startswith("#")
+                if header_seen:
                     yield line
 
         reader = csv.reader(data_lines())
@@ -206,7 +211,8 @@ def _maybe_bad_date(rng, when):
 def random_extracts(seed, n=50):
     """Rows for the four input tables; every kind of reject and edge case is present."""
     rng = random.Random(seed)
-    pids = [f"P{i}" for i in range(n)] + ["Q1", "Q2"]  # Q*: events only, no demographics row
+    # #P: an id that starts like a comment; Q*: events only, no demographics row
+    pids = [f"P{i}" for i in range(n - 1)] + ["#P", "Q1", "Q2"]
     index_of = {pid: rng.choice(INDEX_DATES) for pid in pids}
     patients = []
     for pid in pids[:n]:

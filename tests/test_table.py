@@ -22,10 +22,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsubtype"
 
 def test_read_table_keeps_file_line_numbers(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# meta\na,b\n1,2\n\n# note\n3,4\n")
+    path.write_text("# meta\n# note\na,b\n1,2\n\n3,4\n")
     table = read_table(path, ["a", "b"])
     assert table.header == ["a", "b"]
-    assert list(zip(table.lines, table.rows)) == [(3, ["1", "2"]), (6, ["3", "4"])]
+    assert list(zip(table.lines, table.rows)) == [(4, ["1", "2"]), (6, ["3", "4"])]
 
 
 @pytest.mark.parametrize(
@@ -38,10 +38,11 @@ def test_read_table_keeps_file_line_numbers(tmp_path):
         pytest.param("a,b\n1,2\n3\n", False, "line 3: 1 fields, header has 2", [], id="short-row"),
         pytest.param("a,b\n1,2,3\n", False, "line 2: 3 fields, header has 2", [], id="long-row"),
         pytest.param(
-            "# m\n a , b ,c\n1,2,3\n# note\n4, 5 ,6\n# end\n",
-            False,
-            [(3, ["1", "2", "3"]), (5, ["4", " 5 ", "6"])],
-            [],
+            # after the header a '#' line is data: a row, or a short row refused
+            "# m\n a , b ,c\n1,2,3\n#4, 5 ,6\n# end\n",
+            True,
+            [(3, ["1", "2", "3"]), (4, ["#4", " 5 ", "6"])],
+            [RejectedRow("t.csv", 5, "1 fields, header has 3")],
             id="comments-mid-file",
         ),
         pytest.param(
@@ -49,6 +50,7 @@ def test_read_table_keeps_file_line_numbers(tmp_path):
             True,
             [(3, ["2", "3"])],
             [RejectedRow("t.csv", 2, "1 fields, header has 2"),
+             RejectedRow("t.csv", 4, "1 fields, header has 2"),
              RejectedRow("t.csv", 5, "3 fields, header has 2")],
             id="rejects-collected",
         ),
@@ -61,7 +63,10 @@ def test_read_table_keeps_file_line_numbers(tmp_path):
             "a,b\r\n1,2\r\n3,4\r\n", False, [(2, ["1", "2"]), (3, ["3", "4"])], [], id="crlf",
         ),
         pytest.param(
-            'a,b\n"p\nq",1\n# c\n2,3\n', False, [(3, ["p\nq", "1"]), (5, ["2", "3"])], [],
+            'a,b\n"p\nq",1\n#c,4\n2,3\n',
+            False,
+            [(3, ["p\nq", "1"]), (4, ["#c", "4"]), (5, ["2", "3"])],
+            [],
             id="comment-after-quoted-record",
         ),
     ],
@@ -120,13 +125,13 @@ def test_failed_write_leaves_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["elbow.csv"]
 
 
-BINARY_KEYS = ["P1", "a,b", 'q"x', "x\ny", "", " sp ", "été", "P,2"]
+BINARY_KEYS = ["P1", "a,b", 'q"x', "x\ny", "", " sp ", "été", "P,2", "#P3"]
 
 
 def test_binary_table_bytes_equal_write_table_and_read_back(tmp_path):
     """The block writer renders what csv.writer would; the reader gives back what it wrote."""
     rng = np.random.default_rng(0)
-    for keys in (BINARY_KEYS, [f"P{i:03d}" for i in range(50)]):
+    for keys in (BINARY_KEYS, [f"P{i:03d}" for i in range(50)] + ["#P"]):
         values = rng.integers(0, 2, size=(len(keys), 5), dtype=np.uint8)
         header = ["patient_id", "a", "b_s1", "c,d", "e", "f"]
         write_binary_table(tmp_path / "block.csv", header, keys, values, meta="m")
@@ -149,7 +154,7 @@ def test_binary_table_bytes_equal_write_table_and_read_back(tmp_path):
         pytest.param("k,a,b\r\nP1,0,1\r\nP2,1,1\r\n", id="crlf"),
         pytest.param("# m\rk,a\nk,1\nP1,0\n", id="cr-in-comment"),
         pytest.param("# m\nk,a,b\nP1,0,1\n\nP2,1,1\n", id="blank-line"),
-        pytest.param("# m\nk,a,b\nP1,0,1\n# note\nP2,1,1\n", id="comment-mid-file"),
+        pytest.param("# m\nk,a,b\nP1,0,1\n#P2,1,1\n", id="comment-mid-file"),  # a '#' key
         pytest.param('k,a,b\nP1,"0",1\n"P,2",1,1\n', id="quoted"),
         pytest.param(" k , a ,b\nP1,0,1\nP2,1,1", id="padded-header-no-final-lf"),
         pytest.param("k,a,b\né,0,1\n,1,0\n", id="non-ascii-and-empty-key"),
@@ -170,8 +175,8 @@ def test_binary_table_reads_what_the_row_reader_reads(tmp_path, text):
 
 def test_plain_binary_table_is_read_without_the_row_reader(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
-    keys = [f"P{i}" for i in range(20)] + ["été", ""]
-    write_binary_table(path, ["k", "a", "b"], keys, np.eye(22, 2, dtype=np.uint8), meta="m")
+    keys = [f"P{i}" for i in range(20)] + ["été", "", "#P"]
+    write_binary_table(path, ["k", "a", "b"], keys, np.eye(23, 2, dtype=np.uint8), meta="m")
 
     def refuse(*args, **kwargs):
         raise AssertionError("read row by row")
@@ -179,4 +184,4 @@ def test_plain_binary_table_is_read_without_the_row_reader(tmp_path, monkeypatch
     monkeypatch.setattr(table, "read_table", refuse)
     header, got, values = read_binary_table(path, "k")
     assert (header, got) == (["k", "a", "b"], keys)
-    assert np.array_equal(values, np.eye(22, 2))
+    assert np.array_equal(values, np.eye(23, 2))
