@@ -807,10 +807,11 @@ def _run_stages(ctx: Context, stages: Sequence[Stage]) -> int:
         # The stages build acyclic objects (patients, values, tuples), which
         # reference counting frees, so with the collector paused this one
         # collection per stage is enough: peak RSS stays within run-to-run
-        # spread of its value with the collector running (about 249 MB at
-        # n=12,000, 578 MB at n=29,922). It also empties the interpreter's
-        # free lists, which left full would pin memory freed by one stage's
-        # per-patient tuples and raise the peak RSS of every later stage.
+        # spread of its value with the collector running (about 164 MB on
+        # the n=12,000 kNN route, set by ingest). It also empties the
+        # interpreter's free lists, which left full would pin memory freed
+        # by one stage's per-patient tuples and raise the peak RSS of every
+        # later stage.
         gc.collect()
         cost = {
             "stage": stage.name,

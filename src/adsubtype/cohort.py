@@ -645,39 +645,80 @@ def cohort_to_json(cohort: Cohort) -> dict:
     }
 
 
-def cohort_from_json(doc: Mapping) -> Cohort:
-    cfg = doc["config"]
-    config = CohortConfig(
-        ad_code_set=frozenset(cfg["ad_code_set"]),
-        min_age_years=cfg["min_age_years"],
-        window_start=parse_date(cfg["window_start"]),
-        window_end=parse_date(cfg["window_end"]),
-        slot_count=cfg["slot_count"],
-        slot_days=cfg["slot_days"],
-    )
-    patients = [
-        CohortPatient(
-            patient_id=row["patient_id"],
-            sex=Sex(row["sex"]),
-            race=Race(row["race"]),
-            age_at_index=row["age_at_index"],
-            died=row["died"],
-            cells=tuple((slot, phecode) for slot, phecode in row["cells"]),
-            rxcuis=tuple(row["rxcuis"]),
-        )
-        for row in doc["patients"]
-    ]
-    return Cohort(
-        patients=patients,
-        funnel=[(name, count) for name, count in doc["funnel"]],
-        config=config,
-    )
-
-
 def save_cohort(cohort: Cohort, path: Path) -> None:
     text = json.dumps(cohort_to_json(cohort), sort_keys=True, separators=(",", ":"))
     write_text(path, text + "\n")
 
 
+# The fields of a patient row in cohort.json; the document and its config hold none.
+PATIENT_FIELDS = frozenset(
+    ["patient_id", "sex", "race", "age_at_index", "died", "cells", "rxcuis"]
+)
+
+
 def load_cohort(path: Path) -> Cohort:
-    return cohort_from_json(json.loads(Path(path).read_text()))
+    """The cohort save_cohort wrote to path, read as UTF-8.
+
+    Each patient row becomes a CohortPatient as soon as the JSON decoder
+    closes its object, so the decoded rows never all exist at once, and
+    equal cells and RxCUIs share one object through a dict per load. A file
+    that is not JSON or not a cohort is a ValueError naming path and, for a
+    bad patient row, its position and patient_id.
+    """
+    path = Path(path)
+    shared: dict = {}  # each distinct (slot, phecode) cell and RxCUI of this load
+    share = shared.setdefault
+    built = 0  # patient rows decoded so far
+
+    def patient(row: dict) -> Any:
+        nonlocal built
+        if PATIENT_FIELDS.isdisjoint(row):
+            return row  # the document or its config
+        built += 1
+        try:
+            try:
+                cells = [(slot, phecode) for slot, phecode in row["cells"]]
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"cells are not [slot, phecode] pairs ({exc})") from None
+            return CohortPatient(
+                patient_id=row["patient_id"],
+                sex=Sex(row["sex"]),
+                race=Race(row["race"]),
+                age_at_index=row["age_at_index"],
+                died=row["died"],
+                cells=tuple(map(share, cells, cells)),
+                rxcuis=tuple(map(share, row["rxcuis"], row["rxcuis"])),
+            )
+        except KeyError as exc:
+            problem = f"no {exc.args[0]!r}"
+        except (TypeError, ValueError) as exc:
+            problem = str(exc)
+        named = f" ({row['patient_id']!r})" if "patient_id" in row else ""
+        raise ValueError(f"{path}: patient {built - 1}{named}: {problem}")
+
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"), object_hook=patient)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        cfg = doc["config"]
+        config = CohortConfig(
+            ad_code_set=frozenset(cfg["ad_code_set"]),
+            min_age_years=cfg["min_age_years"],
+            window_start=parse_date(cfg["window_start"]),
+            window_end=parse_date(cfg["window_end"]),
+            slot_count=cfg["slot_count"],
+            slot_days=cfg["slot_days"],
+        )
+        funnel = [(name, count) for name, count in doc["funnel"]]
+        patients = doc["patients"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: no {exc.args[0]!r} in the cohort") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a cohort: {exc}") from None
+    for i, row in enumerate(patients):
+        if not isinstance(row, CohortPatient):
+            raise ValueError(f"{path}: patient {i} is not a patient row: {row!r}")
+    return Cohort(patients=patients, funnel=funnel, config=config)

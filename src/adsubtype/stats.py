@@ -40,15 +40,18 @@ def cluster_counts(labels: Sequence[int], columns: np.ndarray) -> tuple[list[int
     """Sorted distinct clusters and, per cluster, the count of 1s in each column.
 
     columns is an n x m 0/1 matrix whose rows align with labels; the counts
-    are an integer clusters x m matrix.
+    are an int64 clusters x m matrix. Each cluster's rows are summed on their
+    own into int64, so the transient is one cluster's rows in columns' dtype,
+    never the whole matrix cast to int64.
     """
     labels = np.asarray(labels)
     columns = np.asarray(columns)
     if columns.ndim != 2 or len(labels) != columns.shape[0]:
         raise ValueError("labels and columns must align")
-    order = np.argsort(labels, kind="stable")
-    clusters, starts = np.unique(labels[order], return_index=True)
-    counts = np.add.reduceat(columns[order], starts, axis=0, dtype=np.int64)
+    clusters, cluster_of = np.unique(labels, return_inverse=True)
+    counts = np.empty((len(clusters), columns.shape[1]), dtype=np.int64)
+    for c in range(len(clusters)):
+        columns[cluster_of == c].sum(axis=0, dtype=np.int64, out=counts[c])
     return clusters.tolist(), counts
 
 

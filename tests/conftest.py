@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import tracemalloc
 
 # match the CLI's determinism posture: pin BLAS pools before numpy loads
 for _var in (
@@ -50,6 +51,25 @@ def profile_dict(profile):
         "mortality_prob": profile.mortality_prob,
         "drug_class_probs": profile.drug_class_probs,
     }
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the most bytes it held at once beyond what was live before.
+
+    Counted by tracemalloc, so the figure is deterministic and independent of
+    the process's RSS.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def write_profiles(profiles, path):

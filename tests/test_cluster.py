@@ -23,6 +23,7 @@ from adsubtype.cluster import (
     normalized_laplacian_embedding,
     spectral_cluster,
 )
+from conftest import traced_peak
 
 
 def _planted_blocks(n_per, n_blocks, n_cols, seed=0, p_sig=0.9, p_noise=0.05):
@@ -150,6 +151,20 @@ def test_knn_affinity_independent_of_threads(monkeypatch):
     for other in runs[1:]:
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(other, part), getattr(runs[0], part)), part
+
+
+def test_knn_affinity_holds_one_block_of_distances():
+    """The transient is one block's rows at 12 B per column plus the output, not N x N."""
+    rng = np.random.default_rng(5)
+    n, neighbors = 3000, 5
+    assert n > cluster.KNN_BLOCK
+    X = (rng.random((n, 60)) < 0.2).astype(np.uint8)
+    A, peak = traced_peak(knn_sparsified_affinity, X, 0.1, neighbors)
+    assert A.values.shape == (n, n)
+    block = 12 * cluster.KNN_BLOCK * n  # float32 distances + int64 argpartition indices
+    inputs_and_output = 4 * X.size + 64 * n * (neighbors + 1)
+    assert peak < block + inputs_and_output
+    assert block + inputs_and_output < 4 * n * n // 2  # well under the N x N float32 matrix
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from adsubtype.cohort import (
     AgeGroup,
     CodeSystem,
+    Cohort,
     CohortConfig,
     CohortPatient,
     Race,
@@ -21,7 +22,7 @@ from adsubtype.cohort import (
     parse_tables,
     save_cohort,
 )
-from conftest import event_rows
+from conftest import event_rows, traced_peak
 
 
 def test_normalize_code():
@@ -421,3 +422,102 @@ def test_cohort_json_round_trip(build_cohort, tmp_path):
     # byte-stable serialization
     save_cohort(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _saved_cohort(build_cohort, tmp_path):
+    """Patients A and B, who share a cell and an RxCUI, and the cohort.json they are saved to."""
+    patients = [_eligible_patient("A"), _eligible_patient("B")]
+    diagnoses = [
+        ["A", "331.0", "ICD9", "2015-06-01"],
+        ["A", "4019", "ICD9", "2015-01-01"],
+        ["A", "E78.5", "ICD10CM", "2014-01-01"],
+        ["B", "G30.9", "ICD10CM", "2016-01-01"],
+        ["B", "I10", "ICD10CM", "2015-10-01"],
+        ["B", "E78.5", "ICD10CM", "2014-06-01"],
+    ]
+    prescriptions = [["A", "100", "2015-08-01"], ["B", "100", "2016-02-01"]]
+    cohort = build_cohort(patients, diagnoses, prescriptions=prescriptions)
+    path = tmp_path / "cohort.json"
+    save_cohort(cohort, path)
+    return cohort, path
+
+
+def test_cohort_json_round_trip_shares_repeated_cells(build_cohort, tmp_path):
+    """Cells and RxCUIs repeated across patients load equal, each stored once."""
+    cohort, path = _saved_cohort(build_cohort, tmp_path)
+    a, b = cohort.patients
+    assert a.cells[0] == b.cells[0] == (1, "401.1") and a.rxcuis == b.rxcuis == ("100",)
+    loaded = load_cohort(path)
+    assert loaded == cohort
+    a, b = loaded.patients
+    assert a.cells[0] is b.cells[0] and a.rxcuis[0] is b.rxcuis[0]
+    save_cohort(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _without_sex(doc):
+    del doc["patients"][1]["sex"]
+
+
+def _one_field_cell(doc):
+    doc["patients"][1]["cells"] = [[1]]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_without_sex, r"patient 1 \('B'\): no 'sex'"),
+        (_one_field_cell, r"patient 1 \('B'\): cells are not \[slot, phecode\] pairs"),
+        (None, "not valid JSON"),
+    ],
+    ids=["patient-without-sex", "one-field-cell", "truncated-file"],
+)
+def test_load_cohort_names_the_file_and_patient(build_cohort, tmp_path, damage, message):
+    _, path = _saved_cohort(build_cohort, tmp_path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if damage is None:
+        path.write_bytes(path.read_bytes()[:-40])
+    else:
+        damage(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=message) as failure:
+        load_cohort(path)
+    assert str(path) in str(failure.value)
+
+
+def test_load_cohort_reads_utf8(build_cohort, tmp_path):
+    """The file is UTF-8 whatever the locale: raw UTF-8 text loads, Latin-1 is refused."""
+    _, path = _saved_cohort(build_cohort, tmp_path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["patients"][0]["patient_id"] = "Zoë"
+    text = json.dumps(doc, ensure_ascii=False)
+    path.write_bytes(text.encode("utf-8"))
+    assert load_cohort(path).patients[0].patient_id == "Zoë"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ValueError, match="not UTF-8") as failure:
+        load_cohort(path)
+    assert str(path) in str(failure.value)
+
+
+def test_load_cohort_memory_stays_near_the_file_size(tmp_path):
+    """Rows become patients as they are decoded: the peak is under 3x the file's bytes."""
+    phecodes = [f"{250 + k}.{k % 10}" for k in range(40)]
+    cells = [(slot, phecode) for slot in range(1, 7) for phecode in phecodes]
+    patients = [
+        CohortPatient(
+            patient_id=f"P{i:05d}",
+            sex=Sex.FEMALE,
+            race=Race.WHITE,
+            age_at_index=60 + i % 30,
+            died=i % 3 == 0,
+            cells=tuple(sorted(cells[(7 * i + 13 * j) % len(cells)] for j in range(25))),
+            rxcuis=tuple(sorted(str(1000 + (i * j) % 50) for j in range(8))),
+        )
+        for i in range(3000)
+    ]
+    cohort = Cohort(patients, [("patients_total", 3000)], CohortConfig())
+    path = tmp_path / "cohort.json"
+    save_cohort(cohort, path)
+    loaded, peak = traced_peak(load_cohort, path)
+    assert loaded == cohort
+    assert peak < 3 * path.stat().st_size

@@ -23,6 +23,7 @@ from adsubtype.stats import (
     pair_keys,
     pairwise_test_grid,
 )
+from conftest import traced_peak
 
 # ---------------------------------------------------------------------------
 # cluster counts
@@ -38,6 +39,38 @@ def test_cluster_counts_basic():
     assert clusters == [0, 1, 2]
     assert counts.dtype == np.int64
     assert counts.tolist() == [[2, 1], [0, 2], [1, 0]]
+
+
+def _brute_force_counts(labels, columns):
+    """Per sorted distinct label, the count of 1s in each column, one row at a time."""
+    counts = {}
+    for label, row in zip(labels, np.asarray(columns).tolist()):
+        totals = counts.setdefault(label, [0] * len(row))
+        for j, value in enumerate(row):
+            totals[j] += int(value)
+    return sorted(counts), [counts[c] for c in sorted(counts)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, bool])
+@pytest.mark.parametrize("cluster_set", [[0, 2, 5], [3]], ids=["gaps", "one-cluster"])
+def test_cluster_counts_match_brute_force(cluster_set, dtype):
+    rng = np.random.default_rng(7)
+    labels = rng.choice(cluster_set, size=300).tolist()
+    columns = (rng.random((300, 9)) < 0.4).astype(dtype)
+    clusters, counts = cluster_counts(labels, columns)
+    assert counts.dtype == np.int64
+    assert (clusters, counts.tolist()) == _brute_force_counts(labels, columns)
+
+
+def test_cluster_counts_never_widens_the_whole_matrix():
+    """The transient stays under the input's own bytes (an int64 cast would be 8x)."""
+    rng = np.random.default_rng(3)
+    columns = (rng.random((20_000, 120)) < 0.1).astype(np.uint8)
+    labels = rng.integers(0, 5, size=len(columns))
+    (clusters, counts), peak = traced_peak(cluster_counts, labels, columns)
+    assert clusters == [0, 1, 2, 3, 4]
+    assert (counts.sum(axis=0) == columns.sum(axis=0, dtype=np.int64)).all()
+    assert peak < columns.nbytes
 
 
 def test_cluster_counts_and_table_errors():
