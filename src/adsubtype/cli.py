@@ -275,6 +275,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
+        raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -493,10 +495,13 @@ def stage_elbow(ctx: Context) -> None:
 def _read_chosen_k(ctx: Context) -> int:
     path = ctx.need("elbow.csv")
     table = read_table(path, ELBOW_COLUMNS)
-    for lineno, (k, _sse, chosen, *_) in zip(table.lines, table.rows):
-        if chosen == "1":
-            return int_field(path, lineno, "k", k)
-    raise ValueError(f"{path} marks no chosen k")
+    chosen = [(n, k) for n, (k, _sse, mark, *_) in zip(table.lines, table.rows) if mark == "1"]
+    if not chosen:
+        raise ValueError(f"{path} marks no chosen k")
+    if len(chosen) > 1:
+        raise ValueError(f"{path}: line {chosen[1][0]}: a second chosen k")
+    lineno, k = chosen[0]
+    return int_field(path, lineno, "k", k)
 
 
 def _cluster_layout(ctx: Context, config: SpectralConfig, layout: str, name: str) -> list[list]:

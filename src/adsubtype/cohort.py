@@ -9,10 +9,10 @@ and the post-index RxCUIs.
 
 Ingest works on columns. parse_tables reads each table in one read_table
 pass and interns each column: every distinct field is stripped and checked
-once, and a row that fails a check is checked again alone for its reject
-reason. Dates are YYYY-MM-DD only (parse_date), in the tables and in the
-config. select_cohort applies the criteria with array operations over
-integer patient, code and datetime64 columns.
+once, and a refused row's reject reason is the first check it failed. Dates
+are YYYY-MM-DD only (parse_date), in the tables and in the config.
+select_cohort applies the criteria with array operations over integer
+patient, code and datetime64 columns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -279,27 +279,28 @@ def _convert_columns(
     rules[j] converts a stripped field of column j, or raises ValueError with
     the reject reason; it runs once per distinct field. A row is accepted when
     each of its fields converts and, with unique, no accepted row before it has
-    its patient_id. A refused row is checked again alone, field by field in
-    column order with the duplicate check right after the patient_id, for its
-    reason. Its reject and read_table's of a ragged row go to rejects in line
-    order; a missing file, an empty file or an unexpected header is fatal.
+    its patient_id. A refused row's reason is its first failing field's, in
+    column order, with the duplicate check right after the patient_id. Its
+    reject and read_table's of a ragged row go to rejects in line order; a
+    missing file, an empty file or an unexpected header is fatal.
     """
     file_rejects: list[RejectedRow] = []
     table = read_table(path, columns, file_rejects)
     accepted = np.ones(len(table.rows), dtype=bool)
-    converted = []
+    converted, errors = [], []  # errors[j][v]: the ValueError text of column j's value v
     for j, rule in enumerate(rules):
         column = _intern([row[j] for row in table.rows])
-        values, failed = [], []
+        values, failures = [], []
         for text in column.values:
             try:
                 values.append(rule(text))
-                failed.append(False)
-            except ValueError:
+                failures.append(None)
+            except ValueError as exc:
                 values.append(None)
-                failed.append(True)
-        accepted &= ~np.array(failed, dtype=bool)[column.index]
+                failures.append(str(exc))
+        accepted &= np.array([f is None for f in failures], dtype=bool)[column.index]
         converted.append(Interned(values, column.index))
+        errors.append(failures)
     pids = converted[0].index
     first_row: dict[int, int] = {}  # a unique table's first accepted row of each patient_id
     if unique:
@@ -309,37 +310,21 @@ def _convert_columns(
         accepted[:] = False
         accepted[ok[first]] = True
     for i in np.flatnonzero(~accepted).tolist():
-        seen = first_row.get(int(pids[i]), i) < i
-        reason = _refusal(table.rows[i], rules, seen)
+        if first_row.get(int(pids[i]), i) < i:  # so its patient_id passes
+            reason = f"duplicate patient_id {converted[0].values[pids[i]]!r}"
+        else:
+            reasons = (failures[column.index[i]] for failures, column in zip(errors, converted))
+            reason = next(r for r in reasons if r is not None)
         file_rejects.append(RejectedRow(Path(path).name, table.lines[i], reason))
     rejects.extend(sorted(file_rejects, key=lambda r: r.line))
-    return [_compact(column.values, column.index[accepted]) for column in converted]
-
-
-def _refusal(fields: list[str], rules: Sequence[Callable[[str], Any]], seen: bool) -> str:
-    """Why a refused row was refused: the first rule its fields fail, in column order.
-
-    seen (its patient_id was accepted on an earlier row) is checked right
-    after the patient_id rule.
-    """
-    pid = fields[0].strip()
-    try:
-        rules[0](pid)
-        if seen:
-            return f"duplicate patient_id {pid!r}"
-        for rule, text in zip(rules[1:], fields[1:]):
-            rule(text.strip())
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError(f"row {fields} passes every rule")
-
-
-def _compact(values: list, index: np.ndarray) -> Interned:
-    """Interned(values, index) without the values no row holds, in the same order."""
-    held = np.zeros(len(values), dtype=bool)
-    held[index] = True
-    position = np.cumsum(held) - 1
-    return Interned([v for v, h in zip(values, held.tolist()) if h], position[index])
+    kept = []
+    for column in converted:  # each without the values no accepted row holds, in order
+        index = column.index[accepted]
+        held = np.zeros(len(column.values), dtype=bool)
+        held[index] = True
+        values = [v for v, h in zip(column.values, held.tolist()) if h]
+        kept.append(Interned(values, (np.cumsum(held) - 1)[index]))
+    return kept
 
 
 def _release(columns: list[Interned], rules: Sequence[Callable[[str], Any]]) -> list[Any]:
@@ -429,20 +414,6 @@ def parse_tables(
 # ---------------------------------------------------------------------------
 
 
-def _ad_rows(diagnoses: Events, ad_norm: frozenset[str]) -> np.ndarray:
-    """Which diagnosis rows carry one of the normalized AD codes ad_norm."""
-    is_ad = [normalize_code(code) in ad_norm for code, _ in diagnoses.item.values]
-    return np.array(is_ad, dtype=bool)[diagnoses.item.index]
-
-
-def first_ad_dates(diagnoses: Events, ad_code_set: Iterable[str]) -> np.ndarray:
-    """Earliest AD-coded diagnosis date of each diagnoses.patient_id value, NaT if none."""
-    first = np.full(len(diagnoses.patient_id.values), np.datetime64("NaT"), "datetime64[D]")
-    ad = _ad_rows(diagnoses, frozenset(normalize_code(c) for c in ad_code_set))
-    np.fmin.at(first, diagnoses.patient_id.index[ad], diagnoses.day[ad])
-    return first
-
-
 def assign_timeslot(
     event_date: date, index_date: date, slot_days: int, slot_count: int
 ) -> int | None:
@@ -523,12 +494,13 @@ def select_cohort(
     # Row n stands for every event patient missing from the demographics
     # table; its index date stays NaT, so no criterion selects it.
     row_of = {p.patient_id: i for i, p in enumerate(patients)}
-    dx_rows = _rows_of(dx.patient_id.values, row_of)  # per distinct patient_id
-    dx_row = dx_rows[dx.patient_id.index]
+    dx_row = _rows_of(dx.patient_id.values, row_of)[dx.patient_id.index]
     rx_row = _rows_of(rx.patient_id.values, row_of)[rx.patient_id.index]
     ad_codes = config.normalized_ad_codes
+    is_ad = [normalize_code(code) in ad_codes for code, _ in dx.item.values]
+    ad = np.array(is_ad, dtype=bool)[dx.item.index]  # the AD-coded diagnosis rows
     index_date = np.full(n + 1, np.datetime64("NaT"), dtype="datetime64[D]")
-    index_date[dx_rows] = first_ad_dates(dx, ad_codes)
+    np.fmin.at(index_date, dx_row[ad], dx.day[ad])  # fmin skips NaT
     index_date[n] = np.datetime64("NaT")
     funnel.append(("first_ad_diagnosis", int((~np.isnat(index_date)).sum())))
 
@@ -552,7 +524,7 @@ def select_cohort(
     names = sorted(set(phecodes) - {None})
     rank_of = {name: r for r, name in enumerate(names)}
     rank = np.array([rank_of.get(pc, -1) for pc in phecodes], dtype=np.int64)[dx.item.index]
-    rows = np.flatnonzero(selected[dx_row] & (rank >= 0) & ~_ad_rows(dx, ad_codes))
+    rows = np.flatnonzero(selected[dx_row] & (rank >= 0) & ~ad)
     days_before = (index_date[dx_row[rows]] - dx.day[rows]).astype(np.int64)
     slot = timeslots(days_before, config.slot_days, config.slot_count)
     rows, slot = rows[slot > 0], slot[slot > 0]

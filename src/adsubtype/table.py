@@ -2,19 +2,19 @@
 
 A table is any number of '#' comment lines, one header row, then data rows;
 after the header every line is data, so a row whose first field starts with
-'#' is a row like any other. Every reader checks a table through _open and
-read_table: its stripped header must begin with the columns the reader
-declares (more may follow), and every data row must have the header's field
-count. read_table reads a whole table in one pass: csv.reader runs over the
-file's lines from the header on, and a row's line number is the reader's
-position plus the comment lines before the header, so no per-row layer sits
-between them. Fields are returned unstripped. A 0/1 feature table is checked
-as one block of cells (read_binary_table) and written from one rendered block
-(write_binary_table). Writers emit one '# meta' line, the header and the rows
-as LF-terminated UTF-8, and replace the target atomically through
-'<name>.tmp' (a suffix the manifest never lists), so a write that fails
-part-way leaves the previous file in place; write_json does the same for
-JSON artifacts.
+'#' is a row like any other. Every reader checks a table through read_table:
+its stripped header must begin with the columns the reader declares (more
+may follow), and every data row must have the header's field count.
+read_table reads a whole table in one pass: csv.reader runs over the file's
+lines from the header on, and a row's line number is the reader's position
+plus the comment lines before the header, so no per-row layer sits between
+them. Fields are returned unstripped. A 0/1 feature table is read by
+splitting each line into its key and its cells (read_binary_table) and
+written from one rendered block (write_binary_table). Writers emit one
+'# meta' line, the header and the rows as LF-terminated UTF-8, and replace
+the target atomically through '<name>.tmp' (a suffix the manifest never
+lists), so a write that fails part-way leaves the previous file in place;
+write_json does the same for JSON artifacts.
 """
 
 from __future__ import annotations
@@ -53,14 +53,15 @@ class Table:
     lines: list[int]
 
 
-def _open(path: str | Path, columns: Sequence[str]) -> tuple[list[str], Any, int]:
-    """(header, reader, comment line count) of the table at path.
+def read_table(
+    path: str | Path, columns: Sequence[str], rejects: list[RejectedRow] | None = None
+) -> Table:
+    """Read a whole table whose header, after any '#' lines, begins with columns.
 
-    The comment lines are the lines before the header that start with '#';
-    reader is a csv reader over the lines after them, positioned after the
-    header, so the file line it last read is the count plus
-    reader.line_num. A missing header row, or one not beginning with
-    columns, is a ValueError.
+    A missing header row, or one not beginning with columns, is a ValueError.
+    A row whose field count differs from the header's is a ValueError naming
+    the file and line or, given rejects, is appended there and skipped.
+    Blank lines give no row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -74,33 +75,20 @@ def _open(path: str | Path, columns: Sequence[str]) -> tuple[list[str], Any, int
     header = [h.strip() for h in header]
     if header[: len(columns)] != list(columns):
         raise ValueError(f"{path}: bad header {header}, expected it to begin {list(columns)}")
-    return header, reader, comments
-
-
-def read_table(
-    path: str | Path, columns: Sequence[str], rejects: list[RejectedRow] | None = None
-) -> Table:
-    """Read a whole table whose header begins with columns.
-
-    A row whose field count differs from the header's is a ValueError naming
-    the file and line or, given rejects, is appended there and skipped.
-    Blank lines give no row.
-    """
-    header, reader, comments = _open(path, columns)
     width = len(header)
     rows: list[list[str]] = []
-    lines: list[int] = []
+    numbers: list[int] = []
     for fields in reader:
         if len(fields) == width:
             rows.append(fields)
-            lines.append(comments + reader.line_num)
+            numbers.append(comments + reader.line_num)
         elif fields:
             lineno = comments + reader.line_num
             problem = f"{len(fields)} fields, header has {width}"
             if rejects is None:
                 raise ValueError(f"{path}: line {lineno}: {problem}")
             rejects.append(RejectedRow(Path(path).name, lineno, problem))
-    return Table(header, rows, lines)
+    return Table(header, rows, numbers)
 
 
 def int_field(path: str | Path, lineno: int, column: str, text: str) -> int:
@@ -112,7 +100,7 @@ def int_field(path: str | Path, lineno: int, column: str, text: str) -> int:
 
 
 # A binary table row is its key, then ",0" or ",1" per cell, then LF.
-_COMMA, _ZERO, _LF, _HASH = b",0\n#"
+_COMMA, _ZERO = b",0"
 # A key or header holding one of these may be quoted, or may not be one csv
 # field; such a table is read row by row through read_table.
 _UNSAFE = frozenset('",\0')
@@ -121,41 +109,34 @@ _UNSAFE = frozenset('",\0')
 def read_binary_table(path: str | Path, key: str) -> tuple[list[str], list[str], np.ndarray]:
     """(header, keys, values) of a 0/1 feature table whose first column is key.
 
-    values is a read-only uint8 matrix with one row per key. The file's bytes
-    are checked as one block: after any '#' lines and a plain header, each
-    line is a plain key (it may start with '#'), then ",0" or ",1" per cell,
-    then LF. A table that fails that check is read again row by row through
-    read_table, which takes any quoting and names the first bad line: a row
-    with the wrong field count, or a cell other than "0" or "1", is a
-    ValueError.
+    values is a read-only uint8 matrix with one row per key. The file is split
+    on LF: after any '#' lines and a plain header, each line ends in ",0" or
+    ",1" per cell and the rest is a plain key (it may start with '#'). A table
+    that fails that check is read again row by row through read_table, which
+    takes any quoting and names the first bad line: a row with the wrong field
+    count, or a cell other than "0" or "1", is a ValueError.
     """
     raw = Path(path).read_bytes()
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == _LF)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    if not raw.endswith(b"\n") or b"\r" in raw:  # the row reader also ends a line at CR
+        return _read_binary_rows(path, key)
+    lines = raw.split(b"\n")[:-1]  # the text after the last LF is empty
+    del raw  # the lines hold a copy; holding both would raise the peak
     first = 0  # the header's line
-    while first < len(ends) and buf[starts[first]] == _HASH:
+    while first < len(lines) and lines[first].startswith(b"#"):
         first += 1
     try:
-        header = raw[starts[first] : ends[first]].decode("utf-8").split(",")
-        starts, ends = starts[first + 1 :], ends[first + 1 :]
-        key_ends = ends - 2 * (len(header) - 1)
-        keys = [raw[a:b].decode("utf-8") for a, b in zip(starts.tolist(), key_ends.tolist())]
+        header = lines[first].decode("utf-8").split(",")
+        del lines[: first + 1]  # the data rows remain
+        cut = 2 * (len(header) - 1)
+        keys = [line[: len(line) - cut].decode("utf-8") for line in lines]
     except (IndexError, UnicodeDecodeError):  # no header line, or not UTF-8
         return _read_binary_rows(path, key)
     if (
-        raw.endswith(b"\n")
-        and b"\r" not in raw  # the row reader also ends a line at CR
-        and _UNSAFE.isdisjoint("".join(header + keys))
+        _UNSAFE.isdisjoint("".join(header + keys))
         and header[0].strip() == key
-        and (key_ends >= starts).all()
-        and (ends > starts).all()  # no blank line
+        and all(line and len(line) >= cut for line in lines)  # no blank or short line
     ):
-        # the bytes from each key's end to its LF: one row of cells each
-        edges = np.zeros(len(buf) + 1, dtype=np.int8)
-        edges[key_ends] += 1
-        edges[ends] -= 1
-        cells = buf[np.cumsum(edges[:-1], dtype=np.int8).astype(bool)]
+        cells = np.frombuffer(b"".join([line[len(line) - cut :] for line in lines]), np.uint8)
         cells = cells.reshape(len(keys), len(header) - 1, 2)
         values = cells[:, :, 1] - np.uint8(_ZERO)  # a byte below "0" wraps above 1
         if (cells[:, :, 0] == _COMMA).all() and (values <= 1).all():

@@ -134,6 +134,18 @@ def test_invalid_json_config(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_non_utf8_config(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
+    assert main(["all", "--dry-run", "--config", str(bad)]) == 2
+    assert f"config file {bad} cannot be read: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_directory_config(tmp_path, capsys):
+    assert main(["all", "--dry-run", "--config", str(tmp_path)]) == 2
+    assert f"config file {tmp_path} cannot be read" in capsys.readouterr().err
+
+
 def test_non_object_config(tmp_path, capsys):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")
@@ -732,6 +744,20 @@ def test_cluster_uses_elbow_choice_when_k_unset(pipeline, tmp_path):
     assert chosen is not None
     labels = {ln.split(",")[1] for ln in _data_lines(work / "assignments.csv")[1:]}
     assert len(labels) == chosen
+
+
+def test_cluster_refuses_two_chosen_k(pipeline, tmp_path, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline["out1"], work)
+    cfg = dict(pipeline["config"])
+    cfg["cluster"] = {"k": None}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    elbow = work / "elbow.csv"
+    meta = elbow.read_text().splitlines()[0]
+    elbow.write_text(f"{meta}\nk,sse,chosen\n1,9.0,1\n2,5.0,1\n3,4.0,0\n")
+    assert main(["cluster", "--config", str(cfg_path), "--out", str(work)]) == 1
+    assert f"{elbow}: line 4: a second chosen k" in capsys.readouterr().err
 
 
 def test_clusters_recover_planted_subtypes(pipeline):

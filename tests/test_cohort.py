@@ -1,10 +1,12 @@
 """Cohort ingestion, index dating, timeslots, and selection."""
 
 import json
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
 
+from adsubtype import cohort as cohort_module
 from adsubtype.cohort import (
     AgeGroup,
     CodeSystem,
@@ -16,11 +18,11 @@ from adsubtype.cohort import (
     assign_timeslot,
     bin_age,
     completed_years,
-    first_ad_dates,
     load_cohort,
     normalize_code,
     parse_tables,
     save_cohort,
+    select_cohort,
 )
 from conftest import event_rows, traced_peak
 
@@ -109,6 +111,47 @@ def test_parse_tables_rejects_duplicate_death_rows(table_writer, caplog):
         ("deaths.csv", 3, "duplicate patient_id 'P1'"),
         ("deaths.csv", 4, "duplicate patient_id 'P1'"),
     ]
+
+
+def test_each_rule_runs_once_per_distinct_field(table_writer, monkeypatch):
+    """A refused row takes its reason from the one rule run over its table's distinct fields."""
+    calls = Counter()
+
+    def counted(text):
+        calls[text] += 1
+        return real(text)
+
+    real = cohort_module.parse_date
+    monkeypatch.setattr(cohort_module, "parse_date", counted)
+    tables = parse_tables(
+        *table_writer(
+            patients=[
+                ["P1", "F", "05", "1950-03-02"],
+                ["P2", "F", "05", "1950-13-01"],
+                ["P1", "M", "05", "1950-03-02"],  # duplicate patient_id
+                ["P3", "F", "05", " 1950-13-01 "],  # the same bad date, padded
+                ["P4", "X", "05", "1950-13-01"],  # a bad sex comes first
+            ],
+            diagnoses=[
+                ["P1", "331.0", "ICD9", "2015-06-01"],
+                ["P1", "401.9", "ICD9", "2015-6-1"],
+                ["P3", "401.9", "ICD9", "2015-6-1"],
+                ["", "401.9", "ICD9", "2015-6-1"],  # an empty patient_id comes first
+            ],
+        )
+    )
+    assert [p.patient_id for p in tables.patients] == ["P1"]
+    assert [(r.file, r.line, r.reason) for r in tables.rejects] == [
+        ("patients.csv", 3, "month must be in 1..12"),
+        ("patients.csv", 4, "duplicate patient_id 'P1'"),
+        ("patients.csv", 5, "month must be in 1..12"),
+        ("patients.csv", 6, "'X' is not a valid Sex"),
+        ("diagnoses.csv", 3, "date '2015-6-1' is not YYYY-MM-DD"),
+        ("diagnoses.csv", 4, "date '2015-6-1' is not YYYY-MM-DD"),
+        ("diagnoses.csv", 5, "empty patient_id"),
+    ]
+    # patients.csv and diagnoses.csv share no date text
+    assert calls == dict.fromkeys(["1950-03-02", "1950-13-01", "2015-06-01", "2015-6-1"], 1)
 
 
 def test_parse_tables_accepts_only_yyyy_mm_dd_dates(table_writer):
@@ -225,20 +268,24 @@ def test_completed_years():
     assert completed_years(date(1943, 6, 1), idx) == 75
 
 
-def test_find_first_ad_date_earliest_and_normalized(table_writer):
+def test_find_first_ad_date_earliest_and_normalized(table_writer, tiny_pmap):
     tables = parse_tables(
         *table_writer(
+            patients=[["P1", "F", "05", "1950-01-15"], ["P2", "M", "05", "1950-01-01"]],
             diagnoses=[
                 ["P1", "G30.9", "ICD10CM", "2016-03-01"],
                 ["P1", "G309", "ICD10CM", "2015-01-01"],
-                ["P1", "401.9", "ICD9", "2010-01-01"],
+                ["P1", "401.9", "ICD9", "2014-12-01"],
                 ["P2", "331.0", "ICD9", "2017-08-08"],
-            ]
+            ],
         )
     )
-    dates = first_ad_dates(tables.diagnoses, ["G30.9", "3310"])
-    first = dict(zip(tables.diagnoses.patient_id.values, dates.tolist()))
-    assert first == {"P1": date(2015, 1, 1), "P2": date(2017, 8, 8)}
+    config = CohortConfig(ad_code_set=frozenset(["G30.9", "3310"]))
+    cohort = select_cohort(tables, config, tiny_pmap)
+    # P1 indexed on 2015-01-01: aged 64 there (66 on 2016-03-01), and the
+    # 2014-12-01 diagnosis in slot 1 (slot 3 before 2016-03-01)
+    assert {p.patient_id: p.age_at_index for p in cohort.patients} == {"P1": 64, "P2": 67}
+    assert cohort.patients[0].cells == ((1, "401.1"),)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from adsubtype.table import (
     write_table,
     write_text,
 )
+from conftest import traced_peak
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsubtype"
 
@@ -185,3 +186,14 @@ def test_plain_binary_table_is_read_without_the_row_reader(tmp_path, monkeypatch
     header, got, values = read_binary_table(path, "k")
     assert (header, got) == (["k", "a", "b"], keys)
     assert np.array_equal(values, np.eye(23, 2))
+
+
+def test_binary_table_read_holds_at_most_four_times_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    keys = [f"P{i:05d}" for i in range(2000)]
+    values = np.random.default_rng(0).integers(0, 2, size=(2000, 240), dtype=np.uint8)
+    header = ["patient_id", *(f"{j}.{j % 7}_s{j % 6 + 1}" for j in range(240))]
+    write_binary_table(path, header, keys, values, meta="m")
+    (got_header, got_keys, got_values), peak = traced_peak(read_binary_table, path, "patient_id")
+    assert (got_header, got_keys) == (header, keys) and np.array_equal(got_values, values)
+    assert peak <= 4 * path.stat().st_size
