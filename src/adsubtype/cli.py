@@ -9,9 +9,11 @@ functions of (inputs, config, seed); thread settings never affect bytes.
 
 Stages run with the cyclic garbage collector paused and the import-time
 heap frozen; main collects once after each stage and restores the
-collector's entry state on return. After each stage main appends that
-stage's wall time, CPU time and peak RSS to run_log.jsonl, a log outside
-the manifest that no stage reads.
+collector's entry state on return. scipy is not in that frozen heap: only
+the stages that call it (elbow, cluster, stats, mlr) import it, so the
+collections after those stages also walk its import-time objects. After
+each stage main appends that stage's wall time, CPU time and peak RSS to
+run_log.jsonl, a log outside the manifest that no stage reads.
 """
 
 import os
@@ -206,7 +208,7 @@ CONFIG_KEYS = (
     Key("ingest.exclusions", [], STRINGS),
     Key("elbow.kmax", 10, int_at_least(3)),  # detect_elbow needs three curve points
     Key("elbow.restarts", 10, POS_INT),
-    Key("cluster.k", None, nullable(POS_INT)),
+    Key("cluster.k", None, nullable(int_at_least(2))),  # the pairwise grid needs two clusters
     Key("cluster.gamma", None, nullable(POS_NUMBER)),
     Key("cluster.knn_sparsify", None, nullable(POS_INT)),
     Key("stats.alpha", 0.05, OPEN_UNIT),
@@ -232,6 +234,9 @@ CROSS_KEY_RULES = (
     ("cohort.window_start", "cohort.window_end", _dates_ascending,
      "cohort.window_end must be after cohort.window_start"),
     ("ingest.keep", "ingest.review_size", operator.le, "ingest.keep must be <= review_size"),
+    # k left to the elbow is known only once the elbow stage has run
+    ("cluster.k", "mlr.reference_cluster", lambda k, ref: k is None or ref < k,
+     "mlr.reference_cluster must be < cluster.k"),
 )
 
 
@@ -812,8 +817,7 @@ def _run_stages(ctx: Context, stages: Sequence[Stage]) -> int:
         # The stages build acyclic objects (patients, values, tuples), which
         # reference counting frees, so with the collector paused this one
         # collection per stage is enough: peak RSS stays within run-to-run
-        # spread of its value with the collector running (about 164 MB on
-        # the n=12,000 kNN route, set by ingest). It also empties the
+        # spread of its value with the collector running. It also empties the
         # interpreter's free lists, which left full would pin memory freed
         # by one stage's per-patient tuples and raise the peak RSS of every
         # later stage.

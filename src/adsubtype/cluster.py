@@ -18,11 +18,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +58,7 @@ class AffinityMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.values)
+        return not isinstance(self.values, np.ndarray)
 
 
 @dataclass
@@ -78,6 +80,7 @@ def _binary_csr(X: np.ndarray) -> sp.csr_matrix | None:
 
     Only the stored nonzeros are compared, so no n x p temporary is built.
     """
+    import scipy.sparse as sp
     Xs = sp.csr_matrix(X)
     return Xs if (Xs.data == 1).all() else None
 
@@ -187,6 +190,7 @@ def knn_sparsified_affinity(
             cuts = [start + size * w // workers for w in range(workers + 1)]
             slices = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
             list(pool.map(fill, slices))  # re-raises a worker's error
+    import scipy.sparse as sp
     # every row keeps exactly m sorted columns
     A = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n))
     A = A.maximum(A.T)
@@ -223,6 +227,7 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
     entry of u u^T * P P^T lies within the tail bound (relative) below the
     kernel's.
     """
+    import scipy.sparse as sp
     Xs = _binary_csr(X)
     if Xs is None:
         raise ValueError("the kernel operator expects a binary matrix")
@@ -275,6 +280,7 @@ def binomial_kernel_operator(X: np.ndarray, gamma: float) -> spla.LinearOperator
     column is shared by every row, so every degree is positive unless u
     underflows or, at a gamma of several hundred, t^m overflows.
     """
+    import scipy.sparse.linalg as spla
     u, P = _kernel_factor(X, gamma)
     Pt = P.T
 
@@ -296,6 +302,7 @@ def normalized_laplacian_embedding(
     Eigenvector signs are fixed so the largest-magnitude component of each
     column is positive.
     """
+    import scipy.sparse.linalg as spla
     A = A.values if isinstance(A, AffinityMatrix) else A
     n = A.shape[0]
     if k >= n:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +66,7 @@ def chi2_sf(x: float, df: int) -> float:
         raise ValueError(f"df must be a positive integer, got {df}")
     if x < 0:
         raise ValueError(f"statistic must be nonnegative, got {x}")
+    from scipy.special import gammaincc
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
@@ -407,6 +407,7 @@ def fit_multinomial_logit(
         )
     robust_se = np.sqrt(variances).reshape(km1, p)
 
+    from scipy.special import erfc
     z = beta / robust_se
     p_values = erfc(np.abs(z) / np.sqrt(2.0))
     aic = 2.0 * km1 * p - 2.0 * ll

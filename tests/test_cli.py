@@ -4,12 +4,16 @@ import dataclasses
 import gc
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adsubtype
 from adsubtype import cli, cluster
 from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
 from adsubtype.cluster import kmeans
@@ -208,6 +212,7 @@ def test_removed_plan_keys_rejected(tmp_path, capsys):
         pytest.param({"seed": 0.0}, "seed", id="seed-float"),
         pytest.param({"seed": False}, "seed", id="seed-bool"),
         pytest.param({"seed": -1}, "seed", id="seed-negative"),
+        pytest.param({"cluster": {"k": 1}}, "cluster.k", id="k-one"),
         pytest.param({"cluster": {"knn_sparsify": 0}}, "cluster.knn_sparsify", id="knn-zero"),
         pytest.param({"cluster": {"knn_sparsify": -2}}, "cluster.knn_sparsify", id="knn-negative"),
         pytest.param({"cluster": {"knn_sparsify": True}}, "cluster.knn_sparsify", id="knn-bool"),
@@ -280,6 +285,23 @@ def test_cross_key_rules_wait_for_their_keys():
         "cohort.window_end must be an ISO date string",
         "ingest.keep must be an integer >= 1",
     ]
+
+
+def test_reference_cluster_checked_only_against_a_set_k(tmp_path, capsys):
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+    cfg["mlr"]["reference_cluster"] = 5
+    assert cli.validate_config(cfg) == []  # k from the elbow is unknown until it runs
+    cfg["cluster"]["k"] = 1
+    assert cli.validate_config(cfg) == ["cluster.k must be null or an integer >= 2"]
+    cfg["cluster"]["k"] = 6
+    assert cli.validate_config(cfg) == []
+    cfg["cluster"]["k"] = 3
+    assert cli.validate_config(cfg) == ["mlr.reference_cluster must be < cluster.k"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "out_dir": str(tmp_path / "out")}))
+    assert main(["all", "--config", str(path)]) == 2
+    assert "error: mlr.reference_cluster must be < cluster.k" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_window_dates_compare_as_dates():
@@ -710,6 +732,27 @@ def test_main_restores_the_collector(tmp_path, monkeypatch):
         assert not gc.isenabled() and gc.get_freeze_count() == 0
     finally:
         gc.enable()
+
+
+def test_row_volume_stages_never_import_scipy(tmp_path):
+    # a fresh interpreter: this one already holds scipy from other tests
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "synth": {"n_patients": 300}}))
+    script = (
+        "import sys\n"
+        "from adsubtype.cli import main\n"
+        "for argv in (['all', '--dry-run'], ['synth'], ['ingest'], ['features']):\n"
+        "    assert main([*argv, '--config', sys.argv[1]]) == 0, argv\n"
+        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "    assert not loaded, (argv, loaded[:5])\n"
+    )
+    src = str(Path(adsubtype.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(cfg)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 def test_write_drops_the_cached_parse(tmp_path):

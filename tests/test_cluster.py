@@ -331,7 +331,8 @@ def test_embedding_k_n_minus_one_through_eigsh(monkeypatch, sparse):
         calls.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(cluster.spla, "eigsh", spy)
+    # cluster imports scipy.sparse.linalg inside the function, so patch the source
+    monkeypatch.setattr(spla, "eigsh", spy)
     n = X.shape[0]
     emb = normalized_laplacian_embedding(A, k=n - 1)
     assert calls == [n - 1]
