@@ -13,7 +13,8 @@ collector's entry state on return. scipy is not in that frozen heap: only
 the stages that call it (elbow, cluster, stats, mlr) import it, so the
 collections after those stages also walk its import-time objects. After
 each stage main appends that stage's wall time, CPU time and peak RSS to
-run_log.jsonl, a log outside the manifest that no stage reads.
+run_log.jsonl, a log outside the manifest that no stage reads; `all`
+starts that log afresh, so it holds one line per stage of the last run.
 """
 
 import os
@@ -785,6 +786,8 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         write_json(ctx.path("effective_config.json"), semantic_config(cfg))
+        if args.command == "all":  # the log of an earlier run in this directory
+            ctx.path(RUN_LOG).unlink(missing_ok=True)
     except (OSError, RuntimeError) as exc:
         print(f"error: cannot prepare output directory: {exc}", file=sys.stderr)
         return 1

@@ -85,13 +85,16 @@ def _binary_csr(X: np.ndarray) -> sp.csr_matrix | None:
     return Xs if (Xs.data == 1).all() else None
 
 
-def _hamming_rows(Xf: np.ndarray, counts: np.ndarray, rows: slice) -> np.ndarray:
+def _hamming_rows(
+    Xf: np.ndarray, counts: np.ndarray, rows: slice, out: np.ndarray | None = None
+) -> np.ndarray:
     """Hamming distances from Xf[rows] to every row of 0/1 Xf, whose row sums are counts.
 
-    Built in place on the gram block as |x| + |y| - 2 x.y. Every intermediate
-    is an integer exact in Xf's dtype, so BLAS threading cannot change it.
+    Built in place on the gram block, in out when given, as |x| + |y| - 2 x.y.
+    Every intermediate is an integer exact in Xf's dtype, so BLAS threading
+    cannot change it.
     """
-    D = Xf[rows] @ Xf.T
+    D = np.matmul(Xf[rows], Xf.T, out=out)
     D *= -2.0
     D += counts[rows, None]
     D += counts[None, :]
@@ -125,12 +128,16 @@ def laplacian_kernel_affinity(D: np.ndarray, gamma: float) -> AffinityMatrix:
     return AffinityMatrix(np.exp(A, out=A))
 
 
-# Rows per distance block in knn_sparsified_affinity. The block's rows are
-# split across the workers, so the live buffers hold KNN_BLOCK rows whatever
-# the worker count, each 12 B per column: a float32 distance and the int64
-# index argpartition returns. At n=12,000 that is 37 MB for 256 rows, against
-# 147 MB for 1024, in about the same time; 128 rows and fewer run slower.
+# Rows per distance block in knn_sparsified_affinity. The calling thread
+# holds one block of float32 distances, 4 B per column per row, and the
+# workers fill its rows; at n=12,000 that is 12 MB for 256 rows, against
+# 49 MB for 1024, in about the same time; 128 rows and fewer run slower.
+# Each worker selects neighbours for KNN_SELECT rows at a time, so what a
+# worker allocates (argpartition's int64 indices, 8 B per column per row) is
+# 3 MB at n=12,000. Freed memory stays in the worker thread's malloc arena,
+# so a worker's own buffers would stay resident after the pool closes.
 KNN_BLOCK = 256
+KNN_SELECT = 32
 
 
 def _workers(threads: int, tasks: int) -> int:
@@ -152,20 +159,22 @@ def knn_sparsified_affinity(
     """Sparse affinity keeping the `neighbors` largest entries per row.
 
     Distances are computed in blocks of KNN_BLOCK rows so the full N x N
-    matrix is never materialized: a block row holds 12 B per column (its
-    float32 distances and argpartition's int64 indices), so the transient
-    peak is about 12 B x KNN_BLOCK x N beside the N x m output. The kept
-    pattern is symmetrized by elementwise max (union of directed kNN
-    edges). The diagonal is always kept. The block matmul and the distances
-    run in float32, which is exact for 0/1 rows with fewer than 2^24
-    columns.
+    matrix is never materialized: the calling thread allocates one
+    (KNN_BLOCK, N) float32 distance buffer, and the transient peak is that
+    buffer, plus argpartition's int64 indices for KNN_SELECT rows per
+    worker, beside the N x m output. The kept pattern is symmetrized by
+    elementwise max (union of directed kNN edges). The diagonal is always
+    kept. The block matmul and the distances run in float32, which is exact
+    for 0/1 rows with fewer than 2^24 columns.
 
     Each block's rows are cut into one contiguous slice per worker, at most
-    `threads`. A row's kept neighbours depend on that row's distances alone,
-    which are exact integers, so the split never changes a byte. The
-    distances must stay float32: which of several neighbours tied at the
-    boundary are kept follows numpy's selection kernel, and it can pick
-    differently for another dtype (int16 does).
+    `threads`; a worker writes its rows' distances into the shared buffer
+    and selects their neighbours KNN_SELECT rows at a time. A row's kept
+    neighbours depend on that row's distances alone, which are exact
+    integers, so neither cut ever changes a byte. The distances must stay
+    float32: which of several neighbours tied at the boundary are kept
+    follows numpy's selection kernel, and it can pick differently for
+    another dtype (int16 does).
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
@@ -175,13 +184,18 @@ def knn_sparsified_affinity(
     counts = Xf.sum(axis=1)
     cols = np.empty((n, m), dtype=np.intp)
     vals = np.empty((n, m))
+    D = np.empty((min(n, KNN_BLOCK), n), dtype=Xf.dtype)  # one block's distances
 
-    def fill(rows: slice) -> None:
-        Db = _hamming_rows(Xf, counts, rows)
-        idx = np.sort(np.argpartition(Db, m - 1, axis=1)[:, :m], axis=1)
-        cols[rows] = idx
-        selected = np.take_along_axis(Db, idx, axis=1).astype(np.float64)
-        vals[rows] = np.exp(-gamma * selected)
+    def fill(rows: slice, start: int) -> None:
+        # rows' distances go to D from row rows.start - start, start opening the block
+        Dw = _hamming_rows(Xf, counts, rows, out=D[rows.start - start : rows.stop - start])
+        for at in range(0, len(Dw), KNN_SELECT):
+            Db = Dw[at : at + KNN_SELECT]
+            sub = slice(rows.start + at, rows.start + at + len(Db))
+            idx = np.sort(np.argpartition(Db, m - 1, axis=1)[:, :m], axis=1)
+            cols[sub] = idx
+            selected = np.take_along_axis(Db, idx, axis=1).astype(np.float64)
+            vals[sub] = np.exp(-gamma * selected)
 
     workers = _workers(threads, min(n, KNN_BLOCK))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -189,7 +203,7 @@ def knn_sparsified_affinity(
             size = min(KNN_BLOCK, n - start)
             cuts = [start + size * w // workers for w in range(workers + 1)]
             slices = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-            list(pool.map(fill, slices))  # re-raises a worker's error
+            list(pool.map(fill, slices, [start] * len(slices)))  # re-raises a worker's error
     import scipy.sparse as sp
     # every row keeps exactly m sorted columns
     A = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n))

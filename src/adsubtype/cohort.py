@@ -7,12 +7,13 @@ record: demographics, mortality, the (timeslot, phecode) cells of the
 pre-index diagnoses, with timeslots counted backward from the index date,
 and the post-index RxCUIs.
 
-Ingest works on columns. parse_tables reads each table in one read_table
-pass and interns each column: every distinct field is stripped and checked
-once, and a refused row's reject reason is the first check it failed. Dates
-are YYYY-MM-DD only (parse_date), in the tables and in the config.
-select_cohort applies the criteria with array operations over integer
-patient, code and datetime64 columns.
+Ingest works on columns. parse_tables reads each table in read_row_blocks'
+bounded blocks and interns each block's columns into dicts that outlive the
+block, so no table's rows are ever all in memory: every distinct field is
+stripped and checked once, and a refused row's reject reason is the first
+check it failed. Dates are YYYY-MM-DD only (parse_date), in the tables and
+in the config. select_cohort applies the criteria with array operations
+over integer patient, code and datetime64 columns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .table import RejectedRow, read_table, write_text
+from .table import RejectedRow, read_row_blocks, write_text
 
 if TYPE_CHECKING:
     from .phenotype import PhecodeMap, PhenotypeVocabulary
@@ -242,14 +243,18 @@ def _nonempty(column: str) -> Callable[[str], str]:
     return check
 
 
-def _intern(column: Sequence[str]) -> Interned:
-    """The column's stripped texts, each distinct one stored once, first seen first."""
-    position: dict[str, int] = {}
-    of_text = {
-        text: position.setdefault(text.strip(), len(position)) for text in dict.fromkeys(column)
-    }
-    index = np.fromiter(map(of_text.__getitem__, column), np.intp, len(column))
-    return Interned(list(position), index)
+def _intern(
+    column: Sequence[str], of_text: dict[str, int], position: dict[str, int]
+) -> np.ndarray:
+    """Each text's value number, adding the texts of column not yet in of_text.
+
+    position numbers the distinct stripped texts, first seen first; of_text
+    maps each raw text to its stripped text's number.
+    """
+    for text in dict.fromkeys(column):
+        if text not in of_text:
+            of_text[text] = position.setdefault(text.strip(), len(position))
+    return np.fromiter(map(of_text.__getitem__, column), np.intp, len(column))
 
 
 def _read_columns(
@@ -276,31 +281,44 @@ def _convert_columns(
 ) -> list[Interned]:
     """One input table's accepted rows as columns of converted values, in file order.
 
-    rules[j] converts a stripped field of column j, or raises ValueError with
-    the reject reason; it runs once per distinct field. A row is accepted when
-    each of its fields converts and, with unique, no accepted row before it has
-    its patient_id. A refused row's reason is its first failing field's, in
-    column order, with the duplicate check right after the patient_id. Its
-    reject and read_table's of a ragged row go to rejects in line order; a
-    missing file, an empty file or an unexpected header is fatal.
+    The table is read in read_row_blocks' blocks: each block's fields are
+    interned into one dict per column, which outlives the block, and only
+    integer columns remain of its rows. rules[j] converts a stripped field of
+    column j, or raises ValueError with the reject reason; it runs once per
+    distinct field. A row is accepted when each of its fields converts and,
+    with unique, no accepted row before it has its patient_id. A refused
+    row's reason is its first failing field's, in column order, with the
+    duplicate check right after the patient_id. Its reject and
+    read_row_blocks' of a ragged row go to rejects in line order; a missing
+    file, an empty file or an unexpected header is fatal.
     """
     file_rejects: list[RejectedRow] = []
-    table = read_table(path, columns, file_rejects)
-    accepted = np.ones(len(table.rows), dtype=bool)
+    of_text: list[dict[str, int]] = [{} for _ in rules]
+    position: list[dict[str, int]] = [{} for _ in rules]
+    parts: list[list[np.ndarray]] = [[] for _ in rules]  # each column's index, per block
+    line_parts = []
+    for block in read_row_blocks(path, columns, file_rejects):
+        for j in range(len(rules)):
+            parts[j].append(_intern([row[j] for row in block.rows], of_text[j], position[j]))
+        line_parts.append(np.array(block.lines, dtype=np.int64))
+    del of_text, block  # the last block's rows
+    lines = np.concatenate(line_parts)
+    accepted = np.ones(len(lines), dtype=bool)
     converted, errors = [], []  # errors[j][v]: the ValueError text of column j's value v
-    for j, rule in enumerate(rules):
-        column = _intern([row[j] for row in table.rows])
+    for rule, texts, blocks in zip(rules, position, parts):
+        index = np.concatenate(blocks)
         values, failures = [], []
-        for text in column.values:
+        for text in texts:
             try:
                 values.append(rule(text))
                 failures.append(None)
             except ValueError as exc:
                 values.append(None)
                 failures.append(str(exc))
-        accepted &= np.array([f is None for f in failures], dtype=bool)[column.index]
-        converted.append(Interned(values, column.index))
+        accepted &= np.array([f is None for f in failures], dtype=bool)[index]
+        converted.append(Interned(values, index))
         errors.append(failures)
+    del position, parts
     pids = converted[0].index
     first_row: dict[int, int] = {}  # a unique table's first accepted row of each patient_id
     if unique:
@@ -315,7 +333,7 @@ def _convert_columns(
         else:
             reasons = (failures[column.index[i]] for failures, column in zip(errors, converted))
             reason = next(r for r in reasons if r is not None)
-        file_rejects.append(RejectedRow(Path(path).name, table.lines[i], reason))
+        file_rejects.append(RejectedRow(Path(path).name, int(lines[i]), reason))
     rejects.extend(sorted(file_rejects, key=lambda r: r.line))
     kept = []
     for column in converted:  # each without the values no accepted row holds, in order

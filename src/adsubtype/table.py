@@ -2,13 +2,16 @@
 
 A table is any number of '#' comment lines, one header row, then data rows;
 after the header every line is data, so a row whose first field starts with
-'#' is a row like any other. Every reader checks a table through read_table:
-its stripped header must begin with the columns the reader declares (more
-may follow), and every data row must have the header's field count.
-read_table reads a whole table in one pass: csv.reader runs over the file's
-lines from the header on, and a row's line number is the reader's position
-plus the comment lines before the header, so no per-row layer sits between
-them. Fields are returned unstripped. A 0/1 feature table is read by
+'#' is a row like any other. Every reader checks a table through
+read_row_blocks: its stripped header must begin with the columns the reader
+declares (more may follow), and every data row must have the header's field
+count. csv.reader runs over the open file from the header line on, and the
+rows come out in blocks of at most ROW_BLOCK, so a long extract never has
+all its rows in memory at once; read_table joins a small table's blocks
+into one. A row's line number is the reader's position plus the comment
+lines before the header, so no per-row layer sits between them. A leading
+UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
+dropped. Fields are returned unstripped. A 0/1 feature table is read by
 splitting each line into its key and its cells (read_binary_table) and
 written from one rendered block (write_binary_table). Writers emit one
 '# meta' line, the header and the rows as LF-terminated UTF-8, and replace
@@ -24,9 +27,9 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,8 +47,9 @@ class RejectedRow:
 class Table:
     """A table's stripped header and its data rows, each with the header's field count.
 
-    lines[i] is the file's own 1-based number of rows[i]'s line (a quoted
-    record spanning several lines gets its last).
+    rows may be one block of the table's rows (read_row_blocks). lines[i] is
+    the file's own 1-based number of rows[i]'s line (a quoted record
+    spanning several lines gets its last).
     """
 
     header: list[str]
@@ -53,42 +57,59 @@ class Table:
     lines: list[int]
 
 
-def read_table(
-    path: str | Path, columns: Sequence[str], rejects: list[RejectedRow] | None = None
-) -> Table:
-    """Read a whole table whose header, after any '#' lines, begins with columns.
+# Rows per block that read_row_blocks yields: a block's row lists are a few MB
+# of Python objects, however long the table.
+ROW_BLOCK = 16384
 
-    A missing header row, or one not beginning with columns, is a ValueError.
-    A row whose field count differs from the header's is a ValueError naming
-    the file and line or, given rejects, is appended there and skipped.
-    Blank lines give no row.
+
+def read_row_blocks(
+    path: str | Path, columns: Sequence[str], rejects: list[RejectedRow] | None
+) -> Iterator[Table]:
+    """A table whose header, after any '#' lines, begins with columns, in blocks of rows.
+
+    Each block holds the next at most ROW_BLOCK data rows in file order, and
+    the last block (there is always one) may be empty. The file is read as
+    UTF-8 with a leading byte-order mark dropped. A missing header row, or one
+    not beginning with columns, is a ValueError. A row whose field count
+    differs from the header's is a ValueError naming the file and line or,
+    given rejects, is appended there and skipped. Blank lines give no row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    comments = 0
-    while comments < len(lines) and lines[comments].startswith("#"):
-        comments += 1
-    reader = csv.reader(islice(lines, comments, None))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty file, no header row")
-    header = [h.strip() for h in header]
-    if header[: len(columns)] != list(columns):
-        raise ValueError(f"{path}: bad header {header}, expected it to begin {list(columns)}")
-    width = len(header)
-    rows: list[list[str]] = []
-    numbers: list[int] = []
-    for fields in reader:
-        if len(fields) == width:
-            rows.append(fields)
-            numbers.append(comments + reader.line_num)
-        elif fields:
-            lineno = comments + reader.line_num
-            problem = f"{len(fields)} fields, header has {width}"
-            if rejects is None:
-                raise ValueError(f"{path}: line {lineno}: {problem}")
-            rejects.append(RejectedRow(Path(path).name, lineno, problem))
-    return Table(header, rows, numbers)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        comments = 0
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            comments += 1
+        else:
+            raise ValueError(f"{path}: empty file, no header row")
+        reader = csv.reader(chain([line], fh))  # from the header line on
+        header = [h.strip() for h in next(reader)]
+        if header[: len(columns)] != list(columns):
+            raise ValueError(f"{path}: bad header {header}, expected it to begin {list(columns)}")
+        width = len(header)
+        rows: list[list[str]] = []
+        numbers: list[int] = []
+        for fields in reader:
+            if len(fields) == width:
+                rows.append(fields)
+                numbers.append(comments + reader.line_num)
+                if len(rows) == ROW_BLOCK:
+                    yield Table(header, rows, numbers)
+                    rows, numbers = [], []
+            elif fields:
+                lineno = comments + reader.line_num
+                problem = f"{len(fields)} fields, header has {width}"
+                if rejects is None:
+                    raise ValueError(f"{path}: line {lineno}: {problem}")
+                rejects.append(RejectedRow(Path(path).name, lineno, problem))
+        yield Table(header, rows, numbers)
+
+
+def read_table(path: str | Path, columns: Sequence[str]) -> Table:
+    """The whole table read_row_blocks reads, as one Table; a ragged row is a ValueError."""
+    blocks = list(read_row_blocks(path, columns, None))
+    rows = [row for block in blocks for row in block.rows]
+    return Table(blocks[0].header, rows, [n for block in blocks for n in block.lines])
 
 
 def int_field(path: str | Path, lineno: int, column: str, text: str) -> int:

@@ -697,6 +697,20 @@ def test_all_appends_one_run_log_line_per_stage(pipeline):
     assert cli.RUN_LOG not in manifest["artifacts"]
 
 
+def test_all_starts_the_run_log_afresh(pipeline, tmp_path):
+    """A second all into one directory leaves its own 9 lines; a lone stage appends one."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out2"], out)  # an earlier all's directory, its log included
+    config = str(pipeline["config_path"])
+    assert main(["all", "--config", config, "--out", str(out)]) == 0
+    lines = (out / cli.RUN_LOG).read_text().splitlines()
+    assert [json.loads(line)["stage"] for line in lines] == STAGES
+    assert main(["report", "--config", config, "--out", str(out)]) == 0
+    lines = (out / cli.RUN_LOG).read_text().splitlines()
+    assert [json.loads(line)["stage"] for line in lines] == STAGES + ["report"]
+    assert _snapshot(out) == _snapshot(pipeline["out1"])
+
+
 def test_stages_run_with_the_collector_paused(pipeline, tmp_path, monkeypatch):
     states = {}
 

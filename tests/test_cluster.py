@@ -154,14 +154,15 @@ def test_knn_affinity_independent_of_threads(monkeypatch):
 
 
 def test_knn_affinity_holds_one_block_of_distances():
-    """The transient is one block's rows at 12 B per column plus the output, not N x N."""
+    """The transient is one block's distances, KNN_SELECT rows' indices and the output."""
     rng = np.random.default_rng(5)
     n, neighbors = 3000, 5
     assert n > cluster.KNN_BLOCK
     X = (rng.random((n, 60)) < 0.2).astype(np.uint8)
     A, peak = traced_peak(knn_sparsified_affinity, X, 0.1, neighbors)
     assert A.values.shape == (n, n)
-    block = 12 * cluster.KNN_BLOCK * n  # float32 distances + int64 argpartition indices
+    # float32 distances + int64 argpartition indices
+    block = 4 * cluster.KNN_BLOCK * n + 8 * cluster.KNN_SELECT * n
     inputs_and_output = 4 * X.size + 64 * n * (neighbors + 1)
     assert peak < block + inputs_and_output
     assert block + inputs_and_output < 4 * n * n // 2  # well under the N x N float32 matrix

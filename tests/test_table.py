@@ -11,6 +11,7 @@ from adsubtype import table
 from adsubtype.table import (
     RejectedRow,
     read_binary_table,
+    read_row_blocks,
     read_table,
     write_binary_table,
     write_table,
@@ -77,17 +78,22 @@ def test_read_table_contract(tmp_path, text, collect, outcome, rejected):
 
     Header cells are stripped, data fields are not; a failure names the file
     and line, or with a rejects list the row is collected there instead.
+    Checked on read_row_blocks, the reader under read_table.
     """
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
     rejects = [] if collect else None
+
+    def rows():
+        blocks = read_row_blocks(path, ["a", "b"], rejects)
+        return [pair for block in blocks for pair in zip(block.lines, block.rows)]
+
     if isinstance(outcome, str):
         with pytest.raises(ValueError) as exc:
-            read_table(path, ["a", "b"], rejects)
+            rows()
         assert str(exc.value) == f"{path}: {outcome}"
     else:
-        table = read_table(path, ["a", "b"], rejects)
-        assert list(zip(table.lines, table.rows)) == outcome
+        assert rows() == outcome
         assert (rejects or []) == rejected
 
 
