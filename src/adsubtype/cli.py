@@ -280,7 +280,7 @@ def load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        data = json.loads(p.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
         raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -310,6 +310,25 @@ def validate_config(cfg: dict) -> list[str]:
     for first, second, holds, problem in CROSS_KEY_RULES:
         if first in valid and second in valid and not holds(valid[first], valid[second]):
             problems.append(problem)
+    return problems
+
+
+def _synth_overwrites(cfg: dict) -> list[str]:
+    """A problem for each configured extract that the synth stage would replace.
+
+    synth replaces the directory entries of its tables in out_dir, so an
+    extract is refused when its own entry, or the file it resolves to, is one.
+    """
+    out = Path(cfg["out_dir"]).resolve()
+    written = {out / name for name, stage in PRODUCERS.items() if stage == "synth"}
+    problems = []
+    for name in ("demographics", "diagnoses", "prescriptions", "deaths"):
+        path = cfg["ingest"][name]
+        if path is None:
+            continue
+        entry = Path(path).parent.resolve() / Path(path).name
+        if {entry, Path(path).resolve()} & written:
+            problems.append(f"ingest.{name}: {path} would be overwritten by the synth stage")
     return problems
 
 
@@ -765,13 +784,14 @@ def main(argv=None) -> int:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
 
+    stages = [stage for stage in PIPELINE if args.command in ("all", stage.name)]
     problems = validate_config(cfg)
+    if not problems and any(stage.name == "synth" for stage in stages):
+        problems = _synth_overwrites(cfg)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
-
-    stages = [stage for stage in PIPELINE if args.command in ("all", stage.name)]
     if args.dry_run:
         for stage in stages:
             reads, writes = " ".join(stage.reads), " ".join(stage.writes)

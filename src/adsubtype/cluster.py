@@ -396,7 +396,7 @@ def _point_center_sqdist(
     P: np.ndarray | sp.csr_matrix, x2: np.ndarray, centers: np.ndarray
 ) -> np.ndarray:
     # ||x||^2 - 2 x.c + ||c||^2 with x2 = ||x||^2 precomputed; clamped at 0.
-    # P holds the points, dense or as their CSR copy.
+    # P holds the points; kmeans passes their CSR copy.
     c2 = np.einsum("ij,ij->i", centers, centers)
     d2 = x2[:, None] + c2[None, :] - 2.0 * (P @ centers.T)
     np.maximum(d2, 0.0, out=d2)
@@ -416,37 +416,30 @@ def _assigned_residuals(X: np.ndarray, centers: np.ndarray, labels: np.ndarray) 
 
 
 def _lloyd(
-    X: np.ndarray, Xs: sp.csr_matrix | None, x2: np.ndarray, centers: np.ndarray
+    X: np.ndarray, Xs: sp.csr_matrix, x2: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Lloyd iterations; returns (labels, centers, sse, per-iteration sse).
 
-    Xs is the CSR copy of a 0/1 X, or None. With it, every per-iteration
-    product reads only the nonzeros, and each centroid sum counts a cluster's
-    ones per column, exact in any order. Without it, centroids are
-    per-cluster sums over the rows sorted by label. The objective is recorded
-    after each assignment step from the assignment distances, and the final
-    entry is the exact SSE; it is non-increasing up to rounding. An empty
-    cluster is re-seeded at the point farthest from its assigned center.
+    Xs is X's CSR copy, so every per-iteration product reads only the
+    nonzeros, and each centroid sum adds a cluster's values per column in
+    ascending row order. The objective is recorded after each assignment
+    step from the assignment distances, and the final entry is the exact
+    SSE; it is non-increasing up to rounding. An empty cluster is re-seeded
+    at the point farthest from its assigned center.
     """
     (n, p), k = X.shape, centers.shape[0]
     rows = np.arange(n)
-    P = X if Xs is None else Xs
     history: list[float] = []
     for _ in range(MAX_ITER):
-        d2 = _point_center_sqdist(P, x2, centers)
+        d2 = _point_center_sqdist(Xs, x2, centers)
         labels = d2.argmin(axis=1)
         history.append(float(d2[rows, labels].sum()))
 
         counts = np.bincount(labels, minlength=k)
         present = counts > 0
-        if Xs is None:
-            starts = np.cumsum(counts) - counts
-            order = np.argsort(labels, kind="stable")
-            sums = np.add.reduceat(X[order], starts[present], axis=0)
-        else:
-            cells = np.repeat(labels * p, np.diff(Xs.indptr))
-            cells += Xs.indices
-            sums = np.bincount(cells, minlength=k * p).reshape(k, p)[present]
+        cells = np.repeat(labels * p, np.diff(Xs.indptr))
+        cells += Xs.indices
+        sums = np.bincount(cells, weights=Xs.data, minlength=k * p).reshape(k, p)[present]
         new_centers = centers.copy()
         new_centers[present] = sums / counts[present, None]
         if not present.all():
@@ -460,7 +453,7 @@ def _lloyd(
         centers = new_centers
         if shift < TOL:
             break
-    labels = _point_center_sqdist(P, x2, centers).argmin(axis=1)
+    labels = _point_center_sqdist(Xs, x2, centers).argmin(axis=1)
     sse = float(_assigned_residuals(X, centers, labels).sum())
     history.append(sse)
     return labels, centers, sse, history
@@ -490,8 +483,9 @@ def kmeans(
     a pool of at most `threads` workers; results are reduced in restart
     order and ties keep the earliest, so the output does not depend on
     `threads`. The winning partition's clusters are numbered by size
-    descending, ties by lowest member row. On 0/1 input the products read
-    a CSR copy of X; the SSE is still the dense residual sum.
+    descending, ties by lowest member row. The products and centroid sums
+    read one CSR copy of X, built before the pool starts; the SSE is still
+    the dense residual sum.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -501,12 +495,12 @@ def kmeans(
         raise ValueError(f"restarts={restarts} must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
+    import scipy.sparse as sp
     x2 = np.einsum("ij,ij->i", X, X)
-    Xs = _binary_csr(X)
-    P = X if Xs is None else Xs
+    Xs = sp.csr_matrix(X)
 
     def restart(r: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-        centers = _kmeanspp_centers(X, P, x2, k, np.random.default_rng([seed, r]))
+        centers = _kmeanspp_centers(X, Xs, x2, k, np.random.default_rng([seed, r]))
         return _lloyd(X, Xs, x2, centers)
 
     with ThreadPoolExecutor(max_workers=_workers(threads, restarts)) as pool:

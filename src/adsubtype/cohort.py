@@ -23,6 +23,7 @@ import logging
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -257,6 +258,14 @@ def _intern(
     return np.fromiter(map(of_text.__getitem__, column), np.intp, len(column))
 
 
+def _converted(rule: Callable[[str], Any], text: str) -> tuple[Any, str | None]:
+    """(rule(text), None), or (None, the reject reason) when rule raises ValueError."""
+    try:
+        return rule(text), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
 def _read_columns(
     path: Path,
     columns: list[str],
@@ -267,30 +276,22 @@ def _read_columns(
     """One input table's accepted rows as columns, in file order.
 
     A date column is a datetime64[D] array; any other is Interned, its values
-    converted by its rule. _convert_columns says which rows are accepted.
-    """
-    return _release(_convert_columns(path, columns, rules, rejects, unique), rules)
+    converted by its rule. The table is read in read_row_blocks' blocks: each
+    block's fields are interned into one dict per column, which outlives the
+    block, and only integer columns remain of its rows. rules[j] converts a
+    stripped field of column j, or raises ValueError with the reject reason;
+    it runs once per distinct field. A row is accepted when each of its
+    fields converts and, with unique, no accepted row before it has its
+    patient_id. A refused row's reason is its first failing field's, in
+    column order, with the duplicate check right after the patient_id. Its
+    reject and read_row_blocks' of a ragged row go to rejects in line order;
+    a missing file, an empty file or an unexpected header is fatal.
 
-
-def _convert_columns(
-    path: Path,
-    columns: list[str],
-    rules: Sequence[Callable[[str], Any]],
-    rejects: list[RejectedRow],
-    unique: bool,
-) -> list[Interned]:
-    """One input table's accepted rows as columns of converted values, in file order.
-
-    The table is read in read_row_blocks' blocks: each block's fields are
-    interned into one dict per column, which outlives the block, and only
-    integer columns remain of its rows. rules[j] converts a stripped field of
-    column j, or raises ValueError with the reject reason; it runs once per
-    distinct field. A row is accepted when each of its fields converts and,
-    with unique, no accepted row before it has its patient_id. A refused
-    row's reason is its first failing field's, in column order, with the
-    duplicate check right after the patient_id. Its reject and
-    read_row_blocks' of a ragged row go to rejects in line order; a missing
-    file, an empty file or an unexpected header is fatal.
+    Each string value was cut from one of the table's per-row strings, and
+    one kept alive keeps the allocator from returning the memory around it.
+    So each string column is packed into one string, and every value and
+    per-row array left of the rows is dropped, before the values are cut out
+    again.
     """
     file_rejects: list[RejectedRow] = []
     of_text: list[dict[str, int]] = [{} for _ in rules]
@@ -304,22 +305,15 @@ def _convert_columns(
     del of_text, block  # the last block's rows
     lines = np.concatenate(line_parts)
     accepted = np.ones(len(lines), dtype=bool)
-    converted, errors = [], []  # errors[j][v]: the ValueError text of column j's value v
+    values, index, errors = [], [], []  # errors[j][v]: the ValueError text of column j's value v
     for rule, texts, blocks in zip(rules, position, parts):
-        index = np.concatenate(blocks)
-        values, failures = [], []
-        for text in texts:
-            try:
-                values.append(rule(text))
-                failures.append(None)
-            except ValueError as exc:
-                values.append(None)
-                failures.append(str(exc))
-        accepted &= np.array([f is None for f in failures], dtype=bool)[index]
-        converted.append(Interned(values, index))
-        errors.append(failures)
-    del position, parts
-    pids = converted[0].index
+        outcomes = [_converted(rule, text) for text in texts]
+        values.append([value for value, _ in outcomes])
+        errors.append([error for _, error in outcomes])
+        index.append(np.concatenate(blocks))
+        accepted &= np.array([e is None for e in errors[-1]], dtype=bool)[index[-1]]
+    del position, parts, texts, blocks, outcomes
+    pids = index[0]
     first_row: dict[int, int] = {}  # a unique table's first accepted row of each patient_id
     if unique:
         ok = np.flatnonzero(accepted)
@@ -327,50 +321,35 @@ def _convert_columns(
         first_row = dict(zip(ids.tolist(), ok[first].tolist()))
         accepted[:] = False
         accepted[ok[first]] = True
+        del ok, ids, first
     for i in np.flatnonzero(~accepted).tolist():
         if first_row.get(int(pids[i]), i) < i:  # so its patient_id passes
-            reason = f"duplicate patient_id {converted[0].values[pids[i]]!r}"
+            reason = f"duplicate patient_id {values[0][pids[i]]!r}"
         else:
-            reasons = (failures[column.index[i]] for failures, column in zip(errors, converted))
-            reason = next(r for r in reasons if r is not None)
+            reason = next(r for f, rows in zip(errors, index) if (r := f[rows[i]]) is not None)
         file_rejects.append(RejectedRow(Path(path).name, int(lines[i]), reason))
     rejects.extend(sorted(file_rejects, key=lambda r: r.line))
-    kept = []
-    for column in converted:  # each without the values no accepted row holds, in order
-        index = column.index[accepted]
-        held = np.zeros(len(column.values), dtype=bool)
-        held[index] = True
-        values = [v for v, h in zip(column.values, held.tolist()) if h]
-        kept.append(Interned(values, (np.cumsum(held) - 1)[index]))
-    return kept
-
-
-def _release(columns: list[Interned], rules: Sequence[Callable[[str], Any]]) -> list[Any]:
-    """columns with their str values copied, and their dates as datetime64[D] rows.
-
-    Each value was cut from one of a table's per-row strings, and one kept
-    alive keeps the allocator from returning the memory around it. So each
-    column's strings are packed into one, and columns is emptied, which
-    frees them, before the strings are cut out again.
-    """
+    for j in range(len(rules)):  # each column without the values no accepted row holds
+        rows = index[j][accepted]
+        used = np.zeros(len(values[j]), dtype=bool)
+        used[rows] = True
+        values[j] = [v for v, u in zip(values[j], used.tolist()) if u]
+        index[j] = (np.cumsum(used) - 1)[rows]
+    # the rows' arrays go before any date array or packed string is built
+    del line_parts, lines, accepted, pids, rows, used, errors, first_row
     kept: list[Any] = []
-    for rule, column in zip(rules, columns):
+    for rule, held, rows in zip(rules, values, index):
         if rule is parse_date:
-            kept.append(np.array(column.values, dtype="datetime64[D]")[column.index])
-        elif all(type(v) is str for v in column.values):
-            lengths = [len(v) for v in column.values]
-            kept.append(("".join(column.values), lengths, column.index))
+            kept.append(np.array(held, dtype="datetime64[D]")[rows])
+        elif all(type(v) is str for v in held):
+            kept.append(("".join(held), [0, *accumulate(map(len, held))], rows))
         else:  # enum members live as long as their class
-            kept.append(column)
-    columns.clear()
-    for i, column in enumerate(kept):
+            kept.append(Interned(held, rows))
+    del values, held
+    for j, column in enumerate(kept):
         if isinstance(column, tuple):
-            text, lengths, index = column
-            values, at = [], 0
-            for n in lengths:
-                values.append(text[at : at + n])
-                at += n
-            kept[i] = Interned(values, index)
+            text, bounds, rows = column
+            kept[j] = Interned([text[a:b] for a, b in zip(bounds, bounds[1:])], rows)
     return kept
 
 

@@ -143,8 +143,8 @@ def profile_from_dict(data: Mapping) -> SubtypeProfile:
 
 
 def load_profiles(path: str | Path) -> list[SubtypeProfile]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "profiles" not in data or not isinstance(data["profiles"], list):
+    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    if not isinstance(data, dict) or not isinstance(data.get("profiles"), list):
         raise ValueError(f"{path}: expected a top-level 'profiles' list")
     profiles = [profile_from_dict(d) for d in data["profiles"]]
     validate_profiles(profiles)

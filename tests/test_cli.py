@@ -145,6 +145,13 @@ def test_non_utf8_config(tmp_path, capsys):
     assert f"config file {bad} cannot be read: 'utf-8' codec" in capsys.readouterr().err
 
 
+def test_config_with_byte_order_mark(tmp_path):
+    cfg = tmp_path / "bom.json"
+    cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 7}).encode())
+    assert cli.load_config(str(cfg))["seed"] == 7
+    assert main(["all", "--dry-run", "--config", str(cfg)]) == 0
+
+
 def test_directory_config(tmp_path, capsys):
     assert main(["all", "--dry-run", "--config", str(tmp_path)]) == 2
     assert f"config file {tmp_path} cannot be read" in capsys.readouterr().err
@@ -390,6 +397,27 @@ def test_validation_checks_external_files(tmp_path, capsys):
     cfg.write_text(json.dumps({"drugs": {"atc_map": "/nope/atc.csv"}}))
     assert main(["drugs", "--config", str(cfg)]) == 2
     assert "drugs.atc_map: file not found" in capsys.readouterr().err
+
+
+def test_synth_refuses_to_overwrite_a_configured_extract(tmp_path, capsys):
+    mine = tmp_path / "o3" / "patients.csv"
+    mine.parent.mkdir()
+    mine.write_bytes(b"patient_id,sex,race,birth_date\nP1,F,05,1940-01-01\n")
+    ingest = {"demographics": str(mine)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(mine.parent), "ingest": ingest}))
+    for command in ("synth", "all"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"ingest.demographics: {mine} would be overwritten" in capsys.readouterr().err
+    assert mine.read_bytes() == b"patient_id,sex,race,birth_date\nP1,F,05,1940-01-01\n"
+    assert sorted(p.name for p in mine.parent.iterdir()) == ["patients.csv"]
+    # an extract outside out_dir is read, not written
+    other = tmp_path / "cfg_other.json"
+    other.write_text(json.dumps(
+        {"out_dir": str(tmp_path / "o5"), "synth": {"n_patients": 20}, "ingest": ingest}
+    ))
+    assert main(["synth", "--config", str(other)]) == 0
+    assert (tmp_path / "o5" / "patients.csv").exists()
 
 
 def test_dry_run_prints_plan_without_writing(tmp_path, capsys):

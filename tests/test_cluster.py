@@ -479,9 +479,7 @@ def test_lloyd_matches_reference_loop():
         spread = 1.0 if trial % 3 else 4.0
         centers = rng.uniform(-spread, spread, size=(k, d))
         x2 = np.einsum("ij,ij->i", X, X)
-        Xs = cluster._binary_csr(X)
-        assert (Xs is not None) == bool(trial % 2)  # binary trials take the 0/1 path
-        labels, _, sse, history = cluster._lloyd(X, Xs, x2, centers)
+        labels, _, sse, history = cluster._lloyd(X, sp.csr_matrix(X), x2, centers)
         ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
         assert np.array_equal(labels, ref_labels), trial
         assert abs(sse - ref_sse) <= 1e-9, trial
@@ -493,7 +491,6 @@ def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
     _pretend_cpus(monkeypatch, 8)  # more workers than cores
     rng = np.random.default_rng(5)
     X = (rng.random((120, 10)) < 0.3).astype(float) if binary else rng.normal(size=(120, 4))
-    taken = _record_lloyd_paths(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -506,7 +503,6 @@ def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
         assert other.sse_history == runs[0].sse_history
     curves = [elbow_sse_curve(X, kmax=5, restarts=8, seed=4, threads=t) for t in (1, 2, 8)]
     assert curves[1] == curves[0] == curves[2]
-    assert taken and all(sp.issparse(Xs) == binary for Xs in taken)  # binary runs take the 0/1 path
 
 
 def _binary_instances(rng):
@@ -521,28 +517,7 @@ def _binary_instances(rng):
         yield trial, X, int(rng.integers(2, 9))
 
 
-def _record_lloyd_paths(monkeypatch) -> list:
-    """Patch _lloyd to record the CSR copy (or None) each restart receives."""
-    taken = []
-    lloyd = cluster._lloyd
-    monkeypatch.setattr(cluster, "_lloyd", lambda X, Xs, *a: taken.append(Xs) or lloyd(X, Xs, *a))
-    return taken
-
-
-def test_kmeans_binary_path_matches_dense_path(monkeypatch):
-    instances = list(_binary_instances(np.random.default_rng(31)))
-    taken = _record_lloyd_paths(monkeypatch)
-    sparse = [kmeans(X, k=k, restarts=3, seed=t) for t, X, k in instances]
-    assert len(taken) == 3 * len(instances) and all(sp.issparse(Xs) for Xs in taken)
-    monkeypatch.setattr(cluster, "_binary_csr", lambda X: None)
-    for (trial, X, k), fast in zip(instances, sparse):
-        dense = kmeans(X, k=k, restarts=3, seed=trial)
-        assert np.array_equal(fast.labels, dense.labels), trial
-        assert fast.sse == dense.sse, trial
-        assert len(fast.sse_history) == len(dense.sse_history), trial
-
-
-def test_lloyd_binary_path_reseeds_empty_clusters():
+def test_lloyd_reseeds_empty_clusters_on_binary_rows():
     # starts far outside [0, 1] leave clusters empty, so the re-seed branch runs
     rng = np.random.default_rng(37)
     reseeded = 0
@@ -551,22 +526,26 @@ def test_lloyd_binary_path_reseeds_empty_clusters():
         centers = rng.uniform(-4.0, 4.0, size=(k, X.shape[1]))
         first_labels = cluster._point_center_sqdist(X, x2, centers).argmin(axis=1)
         reseeded += int((np.bincount(first_labels, minlength=k) == 0).any())
-        fast = cluster._lloyd(X, cluster._binary_csr(X), x2, centers)
-        dense = cluster._lloyd(X, None, x2, centers)
-        assert np.array_equal(fast[0], dense[0]), trial
-        assert fast[2] == dense[2], trial
-        assert len(fast[3]) == len(dense[3]), trial
+        labels, _, sse, history = cluster._lloyd(X, sp.csr_matrix(X), x2, centers)
+        ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
+        assert np.array_equal(labels, ref_labels), trial
+        assert abs(sse - ref_sse) <= 1e-9, trial
+        if trial == 1:
+            # 6 of its 8 starts own no row; the result that the 0/1 and the
+            # dense centroid sums both gave before they became one
+            assert sse == float.fromhex("0x1.6ce98b3a62ce8p+6")
+            assert "".join(map(str, labels)) == "533331525535563555334357515553333035333355453"
+            assert len(history) == 6
     assert reseeded > 30
 
 
-def test_kmeans_non_binary_value_takes_dense_path(monkeypatch):
+def test_kmeans_non_binary_value_result_is_pinned():
     rng = np.random.default_rng(41)
     X = (rng.random((60, 12)) < 0.3).astype(np.float64)
     X[7, 3] = 0.5
-    taken = _record_lloyd_paths(monkeypatch)
     result = kmeans(X, k=4, restarts=3, seed=2)
-    assert taken == [None] * 3
-    # the dense code's result from before the 0/1 path existed
+    # the result of dense products and of centroid sums over the rows
+    # sorted by label, before every input took the CSR path
     assert result.sse == float.fromhex("0x1.b9fed4297ed42p+6")
     labels = "011010322011030000111002211003102000013202111202100002030031"
     assert "".join(map(str, result.labels)) == labels

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from datetime import date
 from pathlib import Path
 
@@ -126,6 +127,23 @@ def test_save_load_profiles(tmp_path):
     (tmp_path / "bad.json").write_text('{"not_profiles": []}')
     with pytest.raises(ValueError, match="'profiles' list"):
         load_profiles(tmp_path / "bad.json")
+
+
+def test_load_profiles_with_byte_order_mark(tmp_path):
+    profiles = [_profile("a", 1.0, {("401.1", 2): 0.9})]
+    path = tmp_path / "profiles.json"
+    write_profiles(profiles, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_profiles(path) == profiles
+
+
+@pytest.mark.parametrize("text", ["3", "[]", '"profiles"', "null"])
+def test_load_profiles_refuses_a_non_object(tmp_path, text):
+    path = tmp_path / "profiles.json"
+    path.write_text(text)
+    expected = re.escape(f"{path}: expected a top-level 'profiles' list")
+    with pytest.raises(ValueError, match=expected):
+        load_profiles(path)
 
 
 # ---------------------------------------------------------------------------
