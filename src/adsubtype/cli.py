@@ -8,13 +8,15 @@ read; a stage run on its own parses its own files. Outputs are pure
 functions of (inputs, config, seed); thread settings never affect bytes.
 
 Stages run with the cyclic garbage collector paused and the import-time
-heap frozen; main collects once after each stage and restores the
-collector's entry state on return. scipy is not in that frozen heap: only
-the stages that call it (elbow, cluster, stats, mlr) import it, so the
-collections after those stages also walk its import-time objects. After
-each stage main appends that stage's wall time, CPU time and peak RSS to
-run_log.jsonl, a log outside the manifest that no stage reads; `all`
-starts that log afresh, so it holds one line per stage of the last run.
+heap frozen; main collects once after each stage and then freezes what
+survives, so no object (scipy's import-time ones included) is walked by
+more than one of those collections, and on return it restores the
+collector's entry state. After each collection, and after each
+layout the cluster stage clusters, freed heap pages go back to the system
+(`release_heap`). After each stage main appends that stage's wall time,
+CPU time and peak RSS to run_log.jsonl, a log outside the manifest that
+no stage reads; `all` starts that log afresh, so it holds one line per
+stage of the last run.
 """
 
 import os
@@ -33,6 +35,7 @@ for _var in (
 
 import argparse
 import copy
+import functools
 import gc
 import json
 import logging
@@ -304,9 +307,10 @@ def validate_config(cfg: dict) -> list[str]:
             key.kind.names_file
             and value is not None
             and value not in key.kind.keywords
-            and not Path(value).exists()
+            and not Path(value).is_file()
         ):
-            problems.append(f"{key.name}: file not found: {value}")
+            problem = "not a file" if Path(value).exists() else "file not found"
+            problems.append(f"{key.name}: {problem}: {value}")
     for first, second, holds, problem in CROSS_KEY_RULES:
         if first in valid and second in valid and not holds(valid[first], valid[second]):
             problems.append(problem)
@@ -558,6 +562,7 @@ def stage_cluster(ctx: Context) -> None:
     size_rows = []
     for layout, name in ((TEMPORAL, "assignments.csv"), (AGGREGATE, "assignments_aggregate.csv")):
         size_rows += _cluster_layout(ctx, config, layout, name)
+        release_heap()  # the layout's matrix, affinity and embedding
     ctx.write(Artifact("cluster_sizes.csv", ["layout", "cluster", "n"], size_rows))
 
 
@@ -823,6 +828,33 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+@functools.cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """glibc's malloc_trim, or None where the C library has none (macOS, musl, Windows)."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def release_heap() -> None:
+    """Return the pages of freed heap memory to the system, where malloc can.
+
+    glibc keeps freed heap pages resident, and a later long-lived
+    allocation can keep its main heap from shrinking, so memory one stage
+    freed would still count toward the peak RSS of every later stage.
+    malloc_trim(0) releases the free pages of every malloc arena, the
+    worker threads' included, without moving a live block.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _run_stages(ctx: Context, stages: Sequence[Stage]) -> int:
     """Run stages in order; 0 once all succeed, 1 at the first failure."""
     for i, stage in enumerate(stages):
@@ -843,8 +875,12 @@ def _run_stages(ctx: Context, stages: Sequence[Stage]) -> int:
         # spread of its value with the collector running. It also empties the
         # interpreter's free lists, which left full would pin memory freed
         # by one stage's per-patient tuples and raise the peak RSS of every
-        # later stage.
+        # later stage. Freezing what survives keeps the next collections off
+        # it (scipy's import-time objects among them), and the freed pages
+        # then go back to the system.
         gc.collect()
+        gc.freeze()
+        release_heap()
         cost = {
             "stage": stage.name,
             "wall_s": round(time.perf_counter() - wall, 4),

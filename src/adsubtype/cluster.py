@@ -229,6 +229,28 @@ def _kernel_order(r_max: int, q: float) -> tuple[int, float]:
     return J, bound
 
 
+# `_kernel_factor` fills P in chunks of rows holding at most this many of
+# its entries, so the subset ranks, slots and gathers it builds stay near
+# 1.5 MB however many rows share a count of ones.
+KERNEL_CHUNK = 65_536
+
+
+def _factor_bytes(Xs: sp.csr_matrix, nnz: int, ncols: int, chunk: int, idx: type) -> int:
+    """About the most bytes that building P from Xs, and one product with P^T, hold at once.
+
+    Xs, the CSR copy of the n input rows; P itself; at most five vectors of
+    n 8-byte values (the row counts and widths, a group's rows, and u with
+    its temporary); the temporaries of a chunk of `chunk` entries (the ranks
+    and the binomial gather in idx, the ones gather and the slots in int64,
+    counted as if all were live together); and the column-length vector of
+    a product with P^T.
+    """
+    n, itemsize = Xs.shape[0], np.dtype(idx).itemsize
+    held = Xs.data.nbytes + Xs.indices.nbytes + Xs.indptr.nbytes + 40 * n
+    P = nnz * (8 + itemsize) + (n + 1) * itemsize
+    return held + P + chunk * (2 * itemsize + 16) + 8 * ncols
+
+
 def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matrix]:
     """(u, P) with exp(-gamma * Hamming(x_i, x_j)) ~ u_i u_j (P P^T)(i, j).
 
@@ -240,6 +262,11 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
     offset[m] + the subset's rank in the combinatorial number system. Each
     entry of u u^T * P P^T lies within the tail bound (relative) below the
     kernel's.
+
+    The rows with c ones are filled together, one subset size m at a time,
+    in chunks of rows holding at most KERNEL_CHUNK entries (one row when
+    C(c, m) is larger). A row's entries depend on that row alone, so the
+    chunk size never changes a byte of P.
     """
     import scipy.sparse as sp
     Xs = _binary_csr(X)
@@ -254,8 +281,9 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
     row_width = width[r]
     nnz, ncols = int(row_width.sum()), int(offset[-1])
     idx = np.int32 if max(nnz, ncols) < 2**31 else np.int64
-    # P, plus the column-length vector of each product with P^T
-    needed = nnz * (8 + np.dtype(idx).itemsize) + 8 * ncols
+    # a chunk outgrows KERNEL_CHUNK only when one row's C(c, m) does
+    chunk = max(KERNEL_CHUNK, max(comb(r_max, m) for m in range(J + 1)))
+    needed = _factor_bytes(Xs, nnz, ncols, chunk, idx)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if needed > physical:
         raise ValueError(
@@ -270,19 +298,22 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
     data = np.empty(nnz)
     binom = np.array([[comb(v, i) for i in range(J + 1)] for v in range(p)], dtype=idx)
     for c in np.unique(r):
-        rows = np.flatnonzero(r == c)
-        ones = Xs.indices[Xs.indptr[rows, None] + np.arange(c)]  # sorted columns
-        at = indptr[rows, None]  # each row's next free slot
+        group = np.flatnonzero(r == c)
+        first = 0  # the slot of each row's first m-subset, from the row's start
         for m in range(min(c, J) + 1):
             size = comb(c, m)
             subsets = np.array(list(combinations(range(c), m)), dtype=np.intp).reshape(size, m)
-            rank = np.full((rows.size, size), offset[m], dtype=idx)
-            for i in range(m):
-                rank += binom[ones[:, subsets[:, i]], i + 1]
-            slots = at + np.arange(size)
-            indices[slots] = rank
-            data[slots] = np.sqrt(t**m)
-            at += size
+            step = max(1, KERNEL_CHUNK // size)
+            for start in range(0, group.size, step):
+                rows = group[start : start + step]
+                ones = Xs.indices[Xs.indptr[rows, None] + np.arange(c)]  # sorted columns
+                rank = np.full((rows.size, size), offset[m], dtype=idx)
+                for i in range(m):
+                    rank += binom[ones[:, subsets[:, i]], i + 1]
+                slots = indptr[rows, None] + (first + np.arange(size))
+                indices[slots] = rank
+                data[slots] = np.sqrt(t**m)
+            first += size
     return np.exp(-gamma * r), sp.csr_matrix((data, indices, indptr), shape=(n, ncols))
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: config handling, stage wiring, and determinism."""
 
+import copy
 import dataclasses
 import gc
 import inspect
@@ -399,6 +400,18 @@ def test_validation_checks_external_files(tmp_path, capsys):
     assert "drugs.atc_map: file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key", [key.name for key in cli.CONFIG_KEYS if key.kind.names_file]
+)
+def test_validation_refuses_a_directory_as_an_input_file(tmp_path, capsys, key):
+    section, leaf = key.split(".")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), section: {leaf: str(tmp_path)}}))
+    assert main(["all", "--config", str(cfg)]) == 2
+    assert f"error: {key}: not a file: {tmp_path}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_refuses_to_overwrite_a_configured_extract(tmp_path, capsys):
     mine = tmp_path / "o3" / "patients.csv"
     mine.parent.mkdir()
@@ -774,6 +787,70 @@ def test_main_restores_the_collector(tmp_path, monkeypatch):
         assert not gc.isenabled() and gc.get_freeze_count() == 0
     finally:
         gc.enable()
+
+
+def test_each_stage_ends_with_a_collection_a_freeze_and_a_heap_release(tmp_path, monkeypatch):
+    events = []
+    kept = []  # what each stage leaves alive for the next
+
+    def stage(name):
+        def run(ctx):
+            events.append((name, gc.get_freeze_count()))
+            kept.append([[] for _ in range(100)])
+
+        return run
+
+    for name in STAGES:
+        monkeypatch.setitem(cli.STAGE_FUNCS, name, stage(name))
+    monkeypatch.setattr(cli, "release_heap", lambda: events.append(("release", None)))
+    assert main(["all", "--out", str(tmp_path)]) == 0
+    assert [name for name, _ in events] == [x for name in STAGES for x in (name, "release")]
+    # each stage sees the objects the stage before it left frozen
+    frozen = [count for name, count in events if name != "release"]
+    assert all(later >= earlier + 100 for earlier, later in zip(frozen, frozen[1:]))
+    assert gc.get_freeze_count() == 0
+
+
+def test_cluster_releases_the_heap_after_each_layout(tmp_path, monkeypatch):
+    events = []
+
+    def layout(ctx, config, layout, name):
+        events.append(name)
+        return [[layout, 0, 1]]
+
+    monkeypatch.setattr(cli, "_cluster_layout", layout)
+    monkeypatch.setattr(cli, "release_heap", lambda: events.append("release"))
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg["cluster"]["k"] = 2
+    ctx = cli.Context(cfg=cfg, out=tmp_path, meta=cli.ArtifactMeta("test", 0, "0" * 12), parsed={})
+    cli.stage_cluster(ctx)
+    assert events == ["assignments.csv", "release", "assignments_aggregate.csv", "release"]
+    assert (tmp_path / "cluster_sizes.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        None,  # a C library without malloc_trim (macOS, musl)
+        OSError("no C library"),
+        TypeError("no default library"),  # Windows: CDLL(None)
+    ],
+)
+def test_release_heap_does_nothing_without_malloc_trim(monkeypatch, error):
+    import ctypes
+
+    def libc(name):
+        if error is not None:
+            raise error
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    cli._malloc_trim.cache_clear()
+    try:
+        assert cli._malloc_trim() is None
+        cli.release_heap()
+    finally:
+        cli._malloc_trim.cache_clear()
 
 
 def test_row_volume_stages_never_import_scipy(tmp_path):

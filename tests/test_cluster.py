@@ -225,6 +225,45 @@ def test_kernel_factor_counts_shared_subsets(seed):
     assert np.allclose((P @ P.T).toarray(), expected, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_factor_bytes_independent_of_chunk(monkeypatch, seed):
+    X = _sparse_binary(seed)
+    X[7] = 1  # the fullest count: C(12, m) entries per m outgrow a chunk of 7
+    factors = {}
+    for chunk in (1, 7, cluster.KERNEL_CHUNK):
+        monkeypatch.setattr(cluster, "KERNEL_CHUNK", chunk)
+        factors[chunk] = cluster._kernel_factor(X, 0.05)
+    (u, P), *others = factors.values()
+    assert P.shape[1] > 1 + X.shape[1]  # subsets of two ones and more are kept
+    for other_u, other in others:
+        assert np.array_equal(other_u, u)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(other, part).dtype == getattr(P, part).dtype, part
+            assert np.array_equal(getattr(other, part), getattr(P, part)), part
+
+
+@pytest.mark.parametrize("gamma", [0.06, 0.1])
+def test_kernel_factor_peak_within_the_guarded_bytes(monkeypatch, gamma):
+    """The build holds its input, P, vectors of n and one chunk's temporaries, however many rows share a count."""
+    rng = np.random.default_rng(0)
+    n, p = 2000, 30
+    X = np.zeros((n, p), dtype=np.uint8)
+    for i in range(n):  # counts of 8, 9 and 10 ones: three groups of n / 3 rows
+        X[i, rng.choice(p, 10 - i % 3, replace=False)] = 1
+    (u, P), peak = traced_peak(cluster._kernel_factor, X, gamma)
+    t = math.expm1(2 * gamma)
+    J, _ = cluster._kernel_order(10, t / (1 + t))
+    # the rows of ten ones take more than two chunks' entries for one subset size
+    assert n // 3 * max(math.comb(10, m) for m in range(J + 1)) > 2 * cluster.KERNEL_CHUNK
+    Xs = cluster._binary_csr(X)
+    needed = cluster._factor_bytes(Xs, P.nnz, P.shape[1], cluster.KERNEL_CHUNK, P.indices.dtype)
+    assert peak <= needed
+    # filling each count's rows in one chunk overshoots it
+    monkeypatch.setattr(cluster, "KERNEL_CHUNK", n * 1000)
+    _, unchunked = traced_peak(cluster._kernel_factor, X, gamma)
+    assert unchunked > needed
+
+
 @pytest.mark.parametrize("gamma", [0.02, 0.05, 0.2])
 def test_kernel_operator_within_tail_bound_of_dense(gamma):
     X = _sparse_binary(7, n=30, p=10)
