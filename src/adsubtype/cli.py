@@ -317,6 +317,15 @@ def validate_config(cfg: dict) -> list[str]:
     return problems
 
 
+# The artifact each `ingest.*` extract stands in for
+EXTRACTS = {
+    "demographics": "patients.csv",
+    "diagnoses": "diagnoses.csv",
+    "prescriptions": "prescriptions.csv",
+    "deaths": "deaths.csv",
+}
+
+
 def _synth_overwrites(cfg: dict) -> list[str]:
     """A problem for each configured extract that the synth stage would replace.
 
@@ -326,7 +335,7 @@ def _synth_overwrites(cfg: dict) -> list[str]:
     out = Path(cfg["out_dir"]).resolve()
     written = {out / name for name, stage in PRODUCERS.items() if stage == "synth"}
     problems = []
-    for name in ("demographics", "diagnoses", "prescriptions", "deaths"):
+    for name in EXTRACTS:
         path = cfg["ingest"][name]
         if path is None:
             continue
@@ -450,10 +459,7 @@ def stage_ingest(ctx: Context) -> None:
 
     def table(name: str) -> Path:
         configured = ing[name]
-        if configured is not None:
-            return Path(configured)
-        fname = "patients.csv" if name == "demographics" else f"{name}.csv"
-        return ctx.need(fname)
+        return ctx.need(EXTRACTS[name]) if configured is None else Path(configured)
 
     tables = parse_tables(
         table("demographics"), table("diagnoses"), table("prescriptions"), table("deaths")
@@ -748,6 +754,27 @@ STAGE_FUNCS: dict[str, Callable[[Context], None]] = {
     stage.name: stage.run for stage in PIPELINE
 }
 PRODUCERS = {artifact: stage.name for stage in PIPELINE for artifact in stage.writes}
+
+
+def _plan(command: str, cfg: dict) -> list[Stage]:
+    """The stages `command` runs.
+
+    `all` leaves out a stage when every artifact of it that a later stage
+    reads comes from a configured extract instead: synth, once all four
+    `ingest.*` extracts are set.
+    """
+    if command != "all":
+        return [stage for stage in PIPELINE if stage.name == command]
+    supplied = {EXTRACTS[name] for name in EXTRACTS if cfg["ingest"][name] is not None}
+    plan = []
+    for i, stage in enumerate(PIPELINE):
+        read_later = {name for later in PIPELINE[i + 1 :] for name in later.reads}
+        read_later &= set(stage.writes)
+        if not read_later or not read_later <= supplied:
+            plan.append(stage)
+    return plan
+
+
 # one JSON line of time and memory per stage run; its suffix keeps it out of the manifest
 RUN_LOG = "run_log.jsonl"
 
@@ -789,7 +816,7 @@ def main(argv=None) -> int:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
 
-    stages = [stage for stage in PIPELINE if args.command in ("all", stage.name)]
+    stages = _plan(args.command, cfg)
     problems = validate_config(cfg)
     if not problems and any(stage.name == "synth" for stage in stages):
         problems = _synth_overwrites(cfg)

@@ -13,11 +13,13 @@ partition agreement.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -213,20 +215,74 @@ def knn_sparsified_affinity(
 
 
 # The kernel operator keeps the subset sizes m <= J of the smallest order J
-# whose relative tail bound is at most this.
+# whose relative tail is at most this for every pair of distinct rows.
 KERNEL_TAIL_TOL = 2e-2
+# Rows per block of the shared-count check in `_kernel_order`. A block holds
+# 4 B per candidate row per row: at most 4 MB at n=4000 and 31 MB at
+# n=30,000, against the N x N float32 gram's 64 MB and 3.6 GB.
+KERNEL_CHECK_BLOCK = 256
 
 
-def _kernel_order(r_max: int, q: float) -> tuple[int, float]:
-    """Smallest J with C(r_max, J+1) q^(J+1) <= KERNEL_TAIL_TOL, and that bound.
+def _binomial_tail(s: int, J: int, q: float) -> float:
+    """P(Binomial(s, q) > J).
 
-    For rows sharing s <= r_max ones and q = t / (1 + t), the terms m > J drop
-    the share P(Binomial(s, q) > J) of the kernel entry, at most the bound.
+    For rows sharing s ones and q = t / (1 + t), this is the share of the
+    kernel entry (1 + t)^s = sum_m C(s, m) t^m that the terms m > J carry.
+    The terms are summed in log space, so no C(s, m) overflows.
     """
+    if s <= J or q == 0.0:
+        return 0.0
+    if q == 1.0:
+        return 1.0
+    lq, lp, ls = math.log(q), math.log1p(-q), math.lgamma(s + 1)
+    return sum(
+        math.exp(ls - math.lgamma(m + 1) - math.lgamma(s - m + 1) + m * lq + (s - m) * lp)
+        for m in range(J + 1, s + 1)
+    )
+
+
+def _shares_at_most(Xc: sp.csr_matrix, s: int) -> bool:
+    """Whether no two distinct rows of the 0/1 CSR Xc share more than s ones.
+
+    Each block of KERNEL_CHECK_BLOCK rows is compared with itself and the
+    rows after it, in float32, which is exact for counts below 2^24, and
+    the first count above s ends the check.
+    """
+    Xc = Xc.astype(np.float32)
+    for start in range(0, Xc.shape[0], KERNEL_CHECK_BLOCK):
+        block = Xc[start : start + KERNEL_CHECK_BLOCK].T.toarray()
+        shared = Xc[start:] @ block  # row start + i against block row j
+        own = np.arange(block.shape[1])
+        shared[own, own] = 0  # a row with itself
+        if shared.max() > s:
+            return False
+    return True
+
+
+def _kernel_order(Xs: sp.csr_matrix, q: float) -> tuple[int, int, int]:
+    """Smallest J with P(Binomial(s, q) > J) <= KERNEL_TAIL_TOL for every pair of rows.
+
+    s is the count of ones two distinct rows of Xs share. Returns J, the
+    count s_J that certifies it, and the rows checked. The tail grows with
+    s, so J holds exactly when no pair shares more than s_J, the largest
+    count up to the fullest row's whose tail J admits. Only rows with more
+    than s_J ones can form such a pair; they are checked fullest first, so
+    a failing J usually exits in its first block. A row with itself is
+    left out: its entry's shortfall is divided by a degree of about n mean
+    affinities in the normalized matrix.
+    """
+    r = np.diff(Xs.indptr)
+    r_max = int(r.max(initial=0))
+    fullest = np.argsort(-r, kind="stable")
     J = 0
-    while (bound := comb(r_max, J + 1) * q ** (J + 1)) > KERNEL_TAIL_TOL:
+    while True:
+        s = J
+        while s < r_max and _binomial_tail(s + 1, J, q) <= KERNEL_TAIL_TOL:
+            s += 1
+        rows = fullest[: np.count_nonzero(r > s)]
+        if _shares_at_most(Xs[rows], s):
+            return J, s, rows.size
         J += 1
-    return J, bound
 
 
 # `_kernel_factor` fills P in chunks of rows holding at most this many of
@@ -251,6 +307,40 @@ def _factor_bytes(Xs: sp.csr_matrix, nnz: int, ncols: int, chunk: int, idx: type
     return held + P + chunk * (2 * itemsize + 16) + 8 * ncols
 
 
+# Where `_available_memory` reads what the OS can still give this process
+MEMINFO = Path("/proc/meminfo")
+PROC_CGROUP = Path("/proc/self/cgroup")
+CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def _available_memory() -> tuple[int, str]:
+    """Bytes this process can still allocate, and the figure they come from.
+
+    MemAvailable from MEMINFO, capped by the cgroup v2 limit less the
+    cgroup's usage when the process's cgroup sets one. Only where neither
+    can be read, total physical memory. Nothing is written.
+    """
+    figures = []
+    try:
+        for line in MEMINFO.read_text().splitlines():
+            if line.startswith("MemAvailable:"):
+                figures.append((int(line.split()[1]) * 1024, "MemAvailable"))
+    except (OSError, ValueError):
+        pass
+    try:
+        lines = PROC_CGROUP.read_text().splitlines()
+        group = CGROUP_ROOT / next(ln[3:] for ln in lines if ln.startswith("0::")).lstrip("/")
+        limit = (group / "memory.max").read_text().strip()
+        if limit != "max":
+            used = int((group / "memory.current").read_text())
+            figures.append((int(limit) - used, "cgroup memory.max - memory.current"))
+    except (OSError, StopIteration, ValueError):
+        pass
+    if not figures:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "physical memory"
+    return min(figures)
+
+
 def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matrix]:
     """(u, P) with exp(-gamma * Hamming(x_i, x_j)) ~ u_i u_j (P P^T)(i, j).
 
@@ -260,8 +350,9 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
     ones the two rows share. Row i of P holds sqrt(t^m) for each subset of
     its ones of size m <= J (J from `_kernel_order`), in column
     offset[m] + the subset's rank in the combinatorial number system. Each
-    entry of u u^T * P P^T lies within the tail bound (relative) below the
-    kernel's.
+    off-diagonal entry of u u^T * P P^T lies within the logged pair bound
+    (relative) below the kernel's, and each diagonal entry within the
+    logged tail at r_max.
 
     The rows with c ones are filled together, one subset size m at a time,
     in chunks of rows holding at most KERNEL_CHUNK entries (one row when
@@ -274,8 +365,8 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
         raise ValueError("the kernel operator expects a binary matrix")
     (n, p), r = X.shape, np.diff(Xs.indptr)
     r_max = int(r.max(initial=0))
-    t = np.expm1(2.0 * gamma)
-    J, bound = _kernel_order(r_max, -np.expm1(-2.0 * gamma))  # t / (1 + t)
+    t, q = np.expm1(2.0 * gamma), -np.expm1(-2.0 * gamma)  # q = t / (1 + t)
+    J, s, checked = _kernel_order(Xs, q)
     width = np.array([sum(comb(c, m) for m in range(J + 1)) for c in range(r_max + 1)])
     offset = np.cumsum([0] + [comb(p, m) for m in range(J + 1)])
     row_width = width[r]
@@ -284,13 +375,17 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
     # a chunk outgrows KERNEL_CHUNK only when one row's C(c, m) does
     chunk = max(KERNEL_CHUNK, max(comb(r_max, m) for m in range(J + 1)))
     needed = _factor_bytes(Xs, nnz, ncols, chunk, idx)
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if needed > physical:
+    available, source = _available_memory()
+    if needed > available:
         raise ValueError(
             f"the kernel operator of order {J} for gamma={gamma:.4g} needs about {needed} "
-            f"bytes, more than the {physical} bytes of physical memory; lower cluster.gamma"
+            f"bytes, more than the {available} bytes available ({source}); lower cluster.gamma"
         )
-    log.info("kernel operator: order J=%d, relative tail bound %.3g, %d nonzeros", J, bound, nnz)
+    log.info(
+        "kernel operator: order J=%d, relative tail bound %.3g for distinct rows sharing at "
+        "most s=%d ones (%d rows checked), %.3g on the diagonal at r_max=%d, %d nonzeros",
+        J, _binomial_tail(s, J, q), s, checked, _binomial_tail(r_max, J, q), r_max, nnz,
+    )
 
     indptr = np.zeros(n + 1, dtype=idx)
     np.cumsum(row_width, out=indptr[1:])

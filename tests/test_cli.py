@@ -433,6 +433,34 @@ def test_synth_refuses_to_overwrite_a_configured_extract(tmp_path, capsys):
     assert (tmp_path / "o5" / "patients.csv").exists()
 
 
+def test_all_skips_synth_when_every_extract_is_configured(pipeline, tmp_path, capsys):
+    extracts = tmp_path / "extracts"
+    extracts.mkdir()
+    ingest = dict(pipeline["config"]["ingest"])
+    for key, name in cli.EXTRACTS.items():
+        shutil.copy(pipeline["out1"] / name, extracts / name)
+        ingest[key] = str(extracts / name)
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**pipeline["config"], "out_dir": str(out), "ingest": ingest}))
+    assert main(["all", "--config", str(cfg), "--dry-run"]) == 0
+    plan = [ln.split(":")[0] for ln in capsys.readouterr().out.splitlines()]
+    assert plan == [name for name in STAGES if name != "synth"]
+    assert main(["all", "--config", str(cfg)]) == 0
+    synthetic = set(PIPELINE[0].writes)
+    assert synthetic == set(cli.EXTRACTS.values()) | {"truth_labels.csv"}
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert not synthetic & set(listed) and not synthetic & {p.name for p in out.iterdir()}
+    # the same tables, read in place, give the same analysis
+    for name in ("assignments.csv", "assignments_aggregate.csv", "mlr.csv"):
+        assert _data_lines(out / name) == _data_lines(pipeline["out1"] / name), name
+    # a single configured extract still leaves synth in the plan
+    one = {**pipeline["config"]["ingest"], "deaths": str(extracts / "deaths.csv")}
+    cfg.write_text(json.dumps({**pipeline["config"], "out_dir": str(out), "ingest": one}))
+    assert main(["all", "--config", str(cfg), "--dry-run"]) == 0
+    assert capsys.readouterr().out.startswith("synth: ")
+
+
 def test_dry_run_prints_plan_without_writing(tmp_path, capsys):
     out = tmp_path / "never_created"
     cfg = tmp_path / "cfg.json"

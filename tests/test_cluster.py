@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,13 +190,96 @@ def _sparse_binary(seed, n=40, p=12):
     return X
 
 
+QS = (0.0, 0.004, 0.05, 0.3, 0.9, 1.0)
+
+
+def _exact_tail(s, J, q):
+    """P(Binomial(s, q) > J) in exact rational arithmetic."""
+    q = Fraction(q)
+    return sum(math.comb(s, m) * q**m * (1 - q) ** (s - m) for m in range(J + 1, s + 1))
+
+
+def _brute_force_order(X, q):
+    """(J, s) from the full n x n shared-count gram: s its largest off-diagonal entry."""
+    S = X.astype(np.int64) @ X.T.astype(np.int64)
+    np.fill_diagonal(S, 0)
+    s = int(S.max())
+    J = 0
+    while _exact_tail(s, J, q) > cluster.KERNEL_TAIL_TOL:
+        J += 1
+    return J, s
+
+
+def _order(X, q):
+    return cluster._kernel_order(cluster._binary_csr(X), q)
+
+
+def test_binomial_tail_is_exact():
+    for s in (0, 1, 2, 5, 24, 46):
+        for J in range(s + 2):
+            for q in QS:
+                exact = float(_exact_tail(s, J, q))
+                assert math.isclose(cluster._binomial_tail(s, J, q), exact, rel_tol=1e-12), (s, J, q)
+
+
 def test_kernel_order_is_smallest_under_tolerance():
-    for r_max in (0, 1, 2, 5, 24, 46):
-        for q in (0.0, 0.004, 0.05, 0.3, 0.9, 1.0):
-            tails = [math.comb(r_max, j + 1) * q ** (j + 1) for j in range(r_max + 1)]
-            J, bound = cluster._kernel_order(r_max, q)
-            assert bound == tails[J] <= cluster.KERNEL_TAIL_TOL
+    """Two rows sharing s ones set J by the exact tail at s; a fuller row alone does not."""
+    for shared in (0, 1, 2, 5, 24, 46):
+        X = np.zeros((3, 2 * 46 + 60), dtype=np.uint8)
+        X[:2, :shared] = 1
+        X[0, 46 : 46 + 46 - shared] = 1  # the first row has 46 ones
+        X[2, 92:] = 1  # 60 ones shared with no other row
+        for q in QS:
+            tails = [_exact_tail(shared, j, q) for j in range(shared + 1)]
+            J, s, checked = _order(X, q)
+            assert tails[J] <= cluster.KERNEL_TAIL_TOL
             assert all(tail > cluster.KERNEL_TAIL_TOL for tail in tails[:J])
+            assert shared <= s <= 60 and _exact_tail(s, J, q) <= cluster.KERNEL_TAIL_TOL
+            assert checked == (X.sum(axis=1) > s).sum()
+
+
+@pytest.mark.parametrize("block", [1, 7, cluster.KERNEL_CHECK_BLOCK])
+def test_kernel_order_matches_brute_force(monkeypatch, block):
+    monkeypatch.setattr(cluster, "KERNEL_CHECK_BLOCK", block)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 20 + 9 * seed
+        X = (rng.random((n, 15)) < rng.uniform(0.1, 0.7, size=(n, 1))).astype(np.uint8)
+        r = X.sum(axis=1)
+        for q in QS:
+            J, s, checked = _order(X, q)
+            J_exact, s_exact = _brute_force_order(X, q)
+            assert J == J_exact, (seed, q)
+            # s certifies J: no pair shares more, and its tail is within tolerance
+            assert s_exact <= s <= r.max() and _exact_tail(s, J, q) <= cluster.KERNEL_TAIL_TOL
+            assert checked == (r > s).sum()
+
+
+def test_kernel_order_finds_a_pair_past_the_first_block(monkeypatch):
+    """The one pair sharing five ones lies below ten fuller rows that share none."""
+    X = np.zeros((12, 80), dtype=np.uint8)
+    for i in range(10):
+        X[i, 6 * i : 6 * i + 6] = 1
+    X[10:, 60:65] = 1
+    results = set()
+    for block in (1, 7, cluster.KERNEL_CHECK_BLOCK):
+        monkeypatch.setattr(cluster, "KERNEL_CHECK_BLOCK", block)
+        results.add(_order(X, 1.0))
+    assert results == {(5, 5, 10)}  # at q = 1, J is the most ones a pair shares
+
+
+def test_kernel_order_ignores_one_full_row():
+    """A row of all ones raises J only once a second row shares as many ones."""
+    rng = np.random.default_rng(11)
+    X = (rng.random((30, 16)) < 0.35).astype(np.uint8)
+    r = X.sum(axis=1)
+    X[0] = X[np.argmax(r)]  # two rows share the most ones any row holds
+    q = 0.3
+    J, _, _ = _order(X, q)
+    ones = np.ones((1, 16), dtype=np.uint8)
+    assert _order(np.vstack([X, ones]), q)[0] == J
+    two, _, _ = _order(np.vstack([X, ones, ones]), q)
+    assert two == _brute_force_order(np.vstack([X, ones, ones]), q)[0] > J
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -206,8 +290,8 @@ def test_kernel_factor_counts_shared_subsets(seed):
     t = math.expm1(2 * gamma)
     u, P = cluster._kernel_factor(X, gamma)
     r = X.sum(axis=1)
-    J, _ = cluster._kernel_order(int(r.max()), t / (1 + t))
-    assert J >= 2 and (r < J).any()
+    J, _, _ = _order(X, t / (1 + t))
+    assert J >= 2 and (r < J).any() and (r > J).any()
     offset = np.cumsum([0] + [math.comb(p, m) for m in range(J + 1)])
     assert P.shape == (n, offset[-1])
     assert P.indices.dtype == np.int32 and P.indptr.dtype == np.int32
@@ -246,15 +330,15 @@ def test_kernel_factor_bytes_independent_of_chunk(monkeypatch, seed):
 def test_kernel_factor_peak_within_the_guarded_bytes(monkeypatch, gamma):
     """The build holds its input, P, vectors of n and one chunk's temporaries, however many rows share a count."""
     rng = np.random.default_rng(0)
-    n, p = 2000, 30
+    n, p = 2000, 40
     X = np.zeros((n, p), dtype=np.uint8)
-    for i in range(n):  # counts of 8, 9 and 10 ones: three groups of n / 3 rows
-        X[i, rng.choice(p, 10 - i % 3, replace=False)] = 1
+    for i in range(n):  # counts of 10, 11 and 12 ones: three groups of n / 3 rows
+        X[i, rng.choice(p, 12 - i % 3, replace=False)] = 1
     (u, P), peak = traced_peak(cluster._kernel_factor, X, gamma)
     t = math.expm1(2 * gamma)
-    J, _ = cluster._kernel_order(10, t / (1 + t))
-    # the rows of ten ones take more than two chunks' entries for one subset size
-    assert n // 3 * max(math.comb(10, m) for m in range(J + 1)) > 2 * cluster.KERNEL_CHUNK
+    J, _, _ = _order(X, t / (1 + t))
+    # the rows of twelve ones take more than two chunks' entries for one subset size
+    assert n // 3 * max(math.comb(12, m) for m in range(J + 1)) > 2 * cluster.KERNEL_CHUNK
     Xs = cluster._binary_csr(X)
     needed = cluster._factor_bytes(Xs, P.nnz, P.shape[1], cluster.KERNEL_CHUNK, P.indices.dtype)
     assert peak <= needed
@@ -265,16 +349,24 @@ def test_kernel_factor_peak_within_the_guarded_bytes(monkeypatch, gamma):
 
 
 @pytest.mark.parametrize("gamma", [0.02, 0.05, 0.2])
-def test_kernel_operator_within_tail_bound_of_dense(gamma):
+def test_kernel_operator_within_tail_bound_of_dense(caplog, gamma):
+    """Each off-diagonal entry is within the pair bound, each diagonal one within the r_max tail."""
     X = _sparse_binary(7, n=30, p=10)
     dense = laplacian_kernel_affinity(hamming_distance_matrix(X), gamma).values
-    u, P = cluster._kernel_factor(X, gamma)
-    t = math.expm1(2 * gamma)
-    _, bound = cluster._kernel_order(int(X.sum(axis=1).max()), t / (1 + t))
+    with caplog.at_level("INFO", logger="adsubtype.cluster"):
+        u, P = cluster._kernel_factor(X, gamma)
+    q = -math.expm1(-2 * gamma)
+    J, s, checked = _order(X, q)
+    r_max = int(X.sum(axis=1).max())
+    bound, diagonal = cluster._binomial_tail(s, J, q), cluster._binomial_tail(r_max, J, q)
+    assert f"order J={J}, relative tail bound {bound:.3g} " in caplog.text
+    assert f"at most s={s} ones ({checked} rows checked), {diagonal:.3g} on the diagonal" in caplog.text
     A = u[:, None] * (P @ P.T).toarray() * u[None, :]
     shortfall = (dense - A) / dense
     assert shortfall.min() >= -1e-12
-    assert shortfall.max() <= bound + 1e-12
+    off = ~np.eye(len(X), dtype=bool)
+    assert shortfall[off].max() <= bound + 1e-12
+    assert np.diag(shortfall).max() <= diagonal + 1e-12
     op = cluster.binomial_kernel_operator(X, gamma) @ np.eye(X.shape[0])
     assert np.allclose(op, A, rtol=1e-12, atol=0)
 
@@ -302,13 +394,36 @@ def test_kernel_operator_refusals(monkeypatch):
     isolated = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="zero or NaN degree"):
         normalized_laplacian_embedding(AffinityMatrix(isolated), k=1)
-    sysconf = cluster.os.sysconf
-    # one page of physical memory: far below P's bytes
-    monkeypatch.setattr(
-        cluster.os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
-    )
-    with pytest.raises(ValueError, match=r"order \d+ .*lower cluster.gamma"):
+    # one byte available: far below P's bytes
+    monkeypatch.setattr(cluster, "_available_memory", lambda: (1, "MemAvailable"))
+    refusal = r"order \d+ .*the 1 bytes available \(MemAvailable\); lower cluster.gamma"
+    with pytest.raises(ValueError, match=refusal):
         spectral_cluster(X, SpectralConfig(k=2, seed=0))
+
+
+def test_available_memory_reads_meminfo_capped_by_the_cgroup_limit(tmp_path, monkeypatch):
+    meminfo, own, root = tmp_path / "meminfo", tmp_path / "cgroup", tmp_path / "fs"
+    group = root / "jobs" / "one"
+    group.mkdir(parents=True)
+    for name, path in (("MEMINFO", meminfo), ("PROC_CGROUP", own), ("CGROUP_ROOT", root)):
+        monkeypatch.setattr(cluster, name, path)
+    meminfo.write_text("MemTotal:  8000 kB\nMemFree:  3000 kB\nMemAvailable:  5000 kB\n")
+    own.write_text("4:memory:/other\n0::/jobs/one\n")
+    (group / "memory.max").write_text("max\n")
+    (group / "memory.current").write_text("1000\n")
+    assert cluster._available_memory() == (5000 * 1024, "MemAvailable")
+    (group / "memory.max").write_text("3001000\n")
+    cgroup = (3_000_000, "cgroup memory.max - memory.current")
+    assert cluster._available_memory() == cgroup
+    meminfo.unlink()
+    assert cluster._available_memory() == cgroup
+    own.write_text("4:memory:/other\n")  # cgroup v1 only: no limit read
+    physical = cluster.os.sysconf("SC_PHYS_PAGES") * cluster.os.sysconf("SC_PAGE_SIZE")
+    assert cluster._available_memory() == (physical, "physical memory")
+    (group / "memory.max").write_text("9000000\n")
+    own.write_text("0::/jobs/one\n")
+    meminfo.write_text("MemAvailable:  5000 kB\n")
+    assert cluster._available_memory() == (5000 * 1024, "MemAvailable")
 
 
 def _reference_m(A):
