@@ -535,8 +535,11 @@ def _read_chosen_k(ctx: Context) -> int:
         raise ValueError(f"{path} marks no chosen k")
     if len(chosen) > 1:
         raise ValueError(f"{path}: line {chosen[1][0]}: a second chosen k")
-    lineno, k = chosen[0]
-    return int_field(path, lineno, "k", k)
+    lineno, text = chosen[0]
+    k = int_field(path, lineno, "k", text)
+    if k < 2:  # cluster.k's rule: the pairwise grid needs two clusters
+        raise ValueError(f"{path}: line {lineno}: chosen k {k} is below 2")
+    return k
 
 
 def _cluster_layout(ctx: Context, config: SpectralConfig, layout: str, name: str) -> list[list]:

@@ -217,9 +217,9 @@ def knn_sparsified_affinity(
 # The kernel operator keeps the subset sizes m <= J of the smallest order J
 # whose relative tail is at most this for every pair of distinct rows.
 KERNEL_TAIL_TOL = 2e-2
-# Rows per block of the shared-count check in `_kernel_order`. A block holds
-# 4 B per candidate row per row: at most 4 MB at n=4000 and 31 MB at
-# n=30,000, against the N x N float32 gram's 64 MB and 3.6 GB.
+# Side of the square tiles in which `_kernel_order` compares rows. A tile
+# holds 256 KB of float32 counts, whatever n is, against the N x N float32
+# gram's 64 MB at n=4000 and 3.6 GB at n=30,000.
 KERNEL_CHECK_BLOCK = 256
 
 
@@ -241,48 +241,43 @@ def _binomial_tail(s: int, J: int, q: float) -> float:
     )
 
 
-def _shares_at_most(Xc: sp.csr_matrix, s: int) -> bool:
-    """Whether no two distinct rows of the 0/1 CSR Xc share more than s ones.
-
-    Each block of KERNEL_CHECK_BLOCK rows is compared with itself and the
-    rows after it, in float32, which is exact for counts below 2^24, and
-    the first count above s ends the check.
-    """
-    Xc = Xc.astype(np.float32)
-    for start in range(0, Xc.shape[0], KERNEL_CHECK_BLOCK):
-        block = Xc[start : start + KERNEL_CHECK_BLOCK].T.toarray()
-        shared = Xc[start:] @ block  # row start + i against block row j
-        own = np.arange(block.shape[1])
-        shared[own, own] = 0  # a row with itself
-        if shared.max() > s:
-            return False
-    return True
-
-
-def _kernel_order(Xs: sp.csr_matrix, q: float) -> tuple[int, int, int]:
+def _kernel_order(Xs: sp.csr_matrix, q: float) -> tuple[int, int]:
     """Smallest J with P(Binomial(s, q) > J) <= KERNEL_TAIL_TOL for every pair of rows.
 
-    s is the count of ones two distinct rows of Xs share. Returns J, the
-    count s_J that certifies it, and the rows checked. The tail grows with
-    s, so J holds exactly when no pair shares more than s_J, the largest
-    count up to the fullest row's whose tail J admits. Only rows with more
-    than s_J ones can form such a pair; they are checked fullest first, so
-    a failing J usually exits in its first block. A row with itself is
-    left out: its entry's shortfall is divided by a degree of about n mean
-    affinities in the normalized matrix.
+    s is the count of ones two distinct rows of Xs share. Returns J and s_J,
+    the largest count up to the fullest row's whose tail J admits; the tail
+    grows with s, so no pair shares more than s_J. The rows, fullest first,
+    are compared in one sweep of KERNEL_CHECK_BLOCK-square float32 tiles of
+    the upper triangle of their gram, exact for counts below 2^24. A tile
+    count above s_J raises J, so s_J only grows, and a pair above s_J has
+    both rows above it: the sweep ends at the first row with at most s_J
+    ones. A row with itself is left out: its entry's shortfall is divided
+    by a degree of about n mean affinities in the normalized matrix.
     """
     r = np.diff(Xs.indptr)
     r_max = int(r.max(initial=0))
+
+    def admitted(J: int) -> int:  # s_J
+        return max(c for c in range(J, r_max + 1) if _binomial_tail(c, J, q) <= KERNEL_TAIL_TOL)
+
     fullest = np.argsort(-r, kind="stable")
-    J = 0
-    while True:
-        s = J
-        while s < r_max and _binomial_tail(s + 1, J, q) <= KERNEL_TAIL_TOL:
-            s += 1
-        rows = fullest[: np.count_nonzero(r > s)]
-        if _shares_at_most(Xs[rows], s):
-            return J, s, rows.size
-        J += 1
+    r, Xf = r[fullest], Xs[fullest].astype(np.float32)
+    J, s, b = 0, admitted(0), KERNEL_CHECK_BLOCK
+    for i in range(0, r.size, b):
+        if r[i] <= s:
+            break
+        tile_rows = Xf[i : i + b].T.toarray()
+        for j in range(i, r.size, b):
+            if r[j] <= s:
+                break
+            shared = Xf[j : j + b] @ tile_rows  # row j + k against row i + l
+            if i == j:
+                np.fill_diagonal(shared, 0)  # a row with itself
+            top = shared.max()
+            while top > s:
+                J += 1
+                s = admitted(J)
+    return J, s
 
 
 # `_kernel_factor` fills P in chunks of rows holding at most this many of
@@ -366,7 +361,7 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
     (n, p), r = X.shape, np.diff(Xs.indptr)
     r_max = int(r.max(initial=0))
     t, q = np.expm1(2.0 * gamma), -np.expm1(-2.0 * gamma)  # q = t / (1 + t)
-    J, s, checked = _kernel_order(Xs, q)
+    J, s = _kernel_order(Xs, q)
     width = np.array([sum(comb(c, m) for m in range(J + 1)) for c in range(r_max + 1)])
     offset = np.cumsum([0] + [comb(p, m) for m in range(J + 1)])
     row_width = width[r]
@@ -383,8 +378,8 @@ def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matr
         )
     log.info(
         "kernel operator: order J=%d, relative tail bound %.3g for distinct rows sharing at "
-        "most s=%d ones (%d rows checked), %.3g on the diagonal at r_max=%d, %d nonzeros",
-        J, _binomial_tail(s, J, q), s, checked, _binomial_tail(r_max, J, q), r_max, nnz,
+        "most s=%d ones, %.3g on the diagonal at r_max=%d, %d nonzeros",
+        J, _binomial_tail(s, J, q), s, _binomial_tail(r_max, J, q), r_max, nnz,
     )
 
     indptr = np.zeros(n + 1, dtype=idx)

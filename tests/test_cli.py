@@ -373,6 +373,19 @@ def test_readme_config_block_matches_defaults():
     assert json.loads(block) == DEFAULT_CONFIG
 
 
+def test_readme_stage_table_names_each_declared_artifact():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 3:
+            rows[cells[0]] = cells[1:]
+    for stage in PIPELINE:
+        reads, writes = rows[stage.name]
+        assert [a for a in stage.reads if f"`{a}`" not in reads] == [], stage.name
+        assert [a for a in stage.writes if f"`{a}`" not in writes] == [], stage.name
+
+
 def _param_default(func, name):
     return inspect.signature(func).parameters[name].default
 
@@ -948,6 +961,20 @@ def test_cluster_refuses_two_chosen_k(pipeline, tmp_path, capsys):
     elbow.write_text(f"{meta}\nk,sse,chosen\n1,9.0,1\n2,5.0,1\n3,4.0,0\n")
     assert main(["cluster", "--config", str(cfg_path), "--out", str(work)]) == 1
     assert f"{elbow}: line 4: a second chosen k" in capsys.readouterr().err
+
+
+def test_cluster_refuses_a_chosen_k_below_two(pipeline, tmp_path, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline["out1"], work)
+    cfg = dict(pipeline["config"])
+    cfg["cluster"] = {"k": None}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    elbow = work / "elbow.csv"
+    meta = elbow.read_text().splitlines()[0]
+    elbow.write_text(f"{meta}\nk,sse,chosen\n1,9.0,1\n2,5.0,0\n3,4.0,0\n")
+    assert main(["cluster", "--config", str(cfg_path), "--out", str(work)]) == 1
+    assert f"{elbow}: line 3: chosen k 1 is below 2" in capsys.readouterr().err
 
 
 def test_clusters_recover_planted_subtypes(pipeline):

@@ -231,11 +231,10 @@ def test_kernel_order_is_smallest_under_tolerance():
         X[2, 92:] = 1  # 60 ones shared with no other row
         for q in QS:
             tails = [_exact_tail(shared, j, q) for j in range(shared + 1)]
-            J, s, checked = _order(X, q)
+            J, s = _order(X, q)
             assert tails[J] <= cluster.KERNEL_TAIL_TOL
             assert all(tail > cluster.KERNEL_TAIL_TOL for tail in tails[:J])
             assert shared <= s <= 60 and _exact_tail(s, J, q) <= cluster.KERNEL_TAIL_TOL
-            assert checked == (X.sum(axis=1) > s).sum()
 
 
 @pytest.mark.parametrize("block", [1, 7, cluster.KERNEL_CHECK_BLOCK])
@@ -247,12 +246,11 @@ def test_kernel_order_matches_brute_force(monkeypatch, block):
         X = (rng.random((n, 15)) < rng.uniform(0.1, 0.7, size=(n, 1))).astype(np.uint8)
         r = X.sum(axis=1)
         for q in QS:
-            J, s, checked = _order(X, q)
+            J, s = _order(X, q)
             J_exact, s_exact = _brute_force_order(X, q)
             assert J == J_exact, (seed, q)
             # s certifies J: no pair shares more, and its tail is within tolerance
             assert s_exact <= s <= r.max() and _exact_tail(s, J, q) <= cluster.KERNEL_TAIL_TOL
-            assert checked == (r > s).sum()
 
 
 def test_kernel_order_finds_a_pair_past_the_first_block(monkeypatch):
@@ -265,7 +263,25 @@ def test_kernel_order_finds_a_pair_past_the_first_block(monkeypatch):
     for block in (1, 7, cluster.KERNEL_CHECK_BLOCK):
         monkeypatch.setattr(cluster, "KERNEL_CHECK_BLOCK", block)
         results.add(_order(X, 1.0))
-    assert results == {(5, 5, 10)}  # at q = 1, J is the most ones a pair shares
+    assert results == {(5, 5)}  # at q = 1, J is the most ones a pair shares
+
+
+def test_kernel_order_holds_its_copy_and_a_few_tiles():
+    """Every row of 12 ones shares 8 with every other and at most 11 with any, so the
+    sweep compares the whole triangle; it holds no tile side x candidates block."""
+    tile = cluster.KERNEL_CHECK_BLOCK**2 * 4
+    for n in (1500, 6000):
+        X = np.zeros((n, 40), dtype=np.uint8)
+        X[:, :8] = 1
+        for i, ones in enumerate(itertools.islice(itertools.combinations(range(8, 40), 4), n)):
+            X[i, list(ones)] = 1
+        Xs = cluster._binary_csr(X[np.random.default_rng(n).permutation(n)])
+        (J, s), peak = traced_peak(cluster._kernel_order, Xs, 0.1)
+        # at q = 0.1, 11 shared ones need J = 3, which admits no count of 12: every row stays above s
+        assert (J, s) == (3, 11)
+        # the rows sorted in Xs's dtype and as float32, three vectors of n, three tiles
+        copies = 2 * (Xs.indices.nbytes + Xs.indptr.nbytes) + Xs.data.nbytes + 4 * Xs.nnz
+        assert peak <= copies + 16 * n + 3 * tile, n
 
 
 def test_kernel_order_ignores_one_full_row():
@@ -275,10 +291,10 @@ def test_kernel_order_ignores_one_full_row():
     r = X.sum(axis=1)
     X[0] = X[np.argmax(r)]  # two rows share the most ones any row holds
     q = 0.3
-    J, _, _ = _order(X, q)
+    J, _ = _order(X, q)
     ones = np.ones((1, 16), dtype=np.uint8)
     assert _order(np.vstack([X, ones]), q)[0] == J
-    two, _, _ = _order(np.vstack([X, ones, ones]), q)
+    two, _ = _order(np.vstack([X, ones, ones]), q)
     assert two == _brute_force_order(np.vstack([X, ones, ones]), q)[0] > J
 
 
@@ -290,7 +306,7 @@ def test_kernel_factor_counts_shared_subsets(seed):
     t = math.expm1(2 * gamma)
     u, P = cluster._kernel_factor(X, gamma)
     r = X.sum(axis=1)
-    J, _, _ = _order(X, t / (1 + t))
+    J, _ = _order(X, t / (1 + t))
     assert J >= 2 and (r < J).any() and (r > J).any()
     offset = np.cumsum([0] + [math.comb(p, m) for m in range(J + 1)])
     assert P.shape == (n, offset[-1])
@@ -336,7 +352,7 @@ def test_kernel_factor_peak_within_the_guarded_bytes(monkeypatch, gamma):
         X[i, rng.choice(p, 12 - i % 3, replace=False)] = 1
     (u, P), peak = traced_peak(cluster._kernel_factor, X, gamma)
     t = math.expm1(2 * gamma)
-    J, _, _ = _order(X, t / (1 + t))
+    J, _ = _order(X, t / (1 + t))
     # the rows of twelve ones take more than two chunks' entries for one subset size
     assert n // 3 * max(math.comb(12, m) for m in range(J + 1)) > 2 * cluster.KERNEL_CHUNK
     Xs = cluster._binary_csr(X)
@@ -356,11 +372,11 @@ def test_kernel_operator_within_tail_bound_of_dense(caplog, gamma):
     with caplog.at_level("INFO", logger="adsubtype.cluster"):
         u, P = cluster._kernel_factor(X, gamma)
     q = -math.expm1(-2 * gamma)
-    J, s, checked = _order(X, q)
+    J, s = _order(X, q)
     r_max = int(X.sum(axis=1).max())
     bound, diagonal = cluster._binomial_tail(s, J, q), cluster._binomial_tail(r_max, J, q)
     assert f"order J={J}, relative tail bound {bound:.3g} " in caplog.text
-    assert f"at most s={s} ones ({checked} rows checked), {diagonal:.3g} on the diagonal" in caplog.text
+    assert f"at most s={s} ones, {diagonal:.3g} on the diagonal at r_max={r_max}, {P.nnz} nonzeros" in caplog.text
     A = u[:, None] * (P @ P.T).toarray() * u[None, :]
     shortfall = (dense - A) / dense
     assert shortfall.min() >= -1e-12
