@@ -70,8 +70,6 @@ from .cohort import (
 from .data import default_atc_map, default_phecode_map, default_vocabulary
 from .drugs import drug_prevalence_by_cluster, load_atc_map, rank_drug_classes
 from .phenotype import (
-    AGGREGATE,
-    TEMPORAL,
     FeatureMatrix,
     aggregate_from_temporal,
     build_temporal_matrix,
@@ -432,8 +430,9 @@ class Context:
     def load_cohort(self) -> Cohort:
         return self.parse("cohort.json", load_cohort)
 
-    def features(self, layout: str) -> FeatureMatrix:
-        return self.parse(f"features_{layout}.csv", read_feature_csv)
+    def features(self) -> FeatureMatrix:
+        """The temporal matrix; its users derive the aggregate layout from it."""
+        return self.parse("features_temporal.csv", read_feature_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +509,7 @@ def stage_features(ctx: Context) -> None:
 
 def stage_elbow(ctx: Context) -> None:
     el = ctx.cfg["elbow"]
-    fm = ctx.features(TEMPORAL)
+    fm = ctx.features()
     curve = elbow_sse_curve(
         fm.values.astype(np.float64),
         kmax=el["kmax"],
@@ -539,24 +538,24 @@ def _read_chosen_k(ctx: Context) -> int:
     k = int_field(path, lineno, "k", text)
     if k < 2:  # cluster.k's rule: the pairwise grid needs two clusters
         raise ValueError(f"{path}: line {lineno}: chosen k {k} is below 2")
+    if k <= ctx.cfg["mlr"]["reference_cluster"]:  # the rule a set cluster.k gets
+        raise ValueError(f"{path}: line {lineno}: chosen k {k} is not above mlr.reference_cluster")
     return k
 
 
-def _cluster_layout(ctx: Context, config: SpectralConfig, layout: str, name: str) -> list[list]:
-    """Cluster one feature layout and write `name`; returns its cluster_sizes rows.
+def _cluster_layout(
+    ctx: Context, config: SpectralConfig, fm: FeatureMatrix, name: str
+) -> list[list]:
+    """Cluster one feature matrix and write `name`; returns its cluster_sizes rows.
 
-    Its own function so that one layout's matrix and rows are freed before
-    the next layout is clustered; holding them raises the peak memory. So
-    the matrix also leaves ctx.parsed here: nothing later in this stage
-    reads it, and the next stage does not declare it.
+    Its own function so that one layout's labels and rows are freed before
+    the next layout is clustered; holding them raises the peak memory.
     """
-    fm = ctx.features(layout)
-    del ctx.parsed[f"features_{layout}.csv"]
     labels = spectral_cluster(fm.values, config).labels
     rows = [[pid, int(lab)] for pid, lab in zip(fm.patient_ids, labels)]
     ctx.write(Artifact(name, ASSIGNMENT_COLUMNS, rows))
     clusters, counts = np.unique(labels, return_counts=True)
-    return [[layout, int(c), int(n)] for c, n in zip(clusters, counts)]
+    return [[fm.layout, int(c), int(n)] for c, n in zip(clusters, counts)]
 
 
 def stage_cluster(ctx: Context) -> None:
@@ -568,10 +567,13 @@ def stage_cluster(ctx: Context) -> None:
         knn_sparsify=cl["knn_sparsify"],
         threads=ctx.cfg["threads"],
     )
-    size_rows = []
-    for layout, name in ((TEMPORAL, "assignments.csv"), (AGGREGATE, "assignments_aggregate.csv")):
-        size_rows += _cluster_layout(ctx, config, layout, name)
-        release_heap()  # the layout's matrix, affinity and embedding
+    temporal = ctx.features()
+    size_rows = _cluster_layout(ctx, config, temporal, "assignments.csv")
+    aggregate = aggregate_from_temporal(temporal)  # in the heap the clustering freed
+    del ctx.parsed["features_temporal.csv"], temporal  # no later stage reads it
+    release_heap()  # the temporal matrix, its affinity and embedding
+    size_rows += _cluster_layout(ctx, config, aggregate, "assignments_aggregate.csv")
+    release_heap()
     ctx.write(Artifact("cluster_sizes.csv", ["layout", "cluster", "n"], size_rows))
 
 
@@ -658,17 +660,12 @@ def stage_report(ctx: Context) -> None:
     rcfg = ctx.cfg["report"]
     cohort = ctx.load_cohort()
     labels = ctx.cluster_labels("assignments.csv", cohort.patient_ids())
-
-    artifacts = []
-    for layout in (TEMPORAL, AGGREGATE):
-        fm = ctx.features(layout)
-        artifacts.append(
-            condition_prevalence(
-                ctx.cluster_labels("assignments.csv", fm.patient_ids),
-                fm,
-                top_k=rcfg["top_k"],
-            )
-        )
+    temporal = ctx.features()
+    feature_labels = ctx.cluster_labels("assignments.csv", temporal.patient_ids)
+    artifacts = [
+        condition_prevalence(feature_labels, fm, top_k=rcfg["top_k"])
+        for fm in (temporal, aggregate_from_temporal(temporal))
+    ]
     artifacts.append(demographic_breakdown(labels, cohort))
     aggregate_labels = ctx.cluster_labels("assignments_aggregate.csv", cohort.patient_ids())
     artifacts.append(cluster_crosstab(labels, aggregate_labels))
@@ -683,7 +680,8 @@ class Stage:
     The declarations hold for every config, except that cluster reads
     elbow.csv only when cluster.k is unset. Every read is written by an
     earlier stage, so any stage can be rerun in isolation once its
-    predecessors have run.
+    predecessors have run. features_aggregate.csv is an output only: cluster
+    and report derive the aggregate layout from the temporal matrix.
     """
 
     name: str
@@ -721,7 +719,7 @@ PIPELINE = [
     Stage(
         "cluster",
         stage_cluster,
-        reads=("features_temporal.csv", "features_aggregate.csv", "elbow.csv"),
+        reads=("features_temporal.csv", "elbow.csv"),
         writes=("assignments.csv", "assignments_aggregate.csv", "cluster_sizes.csv"),
     ),
     Stage(
@@ -746,7 +744,7 @@ PIPELINE = [
         "report",
         stage_report,
         reads=("cohort.json", "assignments.csv", "assignments_aggregate.csv",
-               "features_temporal.csv", "features_aggregate.csv"),
+               "features_temporal.csv"),
         writes=("prevalence_temporal.csv", "prevalence_aggregate.csv", "demographics.csv",
                 "crosstab.csv", "manifest.json"),
     ),

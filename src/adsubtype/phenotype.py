@@ -239,22 +239,22 @@ def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str) -> None:
 
 
 def read_feature_csv(path: Path) -> FeatureMatrix:
-    """Read a features CSV; a cell other than "0" or "1" is a ValueError.
+    """Read a temporal features CSV; a cell other than "0" or "1" is a ValueError.
 
-    The values are read-only: one parse may serve several stages.
+    So is a column after patient_id other than <phecode>_s<slot>: the
+    aggregate layout is never read back, only derived with
+    aggregate_from_temporal. The values are read-only: one parse may serve
+    several stages.
     """
     header, pids, values = read_binary_table(path, "patient_id")
     columns: list[tuple[str, int | None]] = []
-    layout = AGGREGATE
     for label in header[1:]:
         code, sep, slot = label.rpartition("_s")
-        if sep and slot.isdigit():
-            columns.append((code, int(slot)))
-            layout = TEMPORAL
-        else:
-            columns.append((label, None))
-    slot_count = max((s for _, s in columns if s is not None), default=None)
-    return FeatureMatrix(pids, layout, values, columns, slot_count=slot_count)
+        if not (sep and slot.isdigit()):
+            raise ValueError(f"{path}: column {label!r} is not <phecode>_s<slot>")
+        columns.append((code, int(slot)))
+    slot_count = max((s for _, s in columns), default=None)
+    return FeatureMatrix(pids, TEMPORAL, values, columns, slot_count=slot_count)
 
 
 def write_vocabulary_csv(

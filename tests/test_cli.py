@@ -6,6 +6,7 @@ import gc
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from adsubtype import cli, cluster
 from adsubtype.cli import DEFAULT_CONFIG, PIPELINE, STAGES, main
 from adsubtype.cluster import kmeans
 from adsubtype.cohort import CohortConfig, load_cohort
-from adsubtype.phenotype import read_feature_csv
+from adsubtype.phenotype import AGGREGATE, TEMPORAL, FeatureMatrix, read_feature_csv
 from adsubtype.synth import SubtypeProfile
 
 from conftest import write_profiles
@@ -382,7 +383,8 @@ def test_readme_stage_table_names_each_declared_artifact():
             rows[cells[0]] = cells[1:]
     for stage in PIPELINE:
         reads, writes = rows[stage.name]
-        assert [a for a in stage.reads if f"`{a}`" not in reads] == [], stage.name
+        # every declared read, and no artifact the stage does not read
+        assert set(re.findall(r"`([^`]+\.(?:csv|json))`", reads)) == set(stage.reads), stage.name
         assert [a for a in stage.writes if f"`{a}`" not in writes] == [], stage.name
 
 
@@ -482,6 +484,8 @@ def test_dry_run_prints_plan_without_writing(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert [ln.split(":")[0] for ln in lines] == STAGES
     assert all("reads [" in ln and "writes [" in ln for ln in lines)
+    # the aggregate features are written, and derived from the temporal ones wherever used
+    assert not any("features_aggregate.csv" in ln.split("writes [")[0] for ln in lines)
     assert not out.exists()
 
 
@@ -565,6 +569,51 @@ def test_each_stage_runs_on_its_declared_reads_alone(pipeline, tmp_path):
         assert main(argv) == 0, stage.name
         for name in set(stage.writes) - {"manifest.json"}:
             assert (work / name).read_bytes() == (pipeline["out1"] / name).read_bytes(), name
+
+
+def test_each_declared_read_is_needed(pipeline, tmp_path, capsys):
+    """Without any one of its declared reads, a stage fails naming that file."""
+    k_unset = tmp_path / "k_unset.json"
+    k_unset.write_text(json.dumps({**pipeline["config"], "cluster": {"k": None}}))
+    for stage in PIPELINE:
+        for missing in stage.reads:
+            work = tmp_path / stage.name / missing
+            work.mkdir(parents=True)
+            for name in set(stage.reads) - {missing}:
+                shutil.copy(pipeline["out1"] / name, work / name)
+            # cluster reads elbow.csv only when cluster.k is unset
+            config = k_unset if missing == "elbow.csv" else pipeline["config_path"]
+            assert main([stage.name, "--config", str(config), "--out", str(work)]) == 1
+            err = capsys.readouterr().err
+            expected = f"missing input {work / missing} (run '{cli.PRODUCERS[missing]}' first)"
+            assert expected in err, (stage.name, missing)
+    work = tmp_path / "cluster" / "elbow.csv"
+    assert main(["cluster", "--config", str(pipeline["config_path"]), "--out", str(work)]) == 0
+
+
+def test_cluster_and_report_run_without_the_aggregate_features(pipeline, tmp_path):
+    """Both derive the aggregate layout from features_temporal.csv, to the same bytes."""
+    work = tmp_path / "work"
+    shutil.copytree(pipeline["out1"], work)
+    (work / "features_aggregate.csv").unlink()
+    for stage in (s for s in PIPELINE if s.name in ("cluster", "report")):
+        argv = [stage.name, "--config", str(pipeline["config_path"]), "--out", str(work)]
+        assert main(argv) == 0, stage.name
+        for name in set(stage.writes) - {"manifest.json"}:
+            assert (work / name).read_bytes() == (pipeline["out1"] / name).read_bytes(), name
+
+
+def test_an_aggregate_table_is_not_read_as_temporal(pipeline, tmp_path, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline["out1"], work)
+    shutil.copy(work / "features_aggregate.csv", work / "features_temporal.csv")
+    column = _data_lines(work / "features_aggregate.csv")[0].split(",")[1]
+    for stage in ("elbow", "cluster", "report"):
+        argv = [stage, "--config", str(pipeline["config_path"]), "--out", str(work)]
+        assert main(argv) == 1, stage
+        err = capsys.readouterr().err
+        path = work / "features_temporal.csv"
+        assert f"{path}: column {column!r} is not <phecode>_s<slot>" in err
 
 
 def test_csv_artifacts_use_lf_line_endings(pipeline):
@@ -719,11 +768,11 @@ def test_all_parses_each_artifact_while_the_next_stage_reads_it(pipeline, tmp_pa
     assert main(["all", "--config", str(pipeline["config_path"]), "--out", str(out)]) == 0
     assert _snapshot(out) == _snapshot(pipeline["out1"])
     # cohort.json: once for stats, mlr, drugs and report; features gets ingest's cohort
+    # features_aggregate.csv: never, since cluster and report derive the aggregate layout
     assert counts == {
         ("load_cohort", "cohort.json"): 1,
         # elbow and cluster get the matrix features wrote; report reads the file
         ("read_feature_csv", "features_temporal.csv"): 1,
-        ("read_feature_csv", "features_aggregate.csv"): 2,  # cluster; report
         ("read_assignments", "assignments.csv"): 1,
         ("read_assignments", "assignments_aggregate.csv"): 1,
     }
@@ -855,17 +904,28 @@ def test_each_stage_ends_with_a_collection_a_freeze_and_a_heap_release(tmp_path,
 def test_cluster_releases_the_heap_after_each_layout(tmp_path, monkeypatch):
     events = []
 
-    def layout(ctx, config, layout, name):
-        events.append(name)
-        return [[layout, 0, 1]]
+    def layout(ctx, config, fm, name):
+        events.append((fm.layout, name, "features_temporal.csv" in ctx.parsed))
+        return [[fm.layout, 0, 1]]
 
     monkeypatch.setattr(cli, "_cluster_layout", layout)
     monkeypatch.setattr(cli, "release_heap", lambda: events.append("release"))
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     cfg["cluster"]["k"] = 2
-    ctx = cli.Context(cfg=cfg, out=tmp_path, meta=cli.ArtifactMeta("test", 0, "0" * 12), parsed={})
+    temporal = FeatureMatrix(
+        ["P1", "P2"], TEMPORAL, np.eye(2, dtype=np.uint8), [("401.1", 1), ("401.1", 2)], 2
+    )
+    parsed = {"features_temporal.csv": temporal}
+    meta = cli.ArtifactMeta("test", 0, "0" * 12)
+    ctx = cli.Context(cfg=cfg, out=tmp_path, meta=meta, parsed=parsed)
     cli.stage_cluster(ctx)
-    assert events == ["assignments.csv", "release", "assignments_aggregate.csv", "release"]
+    # the temporal matrix is dropped before the aggregate layout, derived from it, is clustered
+    assert events == [
+        (TEMPORAL, "assignments.csv", True),
+        "release",
+        (AGGREGATE, "assignments_aggregate.csv", False),
+        "release",
+    ]
     assert (tmp_path / "cluster_sizes.csv").exists()
 
 
@@ -975,6 +1035,22 @@ def test_cluster_refuses_a_chosen_k_below_two(pipeline, tmp_path, capsys):
     elbow.write_text(f"{meta}\nk,sse,chosen\n1,9.0,1\n2,5.0,0\n3,4.0,0\n")
     assert main(["cluster", "--config", str(cfg_path), "--out", str(work)]) == 1
     assert f"{elbow}: line 3: chosen k 1 is below 2" in capsys.readouterr().err
+
+
+def test_cluster_refuses_a_reference_cluster_outside_the_chosen_k(pipeline, tmp_path, capsys):
+    """mlr.reference_cluster gets checked against elbow.csv's k as against a set cluster.k."""
+    work = tmp_path / "work"
+    shutil.copytree(pipeline["out1"], work)
+    elbow = work / "elbow.csv"
+    meta = elbow.read_text().splitlines()[0]
+    elbow.write_text(f"{meta}\nk,sse,chosen\n1,9.0,0\n2,5.0,0\n3,4.0,1\n")
+    cfg_path = tmp_path / "cfg.json"
+    for reference, rc in ((3, 1), (2, 0)):
+        mlr = {"reference_cluster": reference}
+        cfg_path.write_text(json.dumps({**pipeline["config"], "cluster": {"k": None}, "mlr": mlr}))
+        assert main(["cluster", "--config", str(cfg_path), "--out", str(work)]) == rc, reference
+    err = capsys.readouterr().err
+    assert f"{elbow}: line 5: chosen k 3 is not above mlr.reference_cluster" in err
 
 
 def test_clusters_recover_planted_subtypes(pipeline):

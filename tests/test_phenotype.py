@@ -18,6 +18,7 @@ from adsubtype.phenotype import (
     write_feature_csv,
     write_vocabulary_csv,
 )
+from adsubtype.table import read_binary_table
 from conftest import write_csv
 
 MAP_HEADER = ["icd_code", "system_flag", "phecode", "phenotype"]
@@ -279,20 +280,31 @@ def test_matrix_rejects_all_zero_rows(build_cohort):
 
 def test_feature_csv_round_trip(build_cohort, tiny_vocab, tmp_path):
     cohort = _matrix_cohort(build_cohort)
-    for build in (build_temporal_matrix, build_aggregate_matrix):
-        fm = build(cohort, tiny_vocab)
-        path = tmp_path / f"features_{fm.layout}.csv"
-        write_feature_csv(fm, path, meta="tool=test seed=1")
-        assert path.read_text().startswith("# tool=test seed=1\n")
-        back = read_feature_csv(path)
-        assert back.layout == fm.layout
-        assert back.patient_ids == fm.patient_ids
-        assert back.columns == fm.columns
-        assert back.slot_count == fm.slot_count
-        assert np.array_equal(back.values, fm.values)
-        # one parse may serve several stages, so none of them may write into it
-        with pytest.raises(ValueError, match="read-only"):
-            back.values[0, 0] = 1
+    fm = build_temporal_matrix(cohort, tiny_vocab)
+    path = tmp_path / "features_temporal.csv"
+    write_feature_csv(fm, path, meta="tool=test seed=1")
+    assert path.read_text().startswith("# tool=test seed=1\n")
+    back = read_feature_csv(path)
+    assert back.layout == fm.layout
+    assert back.patient_ids == fm.patient_ids
+    assert back.columns == fm.columns
+    assert back.slot_count == fm.slot_count
+    assert np.array_equal(back.values, fm.values)
+    # one parse may serve several stages, so none of them may write into it
+    with pytest.raises(ValueError, match="read-only"):
+        back.values[0, 0] = 1
+
+    # the aggregate file is an output only: its bytes hold the matrix, but no stage reads it
+    agg = build_aggregate_matrix(cohort, tiny_vocab)
+    path = tmp_path / "features_aggregate.csv"
+    write_feature_csv(agg, path, meta="tool=test seed=1")
+    header, pids, values = read_binary_table(path, "patient_id")
+    assert header == ["patient_id", "401.1", "272.1", "250.2"]
+    assert pids == agg.patient_ids
+    assert np.array_equal(values, agg.values)
+    with pytest.raises(ValueError) as exc:
+        read_feature_csv(path)
+    assert str(exc.value) == f"{path}: column '401.1' is not <phecode>_s<slot>"
 
 
 @pytest.mark.parametrize(
