@@ -14,9 +14,9 @@ more than one of those collections, and on return it restores the
 collector's entry state. After each collection, and after each
 layout the cluster stage clusters, freed heap pages go back to the system
 (`release_heap`). After each stage main appends that stage's wall time,
-CPU time and peak RSS to run_log.jsonl, a log outside the manifest that
-no stage reads; `all` starts that log afresh, so it holds one line per
-stage of the last run.
+CPU time, peak RSS and, where the OS reports it, RSS after the release
+to run_log.jsonl, a log outside the manifest that no stage reads; `all`
+starts that log afresh, so it holds one line per stage of the last run.
 """
 
 import os
@@ -35,7 +35,6 @@ for _var in (
 
 import argparse
 import copy
-import functools
 import gc
 import json
 import logging
@@ -54,6 +53,7 @@ from .cluster import (
     SpectralConfig,
     detect_elbow,
     elbow_sse_curve,
+    release_heap,
     spectral_cluster,
 )
 from .cohort import (
@@ -856,31 +856,19 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-@functools.cache
-def _malloc_trim() -> Callable[[int], int] | None:
-    """glibc's malloc_trim, or None where the C library has none (macOS, musl, Windows)."""
-    import ctypes
+# The process's status file, where the OS has one (Linux)
+PROC_STATUS = Path("/proc/self/status")
 
+
+def _resident_kib() -> int | None:
+    """The process's resident set size now (VmRSS) in KiB, or None where it cannot be read."""
     try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
-def release_heap() -> None:
-    """Return the pages of freed heap memory to the system, where malloc can.
-
-    glibc keeps freed heap pages resident, and a later long-lived
-    allocation can keep its main heap from shrinking, so memory one stage
-    freed would still count toward the peak RSS of every later stage.
-    malloc_trim(0) releases the free pages of every malloc arena, the
-    worker threads' included, without moving a live block.
-    """
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
+        for line in PROC_STATUS.read_text().splitlines():
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    except (OSError, ValueError):
+        pass
+    return None
 
 
 def _run_stages(ctx: Context, stages: Sequence[Stage]) -> int:
@@ -916,6 +904,9 @@ def _run_stages(ctx: Context, stages: Sequence[Stage]) -> int:
             # ru_maxrss is in KiB on Linux
             "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
+        rss = _resident_kib()
+        if rss is not None:  # what the stage left resident after its release
+            cost["rss_mb"] = round(rss / 1024, 1)
         with open(ctx.path(RUN_LOG), "a", encoding="utf-8") as fh:
             fh.write(json.dumps(cost) + "\n")
     return 0

@@ -12,6 +12,7 @@ partition agreement.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -136,10 +137,11 @@ def laplacian_kernel_affinity(D: np.ndarray, gamma: float) -> AffinityMatrix:
 # 49 MB for 1024, in about the same time; 128 rows and fewer run slower.
 # Each worker selects neighbours for KNN_SELECT rows at a time, so what a
 # worker allocates (argpartition's int64 indices, 8 B per column per row) is
-# 3 MB at n=12,000. Freed memory stays in the worker thread's malloc arena,
-# so a worker's own buffers would stay resident after the pool closes.
+# 0.8 MB at n=12,000, in about the time 32 rows take. Freed memory stays in
+# the worker thread's malloc arena, which malloc_trim does not shrink, so a
+# worker's own buffers stay resident after the pool closes.
 KNN_BLOCK = 256
-KNN_SELECT = 32
+KNN_SELECT = 8
 
 
 def _workers(threads: int, tasks: int) -> int:
@@ -155,33 +157,15 @@ def _workers(threads: int, tasks: int) -> int:
     return min(threads, tasks, cpus)
 
 
-def knn_sparsified_affinity(
-    X: np.ndarray, gamma: float, neighbors: int, threads: int = 1
-) -> AffinityMatrix:
-    """Sparse affinity keeping the `neighbors` largest entries per row.
+def _nearest(
+    X: np.ndarray, gamma: float, m: int, threads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, vals): each row's m nearest columns, ascending, and their affinities.
 
-    Distances are computed in blocks of KNN_BLOCK rows so the full N x N
-    matrix is never materialized: the calling thread allocates one
-    (KNN_BLOCK, N) float32 distance buffer, and the transient peak is that
-    buffer, plus argpartition's int64 indices for KNN_SELECT rows per
-    worker, beside the N x m output. The kept pattern is symmetrized by
-    elementwise max (union of directed kNN edges). The diagonal is always
-    kept. The block matmul and the distances run in float32, which is exact
-    for 0/1 rows with fewer than 2^24 columns.
-
-    Each block's rows are cut into one contiguous slice per worker, at most
-    `threads`; a worker writes its rows' distances into the shared buffer
-    and selects their neighbours KNN_SELECT rows at a time. A row's kept
-    neighbours depend on that row's distances alone, which are exact
-    integers, so neither cut ever changes a byte. The distances must stay
-    float32: which of several neighbours tied at the boundary are kept
-    follows numpy's selection kernel, and it can pick differently for
-    another dtype (int16 does).
+    Its own function so that the float32 copy of X and the distance block
+    are freed when it returns, before the caller builds the CSR matrix.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
     n = X.shape[0]
-    m = min(neighbors + 1, n)  # +1: the diagonal is its own best neighbor
     Xf = np.asarray(X, dtype=np.float32 if X.shape[1] < 2**24 else np.float64)
     counts = Xf.sum(axis=1)
     cols = np.empty((n, m), dtype=np.intp)
@@ -206,6 +190,41 @@ def knn_sparsified_affinity(
             cuts = [start + size * w // workers for w in range(workers + 1)]
             slices = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
             list(pool.map(fill, slices, [start] * len(slices)))  # re-raises a worker's error
+    return cols, vals
+
+
+def knn_sparsified_affinity(
+    X: np.ndarray, gamma: float, neighbors: int, threads: int = 1
+) -> AffinityMatrix:
+    """Sparse affinity keeping the `neighbors` largest entries per row.
+
+    Distances are computed in blocks of KNN_BLOCK rows so the full N x N
+    matrix is never materialized: the calling thread allocates one
+    (KNN_BLOCK, N) float32 distance buffer, and the transient peak is that
+    buffer and X's float32 copy, plus argpartition's int64 indices for
+    KNN_SELECT rows per worker, beside the N x m output. Both are freed, and
+    their pages returned to the system (release_heap), before the kept
+    pattern becomes a CSR matrix and is symmetrized by elementwise max
+    (union of directed kNN edges), so neither that step nor the embedding
+    after it stacks on them. The diagonal is always kept. The block matmul
+    and the distances run in float32, which is exact for 0/1 rows with fewer
+    than 2^24 columns.
+
+    Each block's rows are cut into one contiguous slice per worker, at most
+    `threads`; a worker writes its rows' distances into the shared buffer
+    and selects their neighbours KNN_SELECT rows at a time. A row's kept
+    neighbours depend on that row's distances alone, which are exact
+    integers, so neither cut ever changes a byte. The distances must stay
+    float32: which of several neighbours tied at the boundary are kept
+    follows numpy's selection kernel, and it can pick differently for
+    another dtype (int16 does).
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be > 0")
+    n = X.shape[0]
+    m = min(neighbors + 1, n)  # +1: the diagonal is its own best neighbor
+    cols, vals = _nearest(X, gamma, m, threads)
+    release_heap()  # the copy's and the block's pages
     import scipy.sparse as sp
     # every row keeps exactly m sorted columns
     A = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n))
@@ -306,14 +325,19 @@ def _factor_bytes(Xs: sp.csr_matrix, nnz: int, ncols: int, chunk: int, idx: type
 MEMINFO = Path("/proc/meminfo")
 PROC_CGROUP = Path("/proc/self/cgroup")
 CGROUP_ROOT = Path("/sys/fs/cgroup")
+# cgroup v1 writes "no limit" as the largest page multiple below 2^63 in
+# memory.limit_in_bytes; a limit at or above this is read as none
+CGROUP_V1_NO_LIMIT = 2**62
 
 
 def _available_memory() -> tuple[int, str]:
     """Bytes this process can still allocate, and the figure they come from.
 
-    MemAvailable from MEMINFO, capped by the cgroup v2 limit less the
-    cgroup's usage when the process's cgroup sets one. Only where neither
-    can be read, total physical memory. Nothing is written.
+    MemAvailable from MEMINFO, capped by the limit less the usage of the
+    process's cgroup where one is set: cgroup v2's memory.max less
+    memory.current, or, on a host whose memory controller is mounted as
+    cgroup v1, memory.limit_in_bytes less memory.usage_in_bytes. Only where
+    none of these can be read, total physical memory. Nothing is written.
     """
     figures = []
     try:
@@ -323,17 +347,57 @@ def _available_memory() -> tuple[int, str]:
     except (OSError, ValueError):
         pass
     try:
-        lines = PROC_CGROUP.read_text().splitlines()
-        group = CGROUP_ROOT / next(ln[3:] for ln in lines if ln.startswith("0::")).lstrip("/")
-        limit = (group / "memory.max").read_text().strip()
-        if limit != "max":
-            used = int((group / "memory.current").read_text())
-            figures.append((int(limit) - used, "cgroup memory.max - memory.current"))
-    except (OSError, StopIteration, ValueError):
-        pass
+        groups = [line.split(":", 2) for line in PROC_CGROUP.read_text().splitlines()]
+    except OSError:
+        groups = []
+    for _, controllers, path in (g for g in groups if len(g) == 3):
+        if controllers == "":  # v2, whose files are under the unified root
+            root, limit_file, used_file = CGROUP_ROOT, "memory.max", "memory.current"
+        elif "memory" in controllers.split(","):  # v1, under the controller's own root
+            root, limit_file, used_file = (
+                CGROUP_ROOT / "memory", "memory.limit_in_bytes", "memory.usage_in_bytes"
+            )
+        else:
+            continue
+        group = root / path.lstrip("/")
+        try:
+            limit = (group / limit_file).read_text().strip()
+            if limit != "max" and int(limit) < CGROUP_V1_NO_LIMIT:
+                used = int((group / used_file).read_text())
+                figures.append((int(limit) - used, f"cgroup {limit_file} - {used_file}"))
+        except (OSError, ValueError):
+            pass
     if not figures:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "physical memory"
     return min(figures)
+
+
+@functools.cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """glibc's malloc_trim, or None where the C library has none (macOS, musl, Windows)."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def release_heap() -> None:
+    """Return the pages of freed heap memory to the system, where malloc can.
+
+    glibc keeps freed heap pages resident, and a later long-lived
+    allocation can keep its main heap from shrinking, so memory one step
+    freed would still count toward the peak RSS of every later step.
+    malloc_trim(0) releases the free pages of every malloc arena without
+    moving a live block; a worker thread's arena keeps the free memory at
+    its top, which only that arena's own frees give back.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def _kernel_factor(X: np.ndarray, gamma: float) -> tuple[np.ndarray, sp.csr_matrix]:

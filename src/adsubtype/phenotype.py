@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -241,10 +242,12 @@ def write_feature_csv(fm: FeatureMatrix, path: Path, meta: str) -> None:
 def read_feature_csv(path: Path) -> FeatureMatrix:
     """Read a temporal features CSV; a cell other than "0" or "1" is a ValueError.
 
-    So is a column after patient_id other than <phecode>_s<slot>: the
-    aggregate layout is never read back, only derived with
-    aggregate_from_temporal. The values are read-only: one parse may serve
-    several stages.
+    So is a column after patient_id other than <phecode>_s<slot>, or one out
+    of the phecode-major grid of slots 1..S that write_feature_csv writes (S
+    is the column count over the phecode count); the error names the file
+    and the first such column. The aggregate layout is never read back, only
+    derived with aggregate_from_temporal. The values are read-only: one parse
+    may serve several stages.
     """
     header, pids, values = read_binary_table(path, "patient_id")
     columns: list[tuple[str, int | None]] = []
@@ -253,7 +256,15 @@ def read_feature_csv(path: Path) -> FeatureMatrix:
         if not (sep and slot.isdigit()):
             raise ValueError(f"{path}: column {label!r} is not <phecode>_s<slot>")
         columns.append((code, int(slot)))
-    slot_count = max((s for _, s in columns), default=None)
+    codes = list(dict.fromkeys(code for code, _ in columns))  # the phecodes, in column order
+    slot_count = len(columns) // len(codes) if codes else None
+    grid = [(code, slot) for code in codes for slot in range(1, (slot_count or 0) + 1)]
+    for label, column, cell in zip_longest(header[1:], columns, grid):
+        if column != cell:
+            raise ValueError(
+                f"{path}: column {label!r} is out of the phecode-major grid of "
+                f"slots 1..{slot_count}"
+            )
     return FeatureMatrix(pids, TEMPORAL, values, columns, slot_count=slot_count)
 
 

@@ -283,13 +283,13 @@ def emit_reports(
 
 
 def write_manifest(out_dir: str | Path) -> dict[str, Any]:
-    """List every .csv and .json artifact with its SHA-256."""
+    """List every .csv and .json artifact with its SHA-256, each file hashed in blocks."""
     out = Path(out_dir)
-    entries = {
-        path.name: {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-        for path in sorted(out.iterdir())
-        if path.is_file() and path.suffix in (".csv", ".json") and path.name != "manifest.json"
-    }
+    entries = {}
+    for path in sorted(out.iterdir()):
+        if path.is_file() and path.suffix in (".csv", ".json") and path.name != "manifest.json":
+            with open(path, "rb") as fh:
+                entries[path.name] = {"sha256": hashlib.file_digest(fh, "sha256").hexdigest()}
     manifest = {"artifacts": entries}
     write_json(out / "manifest.json", manifest)
     return manifest

@@ -11,9 +11,10 @@ all its rows in memory at once; read_table joins a small table's blocks
 into one. A row's line number is the reader's position plus the comment
 lines before the header, so no per-row layer sits between them. A leading
 UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
-dropped. Fields are returned unstripped. A 0/1 feature table is read by
-splitting each line into its key and its cells (read_binary_table) and
-written from one rendered block (write_binary_table). Writers emit one
+dropped. Fields are returned unstripped. A 0/1 feature table is read in
+blocks of a fixed number of bytes, each line split into its key and its
+cells, so no line list or copy of the file is held (read_binary_table),
+and written from one rendered block (write_binary_table). Writers emit one
 '# meta' line, the header and the rows as LF-terminated UTF-8, and replace
 the target atomically through '<name>.tmp' (a suffix the manifest never
 lists), so a write that fails part-way leaves the previous file in place;
@@ -29,7 +30,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,48 +123,79 @@ def int_field(path: str | Path, lineno: int, column: str, text: str) -> int:
 
 # A binary table row is its key, then ",0" or ",1" per cell, then LF.
 _COMMA, _ZERO = b",0"
-# A key or header holding one of these may be quoted, or may not be one csv
-# field; such a table is read row by row through read_table.
-_UNSAFE = frozenset('",\0')
+# A key or header holding one of these may be quoted, may not be one csv
+# field, or (CR) ends a line for the row reader; such a table is read row by
+# row through read_table.
+_UNSAFE = frozenset('",\r\0')
+# Bytes per block in which read_binary_table reads a table's data lines: a
+# block, its lines and their cells stay near 1.5 MB however long the table.
+BINARY_BLOCK = 1 << 18
 
 
 def read_binary_table(path: str | Path, key: str) -> tuple[list[str], list[str], np.ndarray]:
     """(header, keys, values) of a 0/1 feature table whose first column is key.
 
-    values is a read-only uint8 matrix with one row per key. The file is split
-    on LF: after any '#' lines and a plain header, each line ends in ",0" or
-    ",1" per cell and the rest is a plain key (it may start with '#'). A table
-    that fails that check is read again row by row through read_table, which
-    takes any quoting and names the first bad line: a row with the wrong field
-    count, or a cell other than "0" or "1", is a ValueError.
+    values is a read-only uint8 matrix with one row per key. The file is read
+    as bytes: after any '#' lines and a plain header, each line ends in ",0"
+    or ",1" per cell and LF, and the rest is a plain key (it may start with
+    '#'). The data lines are counted, then read again in blocks of
+    BINARY_BLOCK bytes into values, so beside the keys and values only one
+    block's lines and cells are held. A table that fails that check, or
+    holds a CR, is read again row by row through read_table, which takes any
+    quoting and names the first bad line: a row with the wrong field count,
+    or a cell other than "0" or "1", is a ValueError.
     """
-    raw = Path(path).read_bytes()
-    if not raw.endswith(b"\n") or b"\r" in raw:  # the row reader also ends a line at CR
-        return _read_binary_rows(path, key)
-    lines = raw.split(b"\n")[:-1]  # the text after the last LF is empty
-    del raw  # the lines hold a copy; holding both would raise the peak
-    first = 0  # the header's line
-    while first < len(lines) and lines[first].startswith(b"#"):
-        first += 1
+    with open(path, "rb") as fh:
+        table = _read_binary_lines(fh, key)
+    return table if table is not None else _read_binary_rows(path, key)
+
+
+def _read_binary_lines(
+    fh: BinaryIO, key: str
+) -> tuple[list[str], list[str], np.ndarray] | None:
+    """read_binary_table of the open file, or None where the table fails its check."""
+    line = fh.readline()
+    while line.startswith(b"#"):
+        if b"\r" in line:  # the row reader also ends a line at CR
+            return None
+        line = fh.readline()
     try:
-        header = lines[first].decode("utf-8").split(",")
-        del lines[: first + 1]  # the data rows remain
-        cut = 2 * (len(header) - 1)
-        keys = [line[: len(line) - cut].decode("utf-8") for line in lines]
-    except (IndexError, UnicodeDecodeError):  # no header line, or not UTF-8
-        return _read_binary_rows(path, key)
-    if (
-        _UNSAFE.isdisjoint("".join(header + keys))
-        and header[0].strip() == key
-        and all(line and len(line) >= cut for line in lines)  # no blank or short line
-    ):
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    header = text[:-1].split(",")
+    if not text.endswith("\n") or header[0].strip() != key:
+        return None
+    if not _UNSAFE.isdisjoint("".join(header)):
+        return None
+    start, width = fh.tell(), len(header) - 1
+    count = sum(block.count(b"\n") for block in iter(lambda: fh.read(BINARY_BLOCK), b""))
+    fh.seek(start)
+    values = np.empty((count, width), dtype=np.uint8)
+    keys: list[str] = []
+    cut, tail = 2 * width, b""
+    for block in iter(lambda: fh.read(BINARY_BLOCK), b""):
+        lines = (tail + block).split(b"\n")
+        tail = lines.pop()  # the start of the next block's first line
+        if not all(line and len(line) >= cut for line in lines):  # a blank or short line
+            return None
+        try:
+            part = [line[: len(line) - cut].decode("utf-8") for line in lines]
+        except UnicodeDecodeError:
+            return None
+        if not _UNSAFE.isdisjoint("".join(part)):
+            return None
         cells = np.frombuffer(b"".join([line[len(line) - cut :] for line in lines]), np.uint8)
-        cells = cells.reshape(len(keys), len(header) - 1, 2)
-        values = cells[:, :, 1] - np.uint8(_ZERO)  # a byte below "0" wraps above 1
-        if (cells[:, :, 0] == _COMMA).all() and (values <= 1).all():
-            values.setflags(write=False)
-            return [cell.strip() for cell in header], keys, values
-    return _read_binary_rows(path, key)
+        cells = cells.reshape(len(lines), width, 2)
+        rows = values[len(keys) : len(keys) + len(lines)]
+        np.subtract(cells[:, :, 1], np.uint8(_ZERO), out=rows)  # a byte below "0" wraps above 1
+        if not ((cells[:, :, 0] == _COMMA).all() and (rows <= 1).all()):
+            return None
+        keys += part
+    if tail:  # a last line with no LF
+        return None
+    values.setflags(write=False)
+    return [cell.strip() for cell in header], keys, values
 
 
 def _read_binary_rows(path: str | Path, key: str) -> tuple[list[str], list[str], np.ndarray]:

@@ -616,6 +616,25 @@ def test_an_aggregate_table_is_not_read_as_temporal(pipeline, tmp_path, capsys):
         assert f"{path}: column {column!r} is not <phecode>_s<slot>" in err
 
 
+def test_a_slot_out_of_the_grid_is_refused(pipeline, tmp_path, capsys):
+    """A temporal header with one slot renamed fails each reader, naming the file and column."""
+    work = tmp_path / "work"
+    shutil.copytree(pipeline["out1"], work)
+    path = work / "features_temporal.csv"
+    lines = path.read_text().split("\n")
+    at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header = lines[at].split(",")
+    slots = max(int(label.rpartition("_s")[2]) for label in header[1:])
+    header[2] = f"{header[2].rpartition('_s')[0]}_s{slots + 1}"  # the first phecode's slot 2
+    lines[at] = ",".join(header)
+    path.write_text("\n".join(lines))
+    for stage in ("elbow", "cluster", "report"):
+        argv = [stage, "--config", str(pipeline["config_path"]), "--out", str(work)]
+        assert main(argv) == 1, stage
+        err = capsys.readouterr().err
+        assert f"{path}: column {header[2]!r} is out of the phecode-major grid" in err
+
+
 def test_csv_artifacts_use_lf_line_endings(pipeline):
     csvs = sorted(pipeline["out1"].glob("*.csv"))
     assert len(csvs) == 21
@@ -822,10 +841,22 @@ def test_all_appends_one_run_log_line_per_stage(pipeline):
         costs = [json.loads(line) for line in lines]
         assert [cost["stage"] for cost in costs] == STAGES
         for cost in costs:
-            assert set(cost) == {"stage", "wall_s", "cpu_s", "maxrss_mb"}
-            assert cost["wall_s"] >= 0 and cost["cpu_s"] >= 0 and cost["maxrss_mb"] > 0
+            assert set(cost) == {"stage", "wall_s", "cpu_s", "maxrss_mb", "rss_mb"}
+            assert cost["wall_s"] >= 0 and cost["cpu_s"] >= 0
+            assert 0 < cost["rss_mb"] <= cost["maxrss_mb"]
     manifest = json.loads((pipeline["out2"] / "manifest.json").read_text())
     assert cli.RUN_LOG not in manifest["artifacts"]
+
+
+def test_run_log_leaves_out_rss_where_the_os_does_not_report_it(tmp_path, monkeypatch):
+    assert cli._resident_kib() > 0
+    monkeypatch.setattr(cli, "PROC_STATUS", tmp_path / "missing")
+    assert cli._resident_kib() is None
+    for name in STAGES:
+        monkeypatch.setitem(cli.STAGE_FUNCS, name, lambda ctx: None)
+    assert main(["all", "--out", str(tmp_path)]) == 0
+    for line in (tmp_path / cli.RUN_LOG).read_text().splitlines():
+        assert set(json.loads(line)) == {"stage", "wall_s", "cpu_s", "maxrss_mb"}
 
 
 def test_all_starts_the_run_log_afresh(pipeline, tmp_path):
@@ -946,12 +977,12 @@ def test_release_heap_does_nothing_without_malloc_trim(monkeypatch, error):
         return object()
 
     monkeypatch.setattr(ctypes, "CDLL", libc)
-    cli._malloc_trim.cache_clear()
+    cluster._malloc_trim.cache_clear()
     try:
-        assert cli._malloc_trim() is None
+        assert cluster._malloc_trim() is None
         cli.release_heap()
     finally:
-        cli._malloc_trim.cache_clear()
+        cluster._malloc_trim.cache_clear()
 
 
 def test_row_volume_stages_never_import_scipy(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -155,18 +156,45 @@ def test_knn_affinity_independent_of_threads(monkeypatch):
 
 
 def test_knn_affinity_holds_one_block_of_distances():
-    """The transient is one block's distances, KNN_SELECT rows' indices and the output."""
+    """The transient is X's copy, a block's distances, KNN_SELECT rows' indices and the output."""
     rng = np.random.default_rng(5)
     n, neighbors = 3000, 5
     assert n > cluster.KNN_BLOCK
     X = (rng.random((n, 60)) < 0.2).astype(np.uint8)
     A, peak = traced_peak(knn_sparsified_affinity, X, 0.1, neighbors)
     assert A.values.shape == (n, n)
-    # float32 distances + int64 argpartition indices
-    block = 4 * cluster.KNN_BLOCK * n + 8 * cluster.KNN_SELECT * n
-    inputs_and_output = 4 * X.size + 64 * n * (neighbors + 1)
-    assert peak < block + inputs_and_output
-    assert block + inputs_and_output < 4 * n * n // 2  # well under the N x N float32 matrix
+    # X's float32 copy and row counts, the block's float32 distances, one
+    # worker's int64 argpartition indices, and the kept columns and values;
+    # the CSR build, after the copy and the block are freed, holds less
+    held = 4 * X.size + 4 * n + 4 * cluster.KNN_BLOCK * n + 8 * cluster.KNN_SELECT * n
+    held += 16 * n * (neighbors + 1)
+    assert peak < held + 2**16
+    assert held < 4 * n * n // 2  # well under the N x N float32 matrix
+    assert 8 * cluster.KNN_SELECT * 12_000 < 2**20  # a worker's indices at n=12,000
+
+
+def test_knn_affinity_frees_its_copy_and_block_before_the_csr(monkeypatch):
+    rng = np.random.default_rng(6)
+    n, neighbors = 3000, 5
+    X = (rng.random((n, 60)) < 0.2).astype(np.uint8)
+    live = []
+
+    def csr_matrix(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return csr(*args, **kwargs)
+
+    def held_at_the_csr():
+        before = tracemalloc.get_traced_memory()[0]
+        knn_sparsified_affinity(X, 0.1, neighbors)
+        return live[0] - before
+
+    csr = sp.csr_matrix
+    monkeypatch.setattr(sp, "csr_matrix", csr_matrix)
+    held, _ = traced_peak(held_at_the_csr)
+    # only the kept columns and values: the copy (4 B a cell) and the block are gone
+    kept = 16 * n * (neighbors + 1)
+    assert held < kept + 2**16 < kept + 4 * X.size
+    assert 4 * X.size < 4 * cluster.KNN_BLOCK * n
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +461,39 @@ def test_available_memory_reads_meminfo_capped_by_the_cgroup_limit(tmp_path, mon
     assert cluster._available_memory() == cgroup
     meminfo.unlink()
     assert cluster._available_memory() == cgroup
-    own.write_text("4:memory:/other\n")  # cgroup v1 only: no limit read
+    own.write_text("4:memory:/other\n")  # a cgroup v1 group whose files are not there
     physical = cluster.os.sysconf("SC_PHYS_PAGES") * cluster.os.sysconf("SC_PAGE_SIZE")
     assert cluster._available_memory() == (physical, "physical memory")
     (group / "memory.max").write_text("9000000\n")
     own.write_text("0::/jobs/one\n")
     meminfo.write_text("MemAvailable:  5000 kB\n")
     assert cluster._available_memory() == (5000 * 1024, "MemAvailable")
+
+
+def test_available_memory_reads_a_cgroup_v1_limit(tmp_path, monkeypatch):
+    meminfo, own, root = tmp_path / "meminfo", tmp_path / "cgroup", tmp_path / "fs"
+    group = root / "memory" / "jobs" / "one"
+    group.mkdir(parents=True)
+    for name, path in (("MEMINFO", meminfo), ("PROC_CGROUP", own), ("CGROUP_ROOT", root)):
+        monkeypatch.setattr(cluster, name, path)
+    meminfo.write_text("MemAvailable:  5000 kB\n")
+    # a v1 memory line beside other v1 controllers and a v2 root without memory.max
+    own.write_text("5:cpu,cpuacct:/jobs/one\n4:memory:/jobs/one\n1:name=systemd:/\n0::/\n")
+    (group / "memory.limit_in_bytes").write_text("3001000\n")
+    (group / "memory.usage_in_bytes").write_text("1000\n")
+    v1 = (3_000_000, "cgroup memory.limit_in_bytes - memory.usage_in_bytes")
+    assert cluster._available_memory() == v1
+    (group / "memory.limit_in_bytes").write_text("9223372036854771712\n")  # v1's "no limit"
+    assert cluster._available_memory() == (5000 * 1024, "MemAvailable")
+    (group / "memory.limit_in_bytes").write_text("3001000\n")
+    meminfo.unlink()
+    assert cluster._available_memory() == v1
+    # beside a lower v2 limit, the lower figure
+    (root / "jobs" / "one").mkdir(parents=True)
+    (root / "jobs" / "one" / "memory.max").write_text("2001000\n")
+    (root / "jobs" / "one" / "memory.current").write_text("1000\n")
+    own.write_text("4:cpuset,memory:/jobs/one\n0::/jobs/one\n")
+    assert cluster._available_memory() == (2_000_000, "cgroup memory.max - memory.current")
 
 
 def _reference_m(A):

@@ -18,7 +18,7 @@ from adsubtype.phenotype import (
     write_feature_csv,
     write_vocabulary_csv,
 )
-from adsubtype.table import read_binary_table
+from adsubtype.table import read_binary_table, write_binary_table
 from conftest import write_csv
 
 MAP_HEADER = ["icd_code", "system_flag", "phecode", "phenotype"]
@@ -305,6 +305,27 @@ def test_feature_csv_round_trip(build_cohort, tiny_vocab, tmp_path):
     with pytest.raises(ValueError) as exc:
         read_feature_csv(path)
     assert str(exc.value) == f"{path}: column '401.1' is not <phecode>_s<slot>"
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [
+        pytest.param(["a_s1", "a_s2", "b_s1", "b_s3"], "b_s3", id="slot-renamed"),
+        pytest.param(["a_s1", "a_s2", "b_s2", "b_s1"], "b_s2", id="slots-swapped"),
+        pytest.param(["a_s1", "a_s2", "b_s1", "a_s2"], "a_s2", id="phecodes-interleaved"),
+        pytest.param(["a_s0", "a_s1"], "a_s0", id="slot-zero"),
+    ],
+)
+def test_read_feature_csv_refuses_columns_out_of_the_grid(tmp_path, labels, bad):
+    path = tmp_path / "features_temporal.csv"
+    values = np.eye(3, len(labels), dtype=np.uint8)
+    write_binary_table(path, ["patient_id", *labels], ["P1", "P2", "P3"], values, meta="m")
+    slots = len(labels) // len(set(label.split("_")[0] for label in labels))
+    with pytest.raises(ValueError) as exc:
+        read_feature_csv(path)
+    assert str(exc.value) == (
+        f"{path}: column {bad!r} is out of the phecode-major grid of slots 1..{slots}"
+    )
 
 
 @pytest.mark.parametrize(
