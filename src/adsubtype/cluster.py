@@ -556,13 +556,8 @@ def _kmeanspp_centers(
     X: np.ndarray, P: np.ndarray | sp.csr_matrix, x2: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     n = X.shape[0]
-
-    def sqdist(i: int) -> np.ndarray:
-        # squared distances to row i, clamped at 0; exact Hamming counts on 0/1 rows
-        return np.maximum(x2 + x2[i] - 2.0 * (P @ X[i]), 0.0)
-
     chosen = [int(rng.integers(n))]
-    closest = sqdist(chosen[0])
+    closest = _point_center_sqdist(P, x2, X[chosen[0] : chosen[0] + 1])[:, 0]
     for _ in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -573,7 +568,7 @@ def _kmeanspp_centers(
             idx = int(np.searchsorted(np.cumsum(closest), r, side="right"))
             idx = min(idx, n - 1)
         chosen.append(idx)
-        closest = np.minimum(closest, sqdist(idx))
+        closest = np.minimum(closest, _point_center_sqdist(P, x2, X[idx : idx + 1])[:, 0])
     return X[chosen]
 
 

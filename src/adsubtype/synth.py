@@ -9,11 +9,12 @@ ingest's own parse of those CSVs, so the two routes cannot differ.
 
 Patient i draws from its own substream [seed, i] of the master seed, so
 generation is deterministic regardless of patient count or parallel order.
-Within a patient the draws come in this order: one uniform each for the
-profile, sex, race and age group; integers for the age, index date and AD
-code; mortality; then one uniform per planted condition and drug class of
-the profile and, for the ones that fire, one vector integer call for their
-days and pool picks.
+Within a patient the draws come in this order: four uniforms from one call,
+for the profile, sex, race and age group, each looked up in cumulative
+weights over sorted labels; integers for the age, index date and AD code;
+mortality; then one uniform per planted condition and drug class of the
+profile and, for the ones that fire, one vector integer call for their days
+and pool picks. Event dates are written from one list of ISO strings, one a day.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -214,16 +215,15 @@ class SyntheticData:
         return list(tables)
 
 
-def _pick(cum: list[float], rng: np.random.Generator) -> int:
-    """Index of one uniform draw against the cumulative weights cum."""
-    return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+def _pick(cum: list[float], u: float) -> int:
+    """Index of the uniform u against the cumulative weights cum."""
+    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
-def _categorical(dist: Mapping[str, float]) -> Callable[[np.random.Generator], str]:
-    """One draw from dist per call; labels are taken in sorted order."""
+def _table(dist: Mapping[str, float], value) -> tuple[list, list[float]]:
+    """dist's labels in sorted order, each as value(label), and their cumulative weights."""
     labels, probs = zip(*sorted(dist.items()))
-    cum = np.cumsum(probs).tolist()
-    return lambda rng: labels[_pick(cum, rng)]
+    return [value(label) for label in labels], np.cumsum(probs).tolist()
 
 
 def _plan(rows: list[tuple[float, int, int, list]]) -> tuple:
@@ -299,21 +299,28 @@ def generate_cohort(
     weights = np.cumsum([p.mixture_weight for p in profiles]).tolist()
     window_start = config.window_start.toordinal()
     window_days = config.window_end.toordinal() - window_start
-    ad_codes = sorted(config.ad_code_set)
+    ad_codes = [(c, (CodeSystem.ICD9 if c.replace(".", "").isdigit() else CodeSystem.ICD10CM).value)
+                for c in sorted(config.ad_code_set)]
     slot_days = config.slot_days
+    # the ISO text of each day an event can fall on: the first day of the oldest
+    # slot before the window start through the last prescription day after its end
+    first_day = window_start + 1 - config.slot_count * slot_days
+    day_text = [date.fromordinal(o).isoformat()
+                for o in range(first_day, window_start + window_days + 366)]
 
-    # per profile: the sex, race and age-group draws, and one _plan whose first
-    # n_cells rows are the planted conditions in sorted (phecode, slot) order,
-    # dated inside their slot before the index date, and whose other rows are
-    # the drug classes in sorted order, dated in the year from the index date
+    # per profile: the sex, race and age-group tables, the mortality and one
+    # _plan, whose first n_cells rows are the planted conditions in sorted
+    # (phecode, slot) order, dated inside their slot before the index date, and
+    # the rest the sorted drug classes, dated in the year from the index date
     plans = []
     for profile in profiles:
         rows = [(p, 1 - slot * slot_days, (1 - slot) * slot_days, code_pool[code])
                 for (code, slot), p in sorted(profile.condition_slot_prob.items())]
         n_cells = len(rows)
         rows += [(p, 0, 365, rx_pool[atc3]) for atc3, p in sorted(profile.drug_class_probs.items())]
-        plans.append((_categorical(profile.sex_dist), _categorical(profile.race_dist),
-                      _categorical(profile.age_dist), _plan(rows), n_cells))
+        plans.append((*_table(profile.sex_dist, Sex), *_table(profile.race_dist, Race),
+                      *_table(profile.age_dist, _AGE_RANGES.__getitem__),
+                      profile.mortality_prob, _plan(rows), n_cells))
 
     patients: list[PatientRecord] = []
     diagnoses: list[list[str]] = []
@@ -325,25 +332,22 @@ def generate_cohort(
         rng = np.random.default_rng([seed, i])
         pid = f"P{i:0{width}d}"
 
-        k = _pick(weights, rng)
-        profile = profiles[k]
+        u_profile, u_sex, u_race, u_age = rng.random(4).tolist()
+        k = _pick(weights, u_profile)
         truth[pid] = k
 
-        draw_sex, draw_race, draw_age_group, (probs, lows, highs, pools), n_cells = plans[k]
-        sex = Sex(draw_sex(rng))
-        race = Race(draw_race(rng))
-        lo, hi = _AGE_RANGES[draw_age_group(rng)]
+        sexes, sex_cum, races, race_cum, ages, age_cum, mortality, plan, n_cells = plans[k]
+        probs, lows, highs, pools = plan
+        lo, hi = ages[_pick(age_cum, u_age)]
         age = int(rng.integers(lo, hi + 1))
 
         index_ordinal = window_start + int(rng.integers(0, window_days + 1))
-        index_date = date.fromordinal(index_ordinal)
-        birth_date = _anniversary(index_date, age)
+        index_day = index_ordinal - first_day
+        birth_date = _anniversary(date.fromordinal(index_ordinal), age)
 
-        ad_code = ad_codes[int(rng.integers(0, len(ad_codes)))]
-        ad_system = CodeSystem.ICD9 if ad_code.replace(".", "").isdigit() else CodeSystem.ICD10CM
-        diagnoses.append([pid, ad_code, ad_system.value, index_date.isoformat()])
+        diagnoses.append([pid, *ad_codes[int(rng.integers(0, len(ad_codes)))], day_text[index_day]])
 
-        died = rng.random() < profile.mortality_prob
+        died = rng.random() < mortality
         death_date = None
         if died:
             death_date = date.fromordinal(index_ordinal + int(rng.integers(30, 1096)))
@@ -351,7 +355,7 @@ def generate_cohort(
         hit = (rng.random(probs.size) < probs).nonzero()[0]
         days, picks = rng.integers(lows[:, hit], highs[:, hit]).tolist()
         for j, day, pick in zip(hit.tolist(), days, picks):
-            when = date.fromordinal(index_ordinal + day).isoformat()
+            when = day_text[index_day + day]
             if j < n_cells:
                 diagnoses.append([pid, *pools[j][pick], when])
             else:
@@ -360,8 +364,8 @@ def generate_cohort(
         patients.append(
             PatientRecord(
                 patient_id=pid,
-                sex=sex,
-                race=race,
+                sex=sexes[_pick(sex_cum, u_sex)],
+                race=races[_pick(race_cum, u_race)],
                 birth_date=birth_date,
                 died=died,
                 death_date=death_date,

@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
@@ -16,12 +17,12 @@ from adsubtype.cohort import (
     parse_tables,
     select_cohort,
 )
+from adsubtype.data import default_atc_map, default_phecode_map
 from adsubtype.drugs import AtcMap
 from adsubtype.table import read_table
 from adsubtype.synth import (
     SubtypeProfile,
     _anniversary,
-    _categorical,
     generate_cohort,
     load_profiles,
     demo_profiles,
@@ -29,8 +30,6 @@ from adsubtype.synth import (
     validate_profiles,
     well_separated_profiles,
 )
-
-import numpy as np
 
 from conftest import event_rows, profile_dict, write_profiles
 
@@ -151,12 +150,23 @@ def test_load_profiles_refuses_a_non_object(tmp_path, text):
 # ---------------------------------------------------------------------------
 
 
-def test_draw_categorical_insertion_order_does_not_matter():
-    a = {"x": 0.3, "y": 0.7}
-    b = {"y": 0.7, "x": 0.3}
-    draws_a = [_categorical(a)(np.random.default_rng([1, i])) for i in range(50)]
-    draws_b = [_categorical(b)(np.random.default_rng([1, i])) for i in range(50)]
-    assert draws_a == draws_b
+def test_draw_categorical_insertion_order_does_not_matter(tiny_pmap, tmp_path):
+    # two profiles whose distributions differ only in key order write the same tables
+    dists = dict(
+        condition_slot_prob={("401.1", 1): 0.6, ("272.1", 2): 0.3, ("250.2", 1): 0.5},
+        sex_dist={"F": 0.5, "M": 0.3, "UN": 0.2},
+        race_dist={"05": 0.4, "03": 0.3, "02": 0.2, "UN": 0.1},
+        age_dist={"<65": 0.2, "65-75": 0.3, "75-85": 0.4, ">=85": 0.1},
+        drug_class_probs={"N02B": 0.4, "B01A": 0.7},
+    )
+    reordered = {name: dict(reversed(dist.items())) for name, dist in dists.items()}
+    tables = []
+    for i, kwargs in enumerate((dists, reordered)):
+        profile = SubtypeProfile("only", 1.0, mortality_prob=0.3, **kwargs)
+        data = generate_cohort([profile], 200, seed=1, phecode_map=tiny_pmap, atc_map=_atc_map())
+        names = data.write_tables(tmp_path / str(i), "meta")
+        tables.append({name: (tmp_path / str(i) / name).read_bytes() for name in names})
+    assert tables[0] == tables[1]
 
 
 def test_anniversary_handles_leap_day():
@@ -463,14 +473,24 @@ def test_demo_profiles_are_valid_and_generate():
     assert [p.mixture_weight for p in profiles] == [0.17, 0.46, 0.20, 0.17]
     data = generate_cohort(profiles, 60, seed=1)
     assert len(data.patients) == 60
-    cohort = select_cohort(data.to_raw_tables(), CohortConfig(), __default_pmap())
+    cohort = select_cohort(data.to_raw_tables(), CohortConfig(), default_phecode_map())
     assert len(cohort.patients) >= 55  # sparse draws may drop a stray patient
 
 
-def __default_pmap():
-    from adsubtype.data import default_phecode_map
-
-    return default_phecode_map()
+def test_generated_rows_share_their_date_strings():
+    # rows on one day hold one shared date string: a string per row would add
+    # 59 B x 36,401 rows = 2.1 MB to the result's 6.1 MB at the demo size
+    # (tracing slows generation about 18-fold, so the cohort is kept at n=2000)
+    profiles, pmap, atc_map = demo_profiles(), default_phecode_map(), default_atc_map()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = generate_cohort(profiles, 2000, 0, phecode_map=pmap, atc_map=atc_map)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(data.diagnoses) + len(data.prescriptions) == 36_401
+    assert live < 7e6
 
 
 def test_well_separated_profiles_structure():
