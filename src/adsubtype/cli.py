@@ -68,7 +68,7 @@ from .cohort import (
     select_cohort,
 )
 from .data import default_atc_map, default_phecode_map, default_vocabulary
-from .drugs import drug_prevalence_by_cluster, load_atc_map, rank_drug_classes
+from .drugs import ATC3_PATTERN, drug_prevalence_by_cluster, load_atc_map, rank_drug_classes
 from .phenotype import (
     FeatureMatrix,
     aggregate_from_temporal,
@@ -170,6 +170,10 @@ ISO_DATE = Kind("an ISO date string", _is_iso_date)
 PATH = Kind("a path string", lambda v: isinstance(v, str))
 STRINGS = Kind("a list of strings", _is_str_list)
 NONEMPTY_STRINGS = Kind("a non-empty list of strings", lambda v: _is_str_list(v) and len(v) > 0)
+ATC3_CODES = Kind(  # the codes load_atc_map keeps; no other can match a prescription
+    "a list of ATC3 codes like N06A",
+    lambda v: _is_str_list(v) and all(map(ATC3_PATTERN.fullmatch, v)),
+)
 FILE = input_file()
 
 
@@ -220,7 +224,7 @@ CONFIG_KEYS = (
     Key("mlr.race_reference", "American Indian or Alaska Native", one_of(*DEMOGRAPHICS["race"])),
     Key("mlr.age_reference", "<65", one_of(*DEMOGRAPHICS["age_group"])),
     Key("drugs.atc_map", None, nullable(FILE)),
-    Key("drugs.selected", None, nullable(STRINGS)),
+    Key("drugs.selected", None, nullable(ATC3_CODES)),
     Key("drugs.top", 13, POS_INT),
     Key("report.top_k", 20, POS_INT),
 )
@@ -509,13 +513,9 @@ def stage_features(ctx: Context) -> None:
 
 def stage_elbow(ctx: Context) -> None:
     el = ctx.cfg["elbow"]
-    fm = ctx.features()
+    X = ctx.features().values  # uint8; elbow_sse_curve makes no float copy
     curve = elbow_sse_curve(
-        fm.values.astype(np.float64),
-        kmax=el["kmax"],
-        restarts=el["restarts"],
-        seed=ctx.seed,
-        threads=ctx.cfg["threads"],
+        X, kmax=el["kmax"], restarts=el["restarts"], seed=ctx.seed, threads=ctx.cfg["threads"]
     )
     chosen = detect_elbow(curve)
     artifact = Artifact(

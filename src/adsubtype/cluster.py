@@ -553,61 +553,58 @@ TOL = 1e-4
 
 
 def _kmeanspp_centers(
-    X: np.ndarray, P: np.ndarray | sp.csr_matrix, x2: np.ndarray, k: int, rng: np.random.Generator
+    Xs: sp.csr_matrix, x2: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    n = X.shape[0]
+    n = Xs.shape[0]
     chosen = [int(rng.integers(n))]
-    closest = _point_center_sqdist(P, x2, X[chosen[0] : chosen[0] + 1])[:, 0]
+    closest = np.full(n, np.inf)
     for _ in range(1, k):
+        closest = np.minimum(closest, _point_center_sqdist(Xs, x2, Xs[chosen[-1]].toarray())[:, 0])
         total = closest.sum()
         if total <= 0:
             # all points coincide with a chosen center; lowest index wins
-            idx = int(np.argmin(closest))
+            chosen.append(int(np.argmin(closest)))
         else:
             r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(closest), r, side="right"))
-            idx = min(idx, n - 1)
-        chosen.append(idx)
-        closest = np.minimum(closest, _point_center_sqdist(P, x2, X[idx : idx + 1])[:, 0])
-    return X[chosen]
+            chosen.append(min(int(np.searchsorted(np.cumsum(closest), r, side="right")), n - 1))
+    return Xs[chosen].toarray()
 
 
-def _point_center_sqdist(
-    P: np.ndarray | sp.csr_matrix, x2: np.ndarray, centers: np.ndarray
-) -> np.ndarray:
-    # ||x||^2 - 2 x.c + ||c||^2 with x2 = ||x||^2 precomputed; clamped at 0.
-    # P holds the points; kmeans passes their CSR copy.
+def _point_center_sqdist(Xs: sp.csr_matrix, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # ||x||^2 - 2 x.c + ||c||^2 with x2 = ||x||^2 precomputed; clamped at 0
     c2 = np.einsum("ij,ij->i", centers, centers)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * (P @ centers.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    d2 = x2[:, None] + c2[None, :] - 2.0 * (Xs @ centers.T)
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _assigned_residuals(X: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    # exact per-point squared distance to the assigned center; each row's sum
-    # is the same in any row block, and blocks keep no n x p buffer alive
-    residuals = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], 256):
-        rows = slice(start, start + 256)
-        diff = centers[labels[rows]]
-        np.subtract(X[rows], diff, out=diff)
-        residuals[rows] = np.einsum("ij,ij->i", diff, diff)
+def _assigned_residuals(Xs: sp.csr_matrix, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    # exact per-point squared distance to the assigned center. Each dense
+    # block of about 64K cells starts at -c and gets its rows' nonzeros added:
+    # (-c) + x is x - c bit for bit, and a row's sum is the same in any block
+    (n, p), negated = Xs.shape, -centers
+    step = max(1, 65_536 // max(p, 1))
+    residuals = np.empty(n)
+    for start in range(0, n, step):
+        ptr = Xs.indptr[start : start + step + 1]
+        diff = negated[labels[start : start + step]]
+        cells = np.repeat(np.arange(len(diff)) * p, np.diff(ptr)) + Xs.indices[ptr[0] : ptr[-1]]
+        np.add.at(diff.reshape(-1), cells, Xs.data[ptr[0] : ptr[-1]])
+        residuals[start : start + step] = np.einsum("ij,ij->i", diff, diff)
     return residuals
 
 
 def _lloyd(
-    X: np.ndarray, Xs: sp.csr_matrix, x2: np.ndarray, centers: np.ndarray
+    Xs: sp.csr_matrix, x2: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Lloyd iterations; returns (labels, centers, sse, per-iteration sse).
+    """Lloyd iterations on the points' CSR; returns (labels, centers, sse, per-iteration sse).
 
-    Xs is X's CSR copy, so every per-iteration product reads only the
-    nonzeros, and each centroid sum adds a cluster's values per column in
-    ascending row order. The objective is recorded after each assignment
-    step from the assignment distances, and the final entry is the exact
-    SSE; it is non-increasing up to rounding. An empty cluster is re-seeded
-    at the point farthest from its assigned center.
+    Each product reads only the nonzeros, and each centroid sum adds a
+    cluster's values per column in ascending row order. The objective is
+    recorded after each assignment step from the assignment distances, and
+    the final entry is the exact SSE; it is non-increasing up to rounding.
+    An empty cluster is re-seeded at the point farthest from its center.
     """
-    (n, p), k = X.shape, centers.shape[0]
+    (n, p), k = Xs.shape, centers.shape[0]
     rows = np.arange(n)
     history: list[float] = []
     for _ in range(MAX_ITER):
@@ -623,10 +620,10 @@ def _lloyd(
         new_centers = centers.copy()
         new_centers[present] = sums / counts[present, None]
         if not present.all():
-            claim_d2 = _assigned_residuals(X, centers, labels)
+            claim_d2 = _assigned_residuals(Xs, centers, labels)
             for j in np.flatnonzero(~present):
                 far = int(np.argmax(claim_d2))
-                new_centers[j] = X[far]
+                new_centers[j] = Xs[far].toarray()[0]
                 claim_d2[far] = -1.0  # a point re-seeds at most one centroid
 
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
@@ -634,7 +631,7 @@ def _lloyd(
         if shift < TOL:
             break
     labels = _point_center_sqdist(Xs, x2, centers).argmin(axis=1)
-    sse = float(_assigned_residuals(X, centers, labels).sum())
+    sse = float(_assigned_residuals(Xs, centers, labels).sum())
     history.append(sse)
     return labels, centers, sse, history
 
@@ -650,7 +647,7 @@ def _canonical_labels(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def kmeans(
-    X: np.ndarray,
+    X: np.ndarray | sp.csr_matrix,
     k: int,
     restarts: int = 10,
     *,
@@ -663,25 +660,24 @@ def kmeans(
     a pool of at most `threads` workers; results are reduced in restart
     order and ties keep the earliest, so the output does not depend on
     `threads`. The winning partition's clusters are numbered by size
-    descending, ties by lowest member row. The products and centroid sums
-    read one CSR copy of X, built before the pool starts; the SSE is still
-    the dense residual sum.
+    descending, ties by lowest member row. X (dense, or CSR as
+    elbow_sse_curve passes it) is held only as one float64 CSR, built before
+    the pool starts; every product, centroid sum and SSE reads it.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
+    import scipy.sparse as sp
+    Xs = sp.csr_matrix(X, dtype=np.float64)
+    n = Xs.shape[0]
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
     if restarts < 1:
         raise ValueError(f"restarts={restarts} must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
-    import scipy.sparse as sp
-    x2 = np.einsum("ij,ij->i", X, X)
-    Xs = sp.csr_matrix(X)
+    x2 = _assigned_residuals(Xs, np.zeros((1, Xs.shape[1])), np.zeros(n, dtype=np.intp))  # ||x||^2
 
     def restart(r: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-        centers = _kmeanspp_centers(X, Xs, x2, k, np.random.default_rng([seed, r]))
-        return _lloyd(X, Xs, x2, centers)
+        centers = _kmeanspp_centers(Xs, x2, k, np.random.default_rng([seed, r]))
+        return _lloyd(Xs, x2, centers)
 
     with ThreadPoolExecutor(max_workers=_workers(threads, restarts)) as pool:
         runs = list(pool.map(restart, range(restarts)))
@@ -717,16 +713,19 @@ def elbow_sse_curve(
     seed: int,
     threads: int = 1,
 ) -> list[tuple[int, float]]:
-    """(k, best k-means SSE on the raw features) for each k in [kmin, kmax]."""
-    X = np.asarray(X, dtype=np.float64)
-    if kmax > X.shape[0]:
-        raise ValueError(f"kmax={kmax} exceeds number of points n={X.shape[0]}")
+    """(k, best k-means SSE on the raw features) for each k in [kmin, kmax].
+
+    X (say, the uint8 features) becomes one float64 CSR for the whole curve,
+    which every k's kmeans reads; no dense float copy is made.
+    """
+    import scipy.sparse as sp
+    Xs = sp.csr_matrix(X, dtype=np.float64)
+    if kmax > Xs.shape[0]:
+        raise ValueError(f"kmax={kmax} exceeds number of points n={Xs.shape[0]}")
     if kmin < 1 or kmin > kmax:
         raise ValueError("need 1 <= kmin <= kmax")
-    points = []
-    for k in range(kmin, kmax + 1):
-        points.append((k, kmeans(X, k, restarts=restarts, seed=seed, threads=threads).sse))
-    return points
+    ks = range(kmin, kmax + 1)
+    return [(k, kmeans(Xs, k, restarts=restarts, seed=seed, threads=threads).sse) for k in ks]
 
 
 def detect_elbow(points: Sequence[tuple[int, float]]) -> int:

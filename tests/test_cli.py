@@ -244,6 +244,10 @@ def test_removed_plan_keys_rejected(tmp_path, capsys):
             {"ingest": {"exclusions": [401.1]}}, "ingest.exclusions", id="exclusions-float"
         ),
         pytest.param({"drugs": {"selected": [5]}}, "drugs.selected", id="selected-int"),
+        pytest.param(
+            {"drugs": {"selected": ["n06a", "N06A"]}}, "drugs.selected", id="selected-lowercase"
+        ),
+        pytest.param({"drugs": {"selected": ["X99"]}}, "drugs.selected", id="selected-not-atc3"),
         pytest.param({"cohort": {"ad_codes": [331.0]}}, "cohort.ad_codes", id="ad-codes-float"),
         pytest.param(
             {"mlr": {"reference_cluster": True}}, "mlr.reference_cluster", id="reference-bool"

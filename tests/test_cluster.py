@@ -703,18 +703,21 @@ def test_lloyd_matches_reference_loop():
         spread = 1.0 if trial % 3 else 4.0
         centers = rng.uniform(-spread, spread, size=(k, d))
         x2 = np.einsum("ij,ij->i", X, X)
-        labels, _, sse, history = cluster._lloyd(X, sp.csr_matrix(X), x2, centers)
+        labels, _, sse, history = cluster._lloyd(sp.csr_matrix(X), x2, centers)
         ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
         assert np.array_equal(labels, ref_labels), trial
         assert abs(sse - ref_sse) <= 1e-9, trial
         assert sse == history[-1]
 
 
-@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("binary", [False, True, "uint8"])
 def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
     _pretend_cpus(monkeypatch, 8)  # more workers than cores
     rng = np.random.default_rng(5)
-    X = (rng.random((120, 10)) < 0.3).astype(float) if binary else rng.normal(size=(120, 4))
+    if binary:
+        X = (rng.random((120, 10)) < 0.3).astype(np.uint8 if binary == "uint8" else float)
+    else:
+        X = rng.normal(size=(120, 4))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -748,9 +751,10 @@ def test_lloyd_reseeds_empty_clusters_on_binary_rows():
     for trial, X, k in _binary_instances(rng):
         x2 = np.einsum("ij,ij->i", X, X)
         centers = rng.uniform(-4.0, 4.0, size=(k, X.shape[1]))
-        first_labels = cluster._point_center_sqdist(X, x2, centers).argmin(axis=1)
+        Xs = sp.csr_matrix(X)
+        first_labels = cluster._point_center_sqdist(Xs, x2, centers).argmin(axis=1)
         reseeded += int((np.bincount(first_labels, minlength=k) == 0).any())
-        labels, _, sse, history = cluster._lloyd(X, sp.csr_matrix(X), x2, centers)
+        labels, _, sse, history = cluster._lloyd(Xs, x2, centers)
         ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
         assert np.array_equal(labels, ref_labels), trial
         assert abs(sse - ref_sse) <= 1e-9, trial
@@ -846,6 +850,15 @@ def test_elbow_curve_validation():
         elbow_sse_curve(X, kmin=1, kmax=6, restarts=1, seed=0)
     with pytest.raises(ValueError, match="kmin"):
         elbow_sse_curve(X, kmin=3, kmax=2, restarts=1, seed=0)
+
+
+def test_elbow_curve_on_uint8_holds_no_float64_copy():
+    # features as the elbow stage reads them: uint8, about 6.5% ones
+    n, p = 3000, 240
+    X = (np.random.default_rng(4).random((n, p)) < 0.065).astype(np.uint8)
+    curve, peak = traced_peak(elbow_sse_curve, X, kmax=3, restarts=2, seed=0)
+    assert [k for k, _ in curve] == [1, 2, 3]
+    assert peak < 8 * n * p, peak
 
 
 def test_detect_elbow_hand_curve():
