@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class SpectralConfig:
     seed: int
     gamma: float | None = None  # None -> 1 / feature_count
     knn_sparsify: int | None = None
-    # workers for the kNN distance blocks and the k-means restarts; never
-    # changes the result
+    # workers for the kNN distance blocks and the k-means restarts (a
+    # contiguous group of restarts per worker); never changes the result
     threads: int = 1
 
     def __post_init__(self):
@@ -550,90 +550,236 @@ def normalized_laplacian_embedding(
 # more (scikit-learn's KMeans defaults)
 MAX_ITER = 300
 TOL = 1e-4
+# Cells in each dense block of k-means work: a tile of distances (rows x the
+# centres of every running restart of a worker's group), a block of the exact
+# SSE, and the entries of the 0/1 points moved between clusters at once. A
+# block is 256 KB of float64 whatever n, k and the restart count are, so what
+# a worker allocates per iteration does not grow with them: memory a worker
+# thread frees stays in its malloc arena. Twice the cells made the tiles the
+# largest buffers of k-means on the 12,000 x 4 spectral embedding; half made
+# the demo elbow's many small tiles about a fifth slower.
+KMEANS_CELLS = 32_768
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(where the stored entries of rows sit in a CSR's arrays, in order; each row's count)."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(int(lens.sum())), lens
+
+
+def _dense_rows(Xs: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Xs[rows] as a dense float64 array, filled from the CSR arrays.
+
+    Xs holds no duplicate entries (kmeans sums them), so this is
+    Xs[rows].toarray() bit for bit.
+    """
+    at, lens = _row_positions(Xs.indptr, rows)
+    out = np.zeros((len(rows), Xs.shape[1]))
+    out[np.repeat(np.arange(len(rows)), lens), Xs.indices[at]] = Xs.data[at]
+    return out
+
+
+def _row_tiles(Xs: sp.csr_matrix, width: int) -> list[tuple[slice, sp.csr_matrix]]:
+    """(rows, a CSR view of them) for blocks of rows covering Xs, width x rows <= KMEANS_CELLS.
+
+    The views share Xs's arrays. They are set after construction, since the
+    constructor copies an array that is a view of less than half its base.
+    """
+    import scipy.sparse as sp
+    (n, p), ptr = Xs.shape, Xs.indptr
+    step = max(1, KMEANS_CELLS // width)
+    if step >= n:
+        return [(slice(0, n), Xs)]
+    tiles = []
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        tile = sp.csr_matrix((b - a, p))
+        tile.data, tile.indices = Xs.data[ptr[a] : ptr[b]], Xs.indices[ptr[a] : ptr[b]]
+        tile.indptr = ptr[a : b + 1] - ptr[a]
+        tiles.append((slice(a, b), tile))
+    return tiles
+
+
+def _tile_distances(
+    tiles: list[tuple[slice, sp.csr_matrix]], x2: np.ndarray, centers: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, d2) per tile: the squared distances from its points to each of centers (m x p).
+
+    d2 = (||x||^2 + ||c||^2) - 2 x.c, clamped at 0, with x2 = ||x||^2, in
+    one buffer that every tile reuses. One product per tile covers every
+    centre: a column of a CSR product has the same bits at any width, and
+    an output row reads only its own row, so each distance has the bits of
+    a product with its centre alone.
+    """
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    ct = centers.T.copy()
+    buf = np.empty(max(tile.shape[0] for _, tile in tiles) * len(c2))
+    for rows, tile in tiles:
+        d2 = np.add(x2[rows, None], c2, out=buf[: tile.shape[0] * len(c2)].reshape(-1, len(c2)))
+        twice = tile @ ct
+        twice *= 2.0
+        d2 -= twice
+        del twice
+        yield rows, np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp_centers(
-    Xs: sp.csr_matrix, x2: np.ndarray, k: int, rng: np.random.Generator
+    Xs: sp.csr_matrix, x2: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    n = Xs.shape[0]
-    chosen = [int(rng.integers(n))]
-    closest = np.full(n, np.inf)
-    for _ in range(1, k):
-        closest = np.minimum(closest, _point_center_sqdist(Xs, x2, Xs[chosen[-1]].toarray())[:, 0])
-        total = closest.sum()
-        if total <= 0:
-            # all points coincide with a chosen center; lowest index wins
-            chosen.append(int(np.argmin(closest)))
-        else:
-            r = rng.random() * total
-            chosen.append(min(int(np.searchsorted(np.cumsum(closest), r, side="right")), n - 1))
-    return Xs[chosen].toarray()
+    """k-means++ starts, one restart per generator: an R x k x p array.
 
-
-def _point_center_sqdist(Xs: sp.csr_matrix, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ||x||^2 - 2 x.c + ||c||^2 with x2 = ||x||^2 precomputed; clamped at 0
-    c2 = np.einsum("ij,ij->i", centers, centers)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * (Xs @ centers.T)
-    return np.maximum(d2, 0.0, out=d2)
+    Each step takes the distances to every restart's last pick in one pass
+    of products; each restart draws from its own generator as a lone run.
+    """
+    n, R = Xs.shape[0], len(rngs)
+    tiles = _row_tiles(Xs, R)
+    chosen = np.empty((R, k), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    closest = np.full((R, n), np.inf)
+    for step in range(1, k):
+        for rows, d2 in _tile_distances(tiles, x2, _dense_rows(Xs, chosen[:, step - 1])):
+            np.minimum(closest[:, rows], d2.T, out=closest[:, rows])
+        for r, rng in enumerate(rngs):
+            total = closest[r].sum()
+            if total <= 0:
+                # all points coincide with a chosen center; lowest index wins
+                chosen[r, step] = np.argmin(closest[r])
+            else:
+                at = np.searchsorted(np.cumsum(closest[r]), rng.random() * total, side="right")
+                chosen[r, step] = min(int(at), n - 1)
+    return _dense_rows(Xs, chosen.ravel()).reshape(R, k, -1)
 
 
 def _assigned_residuals(Xs: sp.csr_matrix, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
     # exact per-point squared distance to the assigned center. Each dense
-    # block of about 64K cells starts at -c and gets its rows' nonzeros added:
-    # (-c) + x is x - c bit for bit, and a row's sum is the same in any block
+    # block of KMEANS_CELLS cells starts at -c and gets its rows' nonzeros
+    # added, each cell once: (-c) + x is x - c bit for bit, and a row's sum is
+    # the same in any block
     (n, p), negated = Xs.shape, -centers
-    step = max(1, 65_536 // max(p, 1))
+    step = max(1, KMEANS_CELLS // max(p, 1))
     residuals = np.empty(n)
     for start in range(0, n, step):
         ptr = Xs.indptr[start : start + step + 1]
         diff = negated[labels[start : start + step]]
         cells = np.repeat(np.arange(len(diff)) * p, np.diff(ptr)) + Xs.indices[ptr[0] : ptr[-1]]
-        np.add.at(diff.reshape(-1), cells, Xs.data[ptr[0] : ptr[-1]])
+        diff.reshape(-1)[cells] += Xs.data[ptr[0] : ptr[-1]]
         residuals[start : start + step] = np.einsum("ij,ij->i", diff, diff)
     return residuals
 
 
+def _assign(
+    tiles: list[tuple[slice, sp.csr_matrix]], x2: np.ndarray, centers: np.ndarray,
+    labels: np.ndarray, dist: np.ndarray,
+) -> None:
+    """labels[r], dist[r] <- each point's nearest of centers[r] (k x p) and its distance to it."""
+    A, k, p = centers.shape
+    for rows, d2 in _tile_distances(tiles, x2, centers.reshape(A * k, p)):
+        nearest = d2.reshape(-1, k).argmin(axis=1)
+        labels[:, rows] = nearest.reshape(-1, A).T
+        nearest += np.arange(0, d2.size, k)
+        dist[:, rows] = d2.reshape(-1)[nearest].reshape(-1, A).T
+
+
+def _cluster_sums(Xs: sp.csr_matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's centroid sum, adding its values per column in ascending row order, and size."""
+    p = Xs.shape[1]
+    cells = np.repeat(labels * p, np.diff(Xs.indptr))
+    cells += Xs.indices
+    return np.bincount(cells, weights=Xs.data, minlength=k * p).reshape(k, p), np.bincount(labels, minlength=k)
+
+
+def _move_points(
+    Xs: sp.csr_matrix, sums: np.ndarray, counts: np.ndarray, old: np.ndarray, new: np.ndarray,
+    step: int,
+) -> None:
+    """Move each 0/1 point whose label in restart r went from old[r] to new[r] between r's clusters.
+
+    sums (R x k x p) and counts (R x k) are each cluster's centroid sum and
+    size; they stay integers, so they equal a recount in any order. The
+    moved points' entries are taken `step` points at a time.
+    """
+    R, k, p = sums.shape
+    slots, rows = np.nonzero(old != new)
+    moves = [(np.subtract, old[slots, rows] + slots * k), (np.add, new[slots, rows] + slots * k)]
+    for op, clusters in moves:
+        op.at(counts.reshape(-1), clusters, 1)
+    for a in range(0, len(rows), step):
+        at, lens = _row_positions(Xs.indptr, rows[a : a + step])
+        for op, clusters in moves:
+            op.at(sums.reshape(-1), np.repeat(clusters[a : a + step] * p, lens) + Xs.indices[at], 1.0)
+
+
 def _lloyd(
     Xs: sp.csr_matrix, x2: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Lloyd iterations on the points' CSR; returns (labels, centers, sse, per-iteration sse).
+) -> list[tuple[np.ndarray, float, list[float]]]:
+    """Lloyd iterations for R restarts in one loop, restart r from centers[r] (R x k x p).
 
-    Each product reads only the nonzeros, and each centroid sum adds a
-    cluster's values per column in ascending row order. The objective is
-    recorded after each assignment step from the assignment distances, and
-    the final entry is the exact SSE; it is non-increasing up to rounding.
-    An empty cluster is re-seeded at the point farthest from its center.
+    Returns (labels, sse, per-iteration sse) for each restart: what it gets
+    run alone. Each iteration assigns every running restart in one pass of
+    products (`_assign`). The objective is recorded after each assignment
+    step from the assignment distances, and the final entry is the exact
+    SSE; it is non-increasing up to rounding. Centroid sums add a cluster's
+    values per column in ascending row order; on 0/1 points they are
+    integer counts, kept up to date from the points that changed cluster
+    (`_move_points`). An empty cluster is re-seeded at the point farthest
+    from its center. A restart stops once no centre moves by TOL, or after
+    MAX_ITER iterations, and is then assigned to its final centres.
+
+    The running restarts' arrays are allocated once and compacted when
+    restarts finish, at most R times. Besides, an iteration allocates a
+    tile of KMEANS_CELLS cells, arrays of R x k x p, one restart's centroid
+    cells at a time (on 0/1 points only in the first iteration), the moved
+    points' labels (at most R x n), and blocks of their entries of at most
+    KMEANS_CELLS cells: nothing that grows with n x R x k.
     """
-    (n, p), k = Xs.shape, centers.shape[0]
-    rows = np.arange(n)
-    history: list[float] = []
-    for _ in range(MAX_ITER):
-        d2 = _point_center_sqdist(Xs, x2, centers)
-        labels = d2.argmin(axis=1)
-        history.append(float(d2[rows, labels].sum()))
-
-        counts = np.bincount(labels, minlength=k)
+    (R, k, p), n = centers.shape, Xs.shape[0]
+    binary = bool((Xs.data == 1).all())
+    tiles = _row_tiles(Xs, R * k)
+    step = max(1, KMEANS_CELLS // max(1, int(np.diff(Xs.indptr).max(initial=0))))  # moved points a block
+    running = np.arange(R)  # the restart in each row of the arrays below
+    labels, prev = np.empty((R, n), dtype=np.intp), np.empty((R, n), dtype=np.intp)
+    dist, sums, counts = np.empty((R, n)), np.empty((R, k, p)), np.empty((R, k), dtype=np.intp)
+    last = np.zeros(R, dtype=bool)  # the next assignment is the restart's last
+    histories: list[list[float]] = [[] for _ in range(R)]
+    runs: dict[int, tuple[np.ndarray, float, list[float]]] = {}
+    for iteration in range(MAX_ITER + 1):
+        _assign(tiles, x2, centers, labels, dist[: len(running)])
+        last |= iteration == MAX_ITER
+        objectives = dist[: len(running)].sum(axis=1).tolist()
+        for s, r in enumerate(running):
+            if last[s]:
+                sse = float(_assigned_residuals(Xs, centers[s], labels[s]).sum())
+                runs[r] = (labels[s].copy(), sse, histories[r] + [sse])
+            else:
+                histories[r].append(objectives[s])
+        if last.any():
+            keep = ~last
+            running, centers, labels, prev, sums, counts = (
+                a[keep] for a in (running, centers, labels, prev, sums, counts)
+            )
+            if not len(running):
+                break
+        if binary and iteration:
+            _move_points(Xs, sums, counts, prev, labels, step)
+        else:
+            for s in range(len(running)):
+                sums[s], counts[s] = _cluster_sums(Xs, labels[s], k)
         present = counts > 0
-        cells = np.repeat(labels * p, np.diff(Xs.indptr))
-        cells += Xs.indices
-        sums = np.bincount(cells, weights=Xs.data, minlength=k * p).reshape(k, p)[present]
         new_centers = centers.copy()
-        new_centers[present] = sums / counts[present, None]
-        if not present.all():
-            claim_d2 = _assigned_residuals(Xs, centers, labels)
-            for j in np.flatnonzero(~present):
+        np.divide(sums, counts[:, :, None], out=new_centers, where=present[:, :, None])
+        for s in np.flatnonzero(~present.all(axis=1)):
+            claim_d2 = _assigned_residuals(Xs, centers[s], labels[s])
+            for j in np.flatnonzero(~present[s]):
                 far = int(np.argmax(claim_d2))
-                new_centers[j] = Xs[far].toarray()[0]
+                new_centers[s, j] = _dense_rows(Xs, np.array([far]))[0]
                 claim_d2[far] = -1.0  # a point re-seeds at most one centroid
 
-        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        last = np.sqrt(((new_centers - centers) ** 2).sum(axis=2)).max(axis=1) < TOL
         centers = new_centers
-        if shift < TOL:
-            break
-    labels = _point_center_sqdist(Xs, x2, centers).argmin(axis=1)
-    sse = float(_assigned_residuals(Xs, centers, labels).sum())
-    history.append(sse)
-    return labels, centers, sse, history
+        labels, prev = prev, labels  # the next assignment's buffer, and this one
+    return [runs[r] for r in range(R)]
 
 
 def _canonical_labels(labels: np.ndarray, k: int) -> np.ndarray:
@@ -656,16 +802,20 @@ def kmeans(
 ) -> ClusterAssignment:
     """k-means++ seeded Lloyd's algorithm; best of `restarts` runs by SSE.
 
-    Each restart draws from an independent substream of the seed and runs on
-    a pool of at most `threads` workers; results are reduced in restart
-    order and ties keep the earliest, so the output does not depend on
-    `threads`. The winning partition's clusters are numbered by size
-    descending, ties by lowest member row. X (dense, or CSR as
-    elbow_sse_curve passes it) is held only as one float64 CSR, built before
-    the pool starts; every product, centroid sum and SSE reads it.
+    Each restart draws from an independent substream of the seed. The
+    restarts are cut into one contiguous group per worker of a pool of at
+    most `threads`, and each worker runs its group's k-means++ starts and
+    Lloyd iterations in one loop (`_lloyd`), in which every restart gets
+    what it gets alone. Results are reduced in restart order and ties keep
+    the earliest, so the output does not depend on `threads`. The winning
+    partition's clusters are numbered by size descending, ties by lowest
+    member row. X (dense, or CSR as elbow_sse_curve passes it) is held only
+    as one float64 CSR, built before the pool starts; every product,
+    centroid sum and SSE reads it.
     """
     import scipy.sparse as sp
     Xs = sp.csr_matrix(X, dtype=np.float64)
+    Xs.sum_duplicates()  # one entry per cell, as the row fills and indexed adds assume
     n = Xs.shape[0]
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
@@ -675,14 +825,17 @@ def kmeans(
         raise ValueError(f"k={k} exceeds number of points n={n}")
     x2 = _assigned_residuals(Xs, np.zeros((1, Xs.shape[1])), np.zeros(n, dtype=np.intp))  # ||x||^2
 
-    def restart(r: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-        centers = _kmeanspp_centers(Xs, x2, k, np.random.default_rng([seed, r]))
-        return _lloyd(Xs, x2, centers)
+    def group(ids: range) -> list[tuple[np.ndarray, float, list[float]]]:
+        rngs = [np.random.default_rng([seed, r]) for r in ids]
+        return _lloyd(Xs, x2, _kmeanspp_centers(Xs, x2, k, rngs))
 
-    with ThreadPoolExecutor(max_workers=_workers(threads, restarts)) as pool:
-        runs = list(pool.map(restart, range(restarts)))
-    best = min(range(restarts), key=lambda r: runs[r][2])  # min keeps the earliest tie
-    labels, _, sse, history = runs[best]
+    workers = _workers(threads, restarts)
+    cuts = [restarts * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        groups = pool.map(group, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+        runs = [run for runs in groups for run in runs]
+    best = min(range(restarts), key=lambda r: runs[r][1])  # min keeps the earliest tie
+    labels, sse, history = runs[best]
     return ClusterAssignment(labels=_canonical_labels(labels, k), sse=sse, sse_history=history)
 
 

@@ -17,6 +17,7 @@ for _var in (
 
 import pytest
 
+from adsubtype import cluster
 from adsubtype.cohort import CodeSystem, CohortConfig, parse_tables, select_cohort
 from adsubtype.phenotype import PhecodeMap, PhenotypeVocabulary
 
@@ -51,6 +52,12 @@ def profile_dict(profile):
         "mortality_prob": profile.mortality_prob,
         "drug_class_probs": profile.drug_class_probs,
     }
+
+
+def pretend_cpus(monkeypatch, count):
+    """Make the cluster layer see `count` usable CPUs, with or without affinity masks."""
+    monkeypatch.setattr(cluster.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(cluster.os, "cpu_count", lambda: count)
 
 
 def traced_peak(fn, *args, **kwargs):

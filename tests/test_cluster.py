@@ -25,7 +25,7 @@ from adsubtype.cluster import (
     normalized_laplacian_embedding,
     spectral_cluster,
 )
-from conftest import traced_peak
+from conftest import pretend_cpus, traced_peak
 
 
 def _planted_blocks(n_per, n_blocks, n_cols, seed=0, p_sig=0.9, p_noise=0.05):
@@ -39,12 +39,6 @@ def _planted_blocks(n_per, n_blocks, n_cols, seed=0, p_sig=0.9, p_noise=0.05):
         cols = slice(b * band, (b + 1) * band)
         X[rows, cols] = (rng.random((n_per, band)) < p_sig).astype(np.uint8)
     return X, truth
-
-
-def _pretend_cpus(monkeypatch, count):
-    """Make the cluster layer see `count` usable CPUs, with or without affinity masks."""
-    monkeypatch.setattr(cluster.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(cluster.os, "cpu_count", lambda: count)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +134,7 @@ def test_knn_affinity_matches_row_loop(monkeypatch):
 
 def test_knn_affinity_independent_of_threads(monkeypatch):
     """Splitting each block's rows across workers keeps every byte of the CSR."""
-    _pretend_cpus(monkeypatch, 3)  # more workers than cores
+    pretend_cpus(monkeypatch, 3)  # more workers than cores
     # 30 rows in blocks of 7: the last block has 2 rows, fewer than 3 workers
     monkeypatch.setattr(cluster, "KNN_BLOCK", 7)
     X, _ = _planted_blocks(10, 3, 12, seed=3)
@@ -703,7 +697,7 @@ def test_lloyd_matches_reference_loop():
         spread = 1.0 if trial % 3 else 4.0
         centers = rng.uniform(-spread, spread, size=(k, d))
         x2 = np.einsum("ij,ij->i", X, X)
-        labels, _, sse, history = cluster._lloyd(sp.csr_matrix(X), x2, centers)
+        [(labels, sse, history)] = cluster._lloyd(sp.csr_matrix(X), x2, centers[None])
         ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
         assert np.array_equal(labels, ref_labels), trial
         assert abs(sse - ref_sse) <= 1e-9, trial
@@ -712,7 +706,7 @@ def test_lloyd_matches_reference_loop():
 
 @pytest.mark.parametrize("binary", [False, True, "uint8"])
 def test_kmeans_and_elbow_independent_of_threads(monkeypatch, binary):
-    _pretend_cpus(monkeypatch, 8)  # more workers than cores
+    pretend_cpus(monkeypatch, 8)  # more workers than cores
     rng = np.random.default_rng(5)
     if binary:
         X = (rng.random((120, 10)) < 0.3).astype(np.uint8 if binary == "uint8" else float)
@@ -752,9 +746,9 @@ def test_lloyd_reseeds_empty_clusters_on_binary_rows():
         x2 = np.einsum("ij,ij->i", X, X)
         centers = rng.uniform(-4.0, 4.0, size=(k, X.shape[1]))
         Xs = sp.csr_matrix(X)
-        first_labels = cluster._point_center_sqdist(Xs, x2, centers).argmin(axis=1)
+        first_labels = (x2[:, None] + np.einsum("ij,ij->i", centers, centers) - 2.0 * (X @ centers.T)).argmin(axis=1)
         reseeded += int((np.bincount(first_labels, minlength=k) == 0).any())
-        labels, _, sse, history = cluster._lloyd(Xs, x2, centers)
+        [(labels, sse, history)] = cluster._lloyd(Xs, x2, centers[None])
         ref_labels, ref_sse = _reference_lloyd(X, centers, cluster.MAX_ITER, cluster.TOL)
         assert np.array_equal(labels, ref_labels), trial
         assert abs(sse - ref_sse) <= 1e-9, trial
@@ -790,9 +784,9 @@ def test_kmeans_workers_capped(monkeypatch):
 
     monkeypatch.setattr(cluster, "ThreadPoolExecutor", Recording)
     X = np.random.default_rng(2).random((30, 3))
-    _pretend_cpus(monkeypatch, 64)
+    pretend_cpus(monkeypatch, 64)
     kmeans(X, k=2, restarts=3, seed=0, threads=10_000)
-    _pretend_cpus(monkeypatch, 2)
+    pretend_cpus(monkeypatch, 2)
     kmeans(X, k=2, restarts=3, seed=0, threads=10_000)
     kmeans(X, k=2, restarts=3, seed=0)
     # a process pinned to 2 of the host's 64 CPUs counts 2
@@ -859,6 +853,39 @@ def test_elbow_curve_on_uint8_holds_no_float64_copy():
     curve, peak = traced_peak(elbow_sse_curve, X, kmax=3, restarts=2, seed=0)
     assert [k for k, _ in curve] == [1, 2, 3]
     assert peak < 8 * n * p, peak
+
+
+def test_elbow_curve_calls_kmeans_once_per_k(monkeypatch):
+    # the benchmark's per-k elbow times and k-means iteration counts are
+    # taken from these calls
+    calls = []
+    run = cluster.kmeans
+
+    def recording(X, k, *args, **kwargs):
+        calls.append(k)
+        return run(X, k, *args, **kwargs)
+
+    monkeypatch.setattr(cluster, "kmeans", recording)
+    X = (np.random.default_rng(3).random((90, 14)) < 0.3).astype(np.uint8)
+    curve = elbow_sse_curve(X, kmin=2, kmax=6, restarts=4, seed=0, threads=2)
+    assert calls == [2, 3, 4, 5, 6] == [k for k, _ in curve]
+
+
+def test_kmeans_memory_on_an_embedding_does_not_grow_with_restarts_times_k(monkeypatch):
+    # the spectral step's input: n unit rows of k = 4 columns, two workers of
+    # five restarts each. A worker keeps its restarts' labels, the labels
+    # before and distances (24 B a point each, 1.4 MB) and tiles of
+    # KMEANS_CELLS cells (0.25 MB); products over all n rows at once take
+    # n x 20 cells a worker, several times over, about 10 MB in all
+    pretend_cpus(monkeypatch, 2)
+    n, k = 12_000, 4
+    rng = np.random.default_rng(0)
+    E = rng.normal(size=(n, k)) + 3.0 * np.eye(k)[rng.integers(k, size=n)]
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    kmeans(E[:50], k, seed=0)  # first-call imports are not the loop's
+    result, peak = traced_peak(kmeans, E, k, seed=0, threads=2)
+    assert len(result.labels) == n
+    assert peak < 6 * 2**20, peak
 
 
 def test_detect_elbow_hand_curve():

@@ -3,8 +3,11 @@
 The reference below keeps a dense X next to X's CSR copy: the products and
 centroid sums read the CSR, while the squared norms, the k-means++ rows, the
 re-seed rows and the exact SSE (summed from 256-row dense blocks) read the
-dense X. kmeans holds the points only as one float64 CSR and must give exactly
-what the reference gives: the same labels, SSE and SSE history, bit for bit.
+dense X. It runs each restart alone, one product per restart and iteration,
+and recounts every centroid sum. kmeans holds the points only as one float64
+CSR, runs a worker's restarts in one loop and moves only the points that
+changed cluster; it must give exactly what the reference gives: the same
+labels, SSE and SSE history, bit for bit.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import scipy.sparse as sp
 
 from adsubtype import cluster
 from adsubtype.cluster import elbow_sse_curve, kmeans
+from conftest import pretend_cpus
 
 # ---------------------------------------------------------------------------
 # reference: dense X beside its CSR copy
@@ -139,11 +143,12 @@ def test_kmeans_matches_the_dense_reference(case, threads):
 
 
 def _record_points(monkeypatch):
+    """The points' CSR as each restart's Lloyd loop reads it, once per restart."""
     seen = []
     lloyd = cluster._lloyd
 
     def recording(Xs, x2, centers):
-        seen.append(Xs)
+        seen.extend([Xs] * len(centers))
         return lloyd(Xs, x2, centers)
 
     monkeypatch.setattr(cluster, "_lloyd", recording)
@@ -159,6 +164,20 @@ def test_kmeans_reads_a_float64_csr_without_copying_it(monkeypatch):
     assert np.array_equal(dense.labels, csr.labels)
     assert dense.sse == csr.sse and dense.sse_history == csr.sse_history
     assert all(np.shares_memory(held.data, Xs.data) for held in seen)
+
+
+def test_kmeans_sums_duplicate_entries_of_a_csr():
+    # each 1 stored as two halves, in reversed column order: the same points
+    X = _binary(np.random.default_rng(8), 150, 25, np.float64)
+    Xs = sp.csr_matrix(X)
+    lens = np.diff(Xs.indptr)
+    indices = np.concatenate([Xs.indices[a:b][::-1].repeat(2) for a, b in zip(Xs.indptr, Xs.indptr[1:])])
+    split = sp.csr_matrix((np.full(2 * Xs.nnz, 0.5), indices, np.r_[0, np.cumsum(2 * lens)]), shape=X.shape)
+    assert not split.has_canonical_format
+    for k in (1, 3, 6):
+        a, b = kmeans(X, k, restarts=3, seed=k), kmeans(split, k, restarts=3, seed=k)
+        assert np.array_equal(a.labels, b.labels), k
+        assert a.sse == b.sse and a.sse_history == b.sse_history, k
 
 
 def test_elbow_curve_builds_one_csr_for_every_k(monkeypatch):
@@ -182,7 +201,7 @@ def test_lloyd_matches_the_dense_reference_when_starts_leave_clusters_empty():
         first = _ref_sqdist(Xs, x2, centers).argmin(axis=1)
         reseeded += int((np.bincount(first, minlength=k) == 0).any())
         ref_labels, ref_sse, ref_history = _ref_lloyd(X, Xs, x2, centers)
-        labels, _, sse, history = cluster._lloyd(Xs, x2, centers)
+        [(labels, sse, history)] = cluster._lloyd(Xs, x2, centers[None])
         assert np.array_equal(labels, ref_labels), trial
         assert sse == ref_sse and history == ref_history, trial
     assert reseeded > 15
@@ -195,3 +214,67 @@ def test_elbow_curve_on_uint8_equals_the_curve_on_float64():
     assert [sse for _, sse in curve] == [
         _ref_kmeans(X, k, restarts=3, seed=2)[1] for k in range(1, 7)
     ]
+
+
+@pytest.mark.parametrize("threads, groups", [(1, [10]), (2, [5, 5]), (3, [3, 3, 4])])
+@pytest.mark.parametrize("case", ["binary-uint8", "embedding", "few-distinct-rows", "real-valued"])
+def test_kmeans_matches_the_dense_reference_in_restart_groups(monkeypatch, case, threads, groups):
+    pretend_cpus(monkeypatch, 3)
+    sizes = []
+    lloyd = cluster._lloyd
+
+    def recording(Xs, x2, centers):
+        sizes.append(len(centers))
+        return lloyd(Xs, x2, centers)
+
+    monkeypatch.setattr(cluster, "_lloyd", recording)
+    rng = np.random.default_rng(sorted(CASES).index(case))
+    X = CASES[case](rng)
+    for k in (2, 5):
+        sizes.clear()
+        labels, sse, history = _ref_kmeans(X, k, restarts=10, seed=k)
+        result = kmeans(X, k, restarts=10, seed=k, threads=threads)
+        assert sorted(sizes) == groups
+        assert np.array_equal(result.labels, labels), k
+        assert result.sse == sse, k
+        assert result.sse_history == history, k
+
+
+def test_lloyd_group_matches_lone_runs_when_one_restart_reseeds():
+    # restart 1 starts far outside the data, so its first assignment leaves
+    # clusters empty and it re-seeds them, while restarts 0, 2 and 3 start at
+    # data points and go on; each restart must give what it gives alone
+    rng = np.random.default_rng(19)
+    reseeded = 0
+    for trial in range(100):
+        n, p, k = int(rng.integers(30, 300)), int(rng.integers(2, 12)), int(rng.integers(2, 7))
+        X = _binary(rng, n, p, np.float64) if trial % 2 else rng.normal(size=(n, p))
+        Xs = sp.csr_matrix(X)
+        x2 = np.einsum("ij,ij->i", X, X)
+        starts = np.stack([X[rng.choice(n, size=k, replace=False)] for _ in range(4)])
+        starts[1] = rng.uniform(-4.0, 4.0, size=(k, p)) + 8.0 * np.sign(rng.normal(size=(k, p)))
+        first = _ref_sqdist(Xs, x2, starts[1]).argmin(axis=1)
+        reseeded += int((np.bincount(first, minlength=k) == 0).any())
+        refs = [_ref_lloyd(X, Xs, x2, start) for start in starts]
+        runs = cluster._lloyd(Xs, x2, starts)
+        assert len(runs) == 4, trial
+        for r, (run, ref) in enumerate(zip(runs, refs)):
+            assert np.array_equal(run[0], ref[0]), (trial, r)
+            assert run[1] == ref[1] and run[2] == ref[2], (trial, r)
+    assert reseeded > 80
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kmeans_matches_the_dense_reference_when_restarts_stop_on_the_cap(monkeypatch, threads):
+    monkeypatch.setattr(cluster, "MAX_ITER", 2)
+    capped = 0
+    for case in ("binary-uint8", "embedding", "real-valued", "few-distinct-rows"):
+        X = CASES[case](np.random.default_rng(sorted(CASES).index(case)))
+        for k in (3, 7):
+            labels, sse, history = _ref_kmeans(X, k, restarts=4, seed=k)
+            result = kmeans(X, k, restarts=4, seed=k, threads=threads)
+            assert np.array_equal(result.labels, labels), (case, k)
+            assert result.sse == sse, (case, k)
+            assert result.sse_history == history, (case, k)
+            capped += len(history) == 3  # two iterations and the final SSE
+    assert capped >= 4
