@@ -573,7 +573,6 @@ def stage_cluster(ctx: Context) -> None:
     del ctx.parsed["features_temporal.csv"], temporal  # no later stage reads it
     release_heap()  # the temporal matrix, its affinity and embedding
     size_rows += _cluster_layout(ctx, config, aggregate, "assignments_aggregate.csv")
-    release_heap()
     ctx.write(Artifact("cluster_sizes.csv", ["layout", "cluster", "n"], size_rows))
 
 

@@ -561,31 +561,13 @@ TOL = 1e-4
 KMEANS_CELLS = 32_768
 
 
-def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(where the stored entries of rows sit in a CSR's arrays, in order; each row's count)."""
-    starts = indptr[rows]
-    lens = indptr[rows + 1] - starts
-    ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(int(lens.sum())), lens
-
-
-def _dense_rows(Xs: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
-    """Xs[rows] as a dense float64 array, filled from the CSR arrays.
-
-    Xs holds no duplicate entries (kmeans sums them), so this is
-    Xs[rows].toarray() bit for bit.
-    """
-    at, lens = _row_positions(Xs.indptr, rows)
-    out = np.zeros((len(rows), Xs.shape[1]))
-    out[np.repeat(np.arange(len(rows)), lens), Xs.indices[at]] = Xs.data[at]
-    return out
-
-
 def _row_tiles(Xs: sp.csr_matrix, width: int) -> list[tuple[slice, sp.csr_matrix]]:
     """(rows, a CSR view of them) for blocks of rows covering Xs, width x rows <= KMEANS_CELLS.
 
-    The views share Xs's arrays. They are set after construction, since the
-    constructor copies an array that is a view of less than half its base.
+    The views share Xs's arrays; Xs[a:b] copies in their place took k-means
+    on an embedding over its memory bound. They are set after construction,
+    since the constructor copies an array that is a view of less than half
+    its base.
     """
     import scipy.sparse as sp
     (n, p), ptr = Xs.shape, Xs.indptr
@@ -608,10 +590,11 @@ def _tile_distances(
     """(rows, d2) per tile: the squared distances from its points to each of centers (m x p).
 
     d2 = (||x||^2 + ||c||^2) - 2 x.c, clamped at 0, with x2 = ||x||^2, in
-    one buffer that every tile reuses. One product per tile covers every
-    centre: a column of a CSR product has the same bits at any width, and
-    an output row reads only its own row, so each distance has the bits of
-    a product with its centre alone.
+    one buffer that every tile reuses; a fresh one per tile raised the
+    spectral run's peak RSS. One product per tile covers every centre: a
+    column of a CSR product has the same bits at any width, and an output
+    row reads only its own row, so each distance has the bits of a product
+    with its centre alone.
     """
     c2 = np.einsum("ij,ij->i", centers, centers)
     ct = centers.T.copy()
@@ -639,7 +622,7 @@ def _kmeanspp_centers(
     chosen[:, 0] = [rng.integers(n) for rng in rngs]
     closest = np.full((R, n), np.inf)
     for step in range(1, k):
-        for rows, d2 in _tile_distances(tiles, x2, _dense_rows(Xs, chosen[:, step - 1])):
+        for rows, d2 in _tile_distances(tiles, x2, Xs[chosen[:, step - 1]].toarray()):
             np.minimum(closest[:, rows], d2.T, out=closest[:, rows])
         for r, rng in enumerate(rngs):
             total = closest[r].sum()
@@ -649,14 +632,15 @@ def _kmeanspp_centers(
             else:
                 at = np.searchsorted(np.cumsum(closest[r]), rng.random() * total, side="right")
                 chosen[r, step] = min(int(at), n - 1)
-    return _dense_rows(Xs, chosen.ravel()).reshape(R, k, -1)
+    return Xs[chosen.ravel()].toarray().reshape(R, k, -1)
 
 
 def _assigned_residuals(Xs: sp.csr_matrix, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
     # exact per-point squared distance to the assigned center. Each dense
     # block of KMEANS_CELLS cells starts at -c and gets its rows' nonzeros
     # added, each cell once: (-c) + x is x - c bit for bit, and a row's sum is
-    # the same in any block
+    # the same in any block. Xs[a:b].toarray() - centers[labels] in its
+    # place made the elbow slower
     (n, p), negated = Xs.shape, -centers
     step = max(1, KMEANS_CELLS // max(p, 1))
     residuals = np.empty(n)
@@ -698,7 +682,8 @@ def _move_points(
 
     sums (R x k x p) and counts (R x k) are each cluster's centroid sum and
     size; they stay integers, so they equal a recount in any order. The
-    moved points' entries are taken `step` points at a time.
+    moved points' entries are taken `step` points at a time, gathered by
+    indptr arithmetic; Xs[rows] per block made the elbow slower.
     """
     R, k, p = sums.shape
     slots, rows = np.nonzero(old != new)
@@ -706,7 +691,9 @@ def _move_points(
     for op, clusters in moves:
         op.at(counts.reshape(-1), clusters, 1)
     for a in range(0, len(rows), step):
-        at, lens = _row_positions(Xs.indptr, rows[a : a + step])
+        starts = Xs.indptr[rows[a : a + step]]
+        lens = Xs.indptr[rows[a : a + step] + 1] - starts
+        at = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(int(lens.sum()))
         for op, clusters in moves:
             op.at(sums.reshape(-1), np.repeat(clusters[a : a + step] * p, lens) + Xs.indices[at], 1.0)
 
@@ -723,8 +710,9 @@ def _lloyd(
     SSE; it is non-increasing up to rounding. Centroid sums add a cluster's
     values per column in ascending row order; on 0/1 points they are
     integer counts, kept up to date from the points that changed cluster
-    (`_move_points`). An empty cluster is re-seeded at the point farthest
-    from its center. A restart stops once no centre moves by TOL, or after
+    (`_move_points`); a recount every iteration made the elbow on a large
+    cohort slower. An empty cluster is re-seeded at the point farthest from
+    its center. A restart stops once no centre moves by TOL, or after
     MAX_ITER iterations, and is then assigned to its final centres.
 
     The running restarts' arrays are allocated once and compacted when
@@ -773,7 +761,7 @@ def _lloyd(
             claim_d2 = _assigned_residuals(Xs, centers[s], labels[s])
             for j in np.flatnonzero(~present[s]):
                 far = int(np.argmax(claim_d2))
-                new_centers[s, j] = _dense_rows(Xs, np.array([far]))[0]
+                new_centers[s, j] = Xs[far].toarray()[0]
                 claim_d2[far] = -1.0  # a point re-seeds at most one centroid
 
         last = np.sqrt(((new_centers - centers) ** 2).sum(axis=2)).max(axis=1) < TOL
@@ -815,7 +803,7 @@ def kmeans(
     """
     import scipy.sparse as sp
     Xs = sp.csr_matrix(X, dtype=np.float64)
-    Xs.sum_duplicates()  # one entry per cell, as the row fills and indexed adds assume
+    Xs.sum_duplicates()  # one entry per cell, as _assigned_residuals' indexed add assumes
     n = Xs.shape[0]
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")

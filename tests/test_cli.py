@@ -959,8 +959,7 @@ def test_cluster_releases_the_heap_after_each_layout(tmp_path, monkeypatch):
         (TEMPORAL, "assignments.csv", True),
         "release",
         (AGGREGATE, "assignments_aggregate.csv", False),
-        "release",
-    ]
+    ]  # the runner releases the aggregate layout's heap after the stage
     assert (tmp_path / "cluster_sizes.csv").exists()
 
 

@@ -888,6 +888,19 @@ def test_kmeans_memory_on_an_embedding_does_not_grow_with_restarts_times_k(monke
     assert peak < 6 * 2**20, peak
 
 
+def test_row_tiles_are_views_of_the_csr():
+    # copies in place of the views took the memory test above over its bound
+    X = np.random.default_rng(6).normal(size=(5000, 4))
+    Xs = sp.csr_matrix(X)
+    tiles = cluster._row_tiles(Xs, 40)  # 819 rows a tile
+    assert len(tiles) == 7
+    for rows, tile in tiles:
+        assert np.shares_memory(tile.data, Xs.data)
+        assert np.shares_memory(tile.indices, Xs.indices)
+        assert np.array_equal(tile.toarray(), X[rows])
+    assert tiles[-1][0].stop == len(X)
+
+
 def test_detect_elbow_hand_curve():
     curve = [(1, 100.0), (2, 40.0), (3, 15.0), (4, 13.0), (5, 12.0), (6, 11.0)]
     assert detect_elbow(curve) == 3
